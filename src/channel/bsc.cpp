@@ -14,16 +14,21 @@ SymmetricChannel::SymmetricChannel(double error_probability, unsigned symbol_bit
   }
 }
 
-std::uint64_t SymmetricChannel::advance(std::uint8_t* data, std::uint64_t span,
-                                        Rng& rng) {
+std::uint64_t SymmetricChannel::advance(std::uint64_t start, std::uint64_t span,
+                                        Rng& rng, EventSink sink) {
+  // Local copies keep the generator in registers across the opaque sink
+  // call (see GilbertElliottChannel::advance).
+  Rng r = rng;
+  const double p = p_;
+  const unsigned bits = symbol_bits_;
   std::uint64_t corrupted = 0;
   for (std::uint64_t i = 0; i < span; ++i) {
-    if (rng.bernoulli(p_)) {
-      const std::uint8_t flip = corrupt_flip(symbol_bits_, rng);
-      if (data != nullptr) data[i] ^= flip;
+    if (r.bernoulli(p)) {
+      sink({start + i, corrupt_flip(bits, r)});
       ++corrupted;
     }
   }
+  rng = r;
   return corrupted;
 }
 

@@ -17,7 +17,8 @@ class SymmetricChannel final : public Channel {
   double error_probability() const { return p_; }
 
  protected:
-  std::uint64_t advance(std::uint8_t* data, std::uint64_t span, Rng& rng) override;
+  std::uint64_t advance(std::uint64_t start, std::uint64_t span, Rng& rng,
+                        EventSink sink) override;
 
  private:
   double p_;

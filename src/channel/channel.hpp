@@ -8,83 +8,123 @@
 /// BSC as control, a Gilbert-Elliott two-state burst channel, and a
 /// correlated-fading LEO model with configurable coherence time.
 ///
-/// Channels operate on *symbol* streams: apply() flips (XOR-corrupts)
-/// symbols in place and returns the number of corrupted symbols.
-///
 /// Every channel is a deterministic state machine over a *wire position*
 /// counter: symbol i of the stream is corrupted by a fixed function of
-/// (parameters, RNG seed, the i-1 symbols before it). The one primitive a
-/// subclass implements, advance(), walks a span of symbols either
-/// corrupting a buffer or — with a null buffer — consuming the *identical*
-/// RNG draws without writing. That second mode is the deterministic
-/// skip-ahead behind apply_range(): a fresh channel can fast-forward to
-/// any wire position and continue byte-identically to a sequential walk,
-/// which is what lets range-addressable error sources (src/source/) hand
-/// disjoint spans of one frame to independent workers.
+/// (parameters, RNG seed, the i-1 symbols before it), and a corruption is
+/// a non-zero XOR flip drawn independently of the symbol's value. So the
+/// channel's whole effect on a stream is its list of (wire position,
+/// flip) events, and the one primitive a subclass implements, advance(),
+/// emits exactly that list to an EventSink. Everything else is a thin
+/// sink over it: apply() XORs the events into a buffer, skip() discards
+/// them while consuming the identical RNG draws — the deterministic
+/// skip-ahead behind events() and apply_range(), which lets a fresh
+/// channel fast-forward to any wire position and continue byte-identically
+/// to a sequential walk, and lets range-addressable error sources
+/// (src/source/) hand disjoint spans of one frame to independent workers.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
 
 namespace tbi::channel {
 
+/// One corruption event on the wire stream.
+struct Corruption {
+  std::uint64_t wire_pos = 0;  ///< absolute wire position (symbol index)
+  std::uint8_t flip = 0;       ///< non-zero XOR mask applied to the symbol
+};
+
+inline bool operator==(const Corruption& a, const Corruption& b) {
+  return a.wire_pos == b.wire_pos && a.flip == b.flip;
+}
+
+/// Non-owning reference to a `void(const Corruption&)` callable.
+///
+/// Events flow channel -> source -> pipeline through this instead of
+/// std::function so the per-frame hot path never allocates (a capturing
+/// lambda bigger than the std::function small-buffer would heap-allocate
+/// every frame and break the zero-steady-allocation invariant). The
+/// referenced callable must outlive the call it is passed to, which
+/// always holds for the call-site lambdas used here.
+class EventSink {
+ public:
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::remove_cvref_t<F>, EventSink>>>
+  EventSink(F&& f)  // NOLINT: implicit by design, mirrors function_ref
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, const Corruption& e) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(e);
+        }) {}
+
+  void operator()(const Corruption& e) const { call_(obj_, e); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, const Corruption&);
+};
+
 class Channel {
  public:
   virtual ~Channel() = default;
 
-  /// Corrupt \p symbols in place; a corrupted symbol is XORed with a
-  /// non-zero random value (so it is guaranteed to differ).
-  /// Returns the number of corrupted symbols and advances position().
+  /// Counter-based random access: emit one event per corrupted symbol of
+  /// the wire range [start, start + span) into \p sink, in increasing
+  /// wire position, and return the event count. Requires
+  /// start >= position() (the channel only runs forward; rewind by
+  /// constructing a fresh instance and reseeding the RNG); the gap is
+  /// crossed with skip(). Splitting a stream into ranges at any
+  /// boundaries emits exactly the events of one call over the whole
+  /// stream (tested property).
+  std::uint64_t events(std::uint64_t start, std::uint64_t span, Rng& rng,
+                       EventSink sink);
+
+  /// Corrupt \p symbols in place as the next symbols.size() wire
+  /// positions; a corrupted symbol is XORed with a non-zero random value
+  /// (so it is guaranteed to differ). Returns the number of corrupted
+  /// symbols and advances position().
   std::uint64_t apply(std::vector<std::uint8_t>& symbols, Rng& rng) {
     return apply(std::span<std::uint8_t>(symbols), rng);
   }
   std::uint64_t apply(std::span<std::uint8_t> symbols, Rng& rng) {
-    position_ += symbols.size();
-    return advance(symbols.data(), symbols.size(), rng);
+    return apply_range(position_, symbols, rng);
   }
 
-  /// Fast-forward the channel over \p span symbols without observing any
-  /// data: consumes exactly the RNG draws apply() would, so a subsequent
-  /// apply() continues byte-identically to an uninterrupted sequential
-  /// walk. Cost is RNG-only (no memory traffic); the LEO model skips
-  /// un-faded power samples in O(1) per sample.
-  void skip(std::uint64_t span, Rng& rng) {
-    position_ += span;
-    advance(nullptr, span, rng);
-  }
+  /// Fast-forward the channel over \p span symbols, discarding their
+  /// events: consumes exactly the RNG draws apply() would, so a
+  /// subsequent apply() continues byte-identically to an uninterrupted
+  /// sequential walk. The LEO model skips un-faded power samples in O(1)
+  /// per sample.
+  void skip(std::uint64_t span, Rng& rng);
 
-  /// Counter-based random access: corrupt \p symbols as the wire range
-  /// [start, start + symbols.size()). Requires start >= position() (the
-  /// channel only runs forward; rewind by constructing a fresh instance
-  /// and reseeding the RNG); the gap is crossed with skip(). Chunking a
-  /// stream through apply_range at any boundaries is byte-identical to
-  /// one sequential apply() over the whole stream (tested property).
+  /// events() XORed into \p symbols, which stand for the wire range
+  /// [start, start + symbols.size()).
   std::uint64_t apply_range(std::uint64_t start, std::span<std::uint8_t> symbols,
                             Rng& rng);
 
-  /// Wire position of the next symbol apply()/skip() will consume.
+  /// Wire position of the next symbol events()/apply()/skip() will consume.
   std::uint64_t position() const { return position_; }
 
   virtual const char* name() const = 0;
 
  protected:
-  /// The one subclass primitive: walk \p span symbols of the wire. When
-  /// \p data is non-null, XOR-corrupt data[0..span); when null, draw the
-  /// identical RNG sequence without writing (skip mode). Returns the
-  /// number of (would-be) corrupted symbols.
-  virtual std::uint64_t advance(std::uint8_t* data, std::uint64_t span,
-                                Rng& rng) = 0;
+  /// The one subclass primitive: walk \p span symbols of the wire, the
+  /// first at wire position \p start, and emit each corrupted symbol's
+  /// (wire position, flip) into \p sink in increasing position. The
+  /// draws must not depend on the sink. Returns the number of events.
+  virtual std::uint64_t advance(std::uint64_t start, std::uint64_t span, Rng& rng,
+                                EventSink sink) = 0;
 
  private:
   std::uint64_t position_ = 0;
 };
 
-/// Random non-zero flip mask confined to the low \p bits. Drawing (and
-/// discarding) this in skip mode is what keeps the RNG stream aligned
-/// with the corrupting walk.
+/// Random non-zero flip mask confined to the low \p bits.
 inline std::uint8_t corrupt_flip(unsigned bits, Rng& rng) {
   const std::uint64_t mask = (bits >= 8) ? 0xFF : ((1u << bits) - 1);
   std::uint8_t flip = 0;

@@ -34,22 +34,26 @@ double GilbertElliottChannel::stationary_bad() const {
   return denom > 0.0 ? params_.p_gb / denom : 0.0;
 }
 
-std::uint64_t GilbertElliottChannel::advance(std::uint8_t* data,
-                                             std::uint64_t span, Rng& rng) {
+std::uint64_t GilbertElliottChannel::advance(std::uint64_t start,
+                                             std::uint64_t span, Rng& rng,
+                                             EventSink sink) {
+  // The walk runs on local copies of the generator, the state and the
+  // parameters: the sink is an opaque call, so anything it could reach
+  // would otherwise be stored and reloaded on every symbol.
+  Rng r = rng;
+  bool bad = bad_;
+  const GilbertElliottParams p = params_;
   std::uint64_t corrupted = 0;
   for (std::uint64_t i = 0; i < span; ++i) {
-    if (bad_) {
-      if (rng.bernoulli(params_.p_bg)) bad_ = false;
-    } else {
-      if (rng.bernoulli(params_.p_gb)) bad_ = true;
-    }
-    const double p = bad_ ? params_.error_bad : params_.error_good;
-    if (p > 0.0 && rng.bernoulli(p)) {
-      const std::uint8_t flip = corrupt_flip(params_.symbol_bits, rng);
-      if (data != nullptr) data[i] ^= flip;
+    bad = bad ? !r.bernoulli(p.p_bg) : r.bernoulli(p.p_gb);
+    const double error_rate = bad ? p.error_bad : p.error_good;
+    if (error_rate > 0.0 && r.bernoulli(error_rate)) {
+      sink({start + i, corrupt_flip(p.symbol_bits, r)});
       ++corrupted;
     }
   }
+  rng = r;
+  bad_ = bad;
   return corrupted;
 }
 

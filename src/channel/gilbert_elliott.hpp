@@ -38,7 +38,8 @@ class GilbertElliottChannel final : public Channel {
   double stationary_bad() const;
 
  protected:
-  std::uint64_t advance(std::uint8_t* data, std::uint64_t span, Rng& rng) override;
+  std::uint64_t advance(std::uint64_t start, std::uint64_t span, Rng& rng,
+                        EventSink sink) override;
 
  private:
   GilbertElliottParams params_;

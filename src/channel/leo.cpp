@@ -75,8 +75,8 @@ double LeoFadingChannel::next_gaussian(Rng& rng) {
   return u * m;
 }
 
-std::uint64_t LeoFadingChannel::advance(std::uint8_t* data, std::uint64_t span,
-                                        Rng& rng) {
+std::uint64_t LeoFadingChannel::advance(std::uint64_t start, std::uint64_t span,
+                                        Rng& rng, EventSink sink) {
   std::uint64_t corrupted = 0;
   const double sigma = std::sqrt(1.0 - rho_ * rho_);
   std::uint64_t k = 0;
@@ -98,15 +98,19 @@ std::uint64_t LeoFadingChannel::advance(std::uint8_t* data, std::uint64_t span,
         span - k,
         static_cast<std::uint64_t>(params_.symbols_per_sample - sample_phase_));
     if (faded_) {
-      // The per-symbol draws only exist inside fades, so skip mode
-      // (data == nullptr) crosses every clean sample window for free.
+      // The per-symbol draws only exist inside fades, so every clean
+      // sample window is crossed for free. Local copies keep the
+      // generator in registers across the opaque sink call.
+      Rng r = rng;
+      const double error_rate = params_.fade_depth_error_rate;
+      const unsigned bits = params_.symbol_bits;
       for (std::uint64_t i = k; i < k + take; ++i) {
-        if (rng.bernoulli(params_.fade_depth_error_rate)) {
-          const std::uint8_t flip = corrupt_flip(params_.symbol_bits, rng);
-          if (data != nullptr) data[i] ^= flip;
+        if (r.bernoulli(error_rate)) {
+          sink({start + i, corrupt_flip(bits, r)});
           ++corrupted;
         }
       }
+      rng = r;
     }
     sample_phase_ = static_cast<unsigned>(
         (sample_phase_ + take) % params_.symbols_per_sample);

@@ -38,12 +38,12 @@ class LeoFadingChannel final : public Channel {
   double threshold() const { return threshold_; }
 
  protected:
-  /// Skip mode (data == nullptr) is where the LEO model's skip-ahead is
-  /// genuinely fast: an un-faded power sample consumes no per-symbol
-  /// draws at all, so crossing a clean span costs O(1) per
-  /// symbols_per_sample window — only faded stretches (the configured few
-  /// percent) are walked symbol by symbol.
-  std::uint64_t advance(std::uint8_t* data, std::uint64_t span, Rng& rng) override;
+  /// An un-faded power sample consumes no per-symbol draws at all, so
+  /// crossing a clean span costs O(1) per symbols_per_sample window —
+  /// only faded stretches (the configured few percent) are walked symbol
+  /// by symbol.
+  std::uint64_t advance(std::uint64_t start, std::uint64_t span, Rng& rng,
+                        EventSink sink) override;
 
  private:
   double next_gaussian(Rng& rng);
@@ -60,7 +60,7 @@ class LeoFadingChannel final : public Channel {
   bool started_ = false;
   bool faded_ = false;
   /// Symbols already consumed of the current power sample. Carrying the
-  /// phase across apply() calls makes the fading process continuous in
+  /// phase across advance() calls makes the fading process continuous in
   /// symbol time, so splitting a stream into chunks of any size yields
   /// the identical corruption pattern (the streaming pipeline relies on
   /// this).

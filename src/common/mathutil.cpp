@@ -25,4 +25,15 @@ std::uint64_t triangular_side_for(std::uint64_t elements) {
   return n;
 }
 
+std::uint64_t tri_row_of(std::uint64_t n, std::uint64_t k) {
+  assert(k < triangular_number(n));
+  // Solve tri_row_offset(n, i) <= k via the quadratic root of
+  // -i^2/2 + i(n + 1/2) - k = 0, then fix up integer rounding.
+  const std::uint64_t disc = (2 * n + 1) * (2 * n + 1) - 8 * k;
+  std::uint64_t i = (2 * n + 1 - isqrt(disc)) / 2;
+  while (i > 0 && tri_row_offset(n, i) > k) --i;
+  while (i + 1 < n && tri_row_offset(n, i + 1) <= k) ++i;
+  return i;
+}
+
 }  // namespace tbi

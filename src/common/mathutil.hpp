@@ -38,6 +38,11 @@ constexpr std::uint64_t tri_row_offset(std::uint64_t n, std::uint64_t i) {
   return i * n - i * (i - 1) / 2;
 }
 
+/// Row holding packed offset \p k (k < triangular_number(n)) of a packed
+/// upper-left triangular array of side \p n: the i with
+/// tri_row_offset(n, i) <= k < tri_row_offset(n, i + 1). O(1).
+std::uint64_t tri_row_of(std::uint64_t n, std::uint64_t k);
+
 /// Number of valid columns in row i (upper-left triangle, side n).
 constexpr std::uint64_t tri_row_length(std::uint64_t n, std::uint64_t i) {
   assert(i < n);

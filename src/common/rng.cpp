@@ -14,8 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
@@ -23,18 +21,6 @@ void Rng::reseed(std::uint64_t seed) {
   for (auto& s : s_) s = splitmix64(x);
   // Avoid the (astronomically unlikely) all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::uniform(std::uint64_t bound) {
@@ -45,11 +31,6 @@ std::uint64_t Rng::uniform(std::uint64_t bound) {
     const std::uint64_t r = next_u64();
     if (r >= threshold) return r % bound;
   }
-}
-
-double Rng::uniform_double() {
-  // 53 random mantissa bits -> [0,1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t Rng::geometric(double p) {

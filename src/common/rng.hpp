@@ -19,14 +19,25 @@ class Rng {
   /// Re-initialize the state from a 64-bit seed via splitmix64.
   void reseed(std::uint64_t seed);
 
-  /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  /// Next raw 64-bit value. Inline: the channel walks draw once or twice
+  /// per wire symbol.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound) (bound > 0), unbiased via rejection.
   std::uint64_t uniform(std::uint64_t bound);
 
-  /// Uniform double in [0, 1).
-  double uniform_double();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double uniform_double() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
   /// Bernoulli trial with probability \p p.
   bool bernoulli(double p) { return uniform_double() < p; }
@@ -35,6 +46,8 @@ class Rng {
   std::uint64_t geometric(double p);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   std::uint64_t s_[4];
 };
 

@@ -11,14 +11,8 @@ TriangularInterleaver::TriangularInterleaver(std::uint64_t side) : side_(side) {
 std::pair<std::uint64_t, std::uint64_t> TriangularInterleaver::write_position(
     std::uint64_t k) const {
   if (k >= capacity()) throw std::out_of_range("TriangularInterleaver::write_position");
-  // Solve tri_row_offset(n, i) <= k via the quadratic root of
-  // -i^2/2 + i(n + 1/2) - k = 0, then fix up integer rounding.
-  const std::uint64_t n = side_;
-  const std::uint64_t disc = (2 * n + 1) * (2 * n + 1) - 8 * k;
-  std::uint64_t i = (2 * n + 1 - isqrt(disc)) / 2;
-  while (i > 0 && tri_row_offset(n, i) > k) --i;
-  while (i + 1 < n && tri_row_offset(n, i + 1) <= k) ++i;
-  return {i, k - tri_row_offset(n, i)};
+  const std::uint64_t i = tri_row_of(side_, k);
+  return {i, k - tri_row_offset(side_, i)};
 }
 
 std::uint64_t TriangularInterleaver::permute(std::uint64_t k) const {

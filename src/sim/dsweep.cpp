@@ -993,7 +993,6 @@ Json fer_job_config(const SweepGrid& grid, const FerSweepOptions& options) {
   base["frames"] = static_cast<std::uint64_t>(b.frames);
   base["side"] = b.side;
   base["symbols_per_burst"] = b.symbols_per_burst;
-  base["stream_chunk_symbols"] = b.stream_chunk_symbols;
   base["error_probability"] = b.error_probability;
   base["fade_fraction"] = b.fade_fraction;
   base["mean_burst_symbols"] = b.mean_burst_symbols;
@@ -1165,10 +1164,10 @@ PipelineSliceResult fer_slice_from_json(const Json& record) {
 namespace {
 
 /// Merge an expanded cell x slice run back to one FerCell per scenario:
-/// streaming cells combine their slices (channel events merged, decode +
-/// DRAM phases run here — both deterministic), materialized cells were
-/// computed whole by their slice 0. A cell is done only when every one of
-/// its slices is.
+/// streaming cells combine their slices (channel events counted per code
+/// word, DRAM phases run here — both deterministic), row-aligned cells
+/// were computed whole by their slice 0. A cell is done only when every
+/// one of its slices is.
 FerDistResult fer_dist_from_sliced(const SweepGrid& grid,
                                    const FerSweepOptions& options,
                                    DsweepResult res) {

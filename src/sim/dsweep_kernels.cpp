@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "dram/standards.hpp"
-#include "fec/reed_solomon.hpp"
 #include "interleaver/streams.hpp"
 #include "sim/dsweep.hpp"
 #include "sim/runner.hpp"
@@ -58,8 +57,6 @@ PipelineConfig base_from_json(const Json& b) {
   base.side = static_cast<std::uint64_t>(b.at("side").as_double());
   base.symbols_per_burst =
       static_cast<std::uint64_t>(b.at("symbols_per_burst").as_double());
-  base.stream_chunk_symbols =
-      static_cast<std::uint64_t>(b.at("stream_chunk_symbols").as_double());
   base.error_probability = b.at("error_probability").as_double();
   base.fade_fraction = b.at("fade_fraction").as_double();
   base.mean_burst_symbols = b.at("mean_burst_symbols").as_double();
@@ -119,15 +116,14 @@ Json fer_kernel(const Json& job, std::uint64_t index, std::uint64_t seed) {
                              run_pipeline_slice(config, slice, num_slices));
   }
   if (num_slices > 1 && slice != 0) {
-    // Materialized cells can't split inside a frame; their slice 0
+    // Row-aligned cells don't split inside a frame; their slice 0
     // computes the whole cell and the remaining slices are placeholders
     // the merge step skips.
     Json j;
     j["skipped"] = true;
     return j;
   }
-  const fec::ReedSolomon rs(config.rs_n, config.rs_k);
-  return fer_cell_to_json(scenario, run_pipeline(config, rs));
+  return fer_cell_to_json(scenario, run_pipeline(config));
 }
 
 /// "bandwidth": one run of an experiment_runner batch. Deterministic DRAM

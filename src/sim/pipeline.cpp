@@ -1,14 +1,12 @@
 #include "sim/pipeline.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 #include "channel/bsc.hpp"
 #include "channel/gilbert_elliott.hpp"
 #include "channel/leo.hpp"
 #include "common/mathutil.hpp"
-#include "common/rng.hpp"
 #include "interleaver/block.hpp"
 #include "interleaver/streams.hpp"
 #include "interleaver/triangular.hpp"
@@ -21,13 +19,12 @@ namespace tbi::sim {
 namespace {
 
 constexpr unsigned kChannelSymbolBits = 8;  // RS symbols are bytes
-constexpr std::uint64_t kDefaultChunkSymbols = 65536;
 
 /// Stream permutation for the pipeline's interleaver axis. The block
 /// variant reshapes the packed triangle into an exact rows x cols
 /// rectangle (classic SRAM interleaver) as the non-triangular baseline;
 /// the two-stage variant is the paper's SRAM-block-into-DRAM-triangle
-/// composition and is only ever driven through index math (streaming).
+/// composition. The frame loop only ever needs the inverse, per event.
 class StreamInterleaver {
  public:
   StreamInterleaver(const std::string& kind, std::uint64_t side,
@@ -59,9 +56,6 @@ class StreamInterleaver {
     throw std::invalid_argument("pipeline: unknown interleaver '" + kind + "'");
   }
 
-  /// False for the "none" identity (callers skip the copy entirely).
-  bool active() const { return tri_ != nullptr || block_ != nullptr || two_ != nullptr; }
-
   /// Frame size in symbols.
   std::uint64_t capacity_symbols() const { return capacity_; }
 
@@ -74,18 +68,6 @@ class StreamInterleaver {
     return p;
   }
 
-  void forward_into(std::span<const std::uint8_t> in,
-                    std::span<std::uint8_t> out) const {
-    if (tri_) return tri_->interleave_into(in, out);
-    block_->interleave_into(in, out);
-  }
-
-  void backward_into(std::span<const std::uint8_t> in,
-                     std::span<std::uint8_t> out) const {
-    if (tri_) return tri_->deinterleave_into(in, out);
-    block_->deinterleave_into(in, out);
-  }
-
  private:
   std::unique_ptr<interleaver::TriangularInterleaver> tri_;
   std::unique_ptr<interleaver::BlockInterleaver> block_;
@@ -93,297 +75,92 @@ class StreamInterleaver {
   std::uint64_t capacity_ = 0;
 };
 
-/// One sparse channel corruption, already mapped back from wire order to
-/// the input (code-word stream) position.
-struct ErrorHit {
-  std::uint64_t input_index;
-  std::uint8_t flip;
-};
-
-/// Per-run workspace: every buffer the frame loop touches, allocated once
-/// and reused across frames (zero steady-state allocations per frame).
-///
-/// The materialized (row-aligned) path uses stream/tx/rx sized to the
-/// triangle capacity. The streaming path never allocates
-/// capacity-proportional buffers: it uses the chunk buffer plus the
-/// sparse per-frame error list. Both share the code-word buffers and the
-/// decoder scratch.
-///
-/// Row-aligned framing: row i of a triangular block carries one shortened
-/// RS(n, k) code word when its length n - i exceeds the parity, i.e.
-/// exactly for i < side - parity; the trailing `parity` rows are zero
-/// padding. The payload of row i occupies word symbols [i, k) and the
-/// transmitted row is word symbols [i, n), so the payloads are stored
-/// back to back in `data` and located implicitly by accumulating k - i.
-struct FrameWorkspace {
-  std::vector<std::uint8_t> stream;  ///< packed triangle, write order
-  std::vector<std::uint8_t> tx;      ///< interleaved stream on the wire
-  std::vector<std::uint8_t> rx;      ///< deinterleaved received stream
-  std::vector<std::uint8_t> word;    ///< one RS code word (n symbols)
-  std::vector<std::uint8_t> data;    ///< concatenated per-row payloads
-  std::vector<ErrorHit> hits;        ///< streaming: per-frame corruption
-  fec::RsScratch rs_scratch;
-
-  static FrameWorkspace materialized(std::uint64_t side, unsigned n,
-                                     bool interleaved) {
-    FrameWorkspace ws;
-    const std::uint64_t cap = triangular_number(side);
-    ws.stream.assign(cap, 0);
-    if (interleaved) {
-      ws.tx.resize(cap);
-      ws.rx.resize(cap);
-    }
-    ws.word.resize(n);
-    ws.data.reserve(cap);
-    ws.rs_scratch.reserve(n);
-    return ws;
-  }
-
-  static FrameWorkspace streaming(unsigned n, unsigned k) {
-    FrameWorkspace ws;
-    ws.word.resize(n);
-    ws.data.resize(k);
-    ws.rs_scratch.reserve(n);
-    // Headroom for the per-frame corruption list so a noisier-than-frame-0
-    // frame does not count a reallocation against the steady state. (The
-    // wire-chunk scan buffer lives inside the source now — see
-    // ChannelSource::scratch_bytes, charged into workspace_peak_bytes.)
-    ws.hits.reserve(4096);
-    return ws;
-  }
-
-  /// Bytes currently held across all buffers (capacities, so reserve
-  /// growth is charged) — the instrumented counter the streaming memory
-  /// test bounds against the chunk size.
-  std::uint64_t allocated_bytes() const {
-    const auto scratch_bytes = [](const fec::RsScratch& s) {
-      return s.synd.capacity() + s.sigma.capacity() + s.prev.capacity() +
-             s.tmp.capacity() + s.omega.capacity() + s.deriv.capacity() +
-             s.positions.capacity() * sizeof(unsigned);
-    };
-    return stream.capacity() + tx.capacity() + rx.capacity() + word.capacity() +
-           data.capacity() + hits.capacity() * sizeof(ErrorHit) +
-           scratch_bytes(rs_scratch);
-  }
-};
-
-void make_frame(const fec::ReedSolomon& rs, std::uint64_t side, Rng& rng,
-                FrameWorkspace& ws) {
-  const unsigned parity = rs.parity();
-  const unsigned k = rs.k();
-  const unsigned n = rs.n();
-  ws.data.clear();
-  std::uint8_t* word = ws.word.data();
-  std::uint64_t pos = 0;
-  for (std::uint64_t i = 0; i < side; ++i) {
-    const std::uint64_t len = tri_row_length(side, i);
-    if (len <= parity) break;  // the remaining rows are all padding
-    // Build the full data word in place: i leading zeros, then the
-    // payload; encode() appends the parity behind the aliased data.
-    std::fill(word, word + i, 0);
-    for (std::uint64_t d = i; d < k; ++d) {
-      word[d] = static_cast<std::uint8_t>(rng.next_u64());
-    }
-    ws.data.insert(ws.data.end(), word + i, word + k);
-    rs.encode(std::span<const std::uint8_t>(word, k),
-              std::span<std::uint8_t>(word, n));
-    std::copy(word + i, word + n, ws.stream.begin() + static_cast<long>(pos));
-    pos += len;
-  }
-  // Trailing padding rows: rewrite the zeros a previous frame's channel
-  // pass may have corrupted.
-  std::fill(ws.stream.begin() + static_cast<long>(pos), ws.stream.end(), 0);
+std::uint64_t frame_side(const PipelineConfig& config) {
+  return config.side != 0 ? config.side : config.rs_n;
 }
 
-void decode_frame(const fec::ReedSolomon& rs, std::uint64_t side,
-                  const std::vector<std::uint8_t>& rx, FrameWorkspace& ws,
-                  PipelineResult& result) {
-  const unsigned parity = rs.parity();
-  const unsigned n = rs.n();
-  std::uint8_t* word = ws.word.data();
-  std::uint64_t failures = 0;
-  std::uint64_t pos = 0;
-  std::uint64_t data_pos = 0;
-  for (std::uint64_t i = 0; i < side; ++i) {
-    const std::uint64_t len = tri_row_length(side, i);
-    if (len > parity) {
-      std::fill(word, word + i, 0);
-      std::copy(rx.begin() + static_cast<long>(pos),
-                rx.begin() + static_cast<long>(pos + len), word + i);
-      const auto res =
-          rs.decode(std::span<std::uint8_t>(word, n), ws.rs_scratch);
-      const std::uint64_t dlen = len - parity;
-      const bool data_ok =
-          res.ok && std::equal(ws.data.begin() + static_cast<long>(data_pos),
-                               ws.data.begin() + static_cast<long>(data_pos + dlen),
-                               word + i);
-      data_pos += dlen;
-      ++result.code_words;
-      if (data_ok) {
-        result.corrected_symbols += res.corrected_symbols;
-      } else {
+/// Which code word of a frame carries each input (code-word stream)
+/// position, for the two layouts of pipeline.hpp:
+///
+/// * packed (pipeline_streams): full RS(n, k) words back to back, so
+///   position k is in word k / n; the sub-word tail behind the last of
+///   the capacity / n words is zero padding.
+/// * rows (side == rs_n): row i of the packed triangle carries one
+///   shortened word, its symbols [i, n) (the leading i zeros are
+///   implicit). A row no longer than the parity carries no data, so the
+///   rows i >= side - parity are zero padding.
+///
+/// word_of() maps every padding position to words(), one slot past the
+/// last word, so the frame loop counts padding events without a branch.
+class WordLayout {
+ public:
+  WordLayout(const PipelineConfig& config, std::uint64_t capacity)
+      : rows_(!pipeline_streams(config)),
+        side_(frame_side(config)),
+        n_(config.rs_n),
+        words_(rows_ ? side_ - (config.rs_n - config.rs_k) : capacity / config.rs_n) {}
+
+  std::uint64_t words() const { return words_; }
+
+  std::uint64_t word_of(std::uint64_t k) const {
+    return std::min(rows_ ? tri_row_of(side_, k) : k / n_, words_);
+  }
+
+ private:
+  bool rows_;
+  std::uint64_t side_;
+  std::uint64_t n_;
+  std::uint64_t words_;
+};
+
+/// The frame loop shared by run_pipeline and combine_pipeline_slices.
+/// \p add_events(f, weights) adds 1 to weights[layout.word_of(k)] for
+/// every corrupted input position k of frame f; then every word is judged
+/// by its error weight alone.
+///
+/// That is exact, not a model: RS is linear and the channel's flips do
+/// not depend on the data, so a bounded-distance decoder given
+/// codeword + error returns the codeword, with as many corrections as the
+/// error has symbols, iff the error weight is <= t = (n - k) / 2. Past t
+/// it either fails or lands on another codeword, which differs from the
+/// sent one in the payload (systematic encoding is injective) or, for a
+/// shortened row, in the zero prefix no row codeword has — a word error
+/// either way.
+///
+/// Weights are one byte per word and cannot wrap: a frame's events sit at
+/// distinct positions, so a word collects at most n <= 255 of them. The
+/// padding slot may wrap, but it is never judged.
+template <typename AddEvents>
+void count_frames(const PipelineConfig& config, const WordLayout& layout,
+                  PipelineResult& result, AddEvents&& add_events) {
+  const unsigned t = (config.rs_n - config.rs_k) / 2;
+  const std::uint64_t words = layout.words();
+  std::vector<std::uint8_t> weights(words + 1, 0);
+
+  const std::uint64_t host_start = perf::now_ns();
+  perf::AllocationScope alloc_scope;
+  for (unsigned f = 0; f < config.frames; ++f) {
+    // Frame 0 is the warm-up; the steady-state window starts after it.
+    if (f == 1) alloc_scope.restart();
+    add_events(f, weights.data());
+    std::uint64_t failures = 0;
+    for (std::uint64_t w = 0; w < words; ++w) {
+      if (weights[w] > t) {
         ++failures;
+      } else {
+        result.corrected_symbols += weights[w];
       }
     }
-    pos += len;
+    std::fill(weights.begin(), weights.end(), 0);
+    result.code_words += words;
+    result.word_errors += failures;
+    result.frame_errors += failures != 0;
   }
-  result.word_errors += failures;
-  result.frame_errors += failures != 0;
-}
-
-/// Legacy row-aligned path: side == rs_n, frames materialized and
-/// permuted buffer-to-buffer.
-void run_frames_materialized(const PipelineConfig& config,
-                             const fec::ReedSolomon& rs,
-                             const StreamInterleaver& il, std::uint64_t side,
-                             source::ErrorSource* src, PipelineResult& result) {
-  // The data stream is decoupled from the source's channel draws (see
-  // make_source), so two configs that differ only in the interleaver see
-  // the same fade pattern.
-  Rng data_rng(job_seed(config.seed, 0));
-
-  FrameWorkspace ws = FrameWorkspace::materialized(side, config.rs_n, il.active());
-  const std::uint64_t capacity = il.capacity_symbols();
-
-  const std::uint64_t host_start = perf::now_ns();
-  perf::AllocationScope alloc_scope;
-  for (unsigned f = 0; f < config.frames; ++f) {
-    // Frame 0 is the warm-up (data.reserve growth, decoder scratch); the
-    // steady-state window starts after it.
-    if (f == 1) alloc_scope.restart();
-    make_frame(rs, side, data_rng, ws);
-    // The "none" identity runs the channel directly on the packed stream
-    // — no copies at all.
-    std::vector<std::uint8_t>& wire = il.active() ? ws.tx : ws.stream;
-    if (il.active()) il.forward_into(ws.stream, ws.tx);
-    if (src != nullptr) {
-      // The wire position advances contiguously frame to frame, so the
-      // source's channel state stays continuous in symbol time exactly as
-      // the channel did when the pipeline drove it directly.
-      result.channel_symbol_errors +=
-          src->corrupt(static_cast<std::uint64_t>(f) * capacity, wire);
-      result.channel_symbols += wire.size();
-    }
-    const std::vector<std::uint8_t>* rx = &wire;
-    if (il.active()) {
-      il.backward_into(ws.tx, ws.rx);
-      rx = &ws.rx;
-    }
-    decode_frame(rs, side, *rx, ws, result);
-  }
-  result.host_ns = perf::now_ns() - host_start;
+  result.host_ns += perf::now_ns() - host_start;
   result.steady_allocations = config.frames > 1 ? alloc_scope.allocations() : 0;
   result.steady_frames = config.frames - 1;
   result.workspace_peak_bytes =
-      ws.allocated_bytes() + (src != nullptr ? src->scratch_bytes() : 0);
-}
-
-/// Decode one streaming frame from its sorted per-frame hit list
-/// (ws.hits): words with no hits decode trivially and are only counted,
-/// words with hits are regenerated from their per-word seed, re-encoded,
-/// corrupted and decoded for real. Shared verbatim by run_frames_streaming
-/// and combine_pipeline_slices, which is what keeps sliced runs
-/// byte-identical to unsliced ones.
-void decode_streaming_frame(const fec::ReedSolomon& rs,
-                            std::uint64_t words_per_frame,
-                            std::uint64_t frame_seed, Rng& word_rng,
-                            FrameWorkspace& ws, PipelineResult& result) {
-  const unsigned n = rs.n();
-  const unsigned k = rs.k();
-  std::uint8_t* word = ws.word.data();
-  result.code_words += words_per_frame;
-  std::uint64_t failures = 0;
-  std::size_t h = 0;
-  while (h < ws.hits.size()) {
-    const std::uint64_t w = ws.hits[h].input_index / n;
-    std::size_t h_end = h + 1;
-    while (h_end < ws.hits.size() && ws.hits[h_end].input_index / n == w) {
-      ++h_end;
-    }
-    if (w >= words_per_frame) break;  // hits in the zero-padding tail
-
-    // Regenerate the transmitted word from its per-word seed.
-    word_rng.reseed(job_seed(frame_seed, w));
-    for (unsigned d = 0; d < k; ++d) {
-      word[d] = static_cast<std::uint8_t>(word_rng.next_u64());
-    }
-    std::copy(word, word + k, ws.data.begin());
-    rs.encode(std::span<const std::uint8_t>(word, k),
-              std::span<std::uint8_t>(word, n));
-    for (std::size_t i = h; i < h_end; ++i) {
-      word[ws.hits[i].input_index - w * n] ^= ws.hits[i].flip;
-    }
-    const auto res = rs.decode(std::span<std::uint8_t>(word, n), ws.rs_scratch);
-    const bool data_ok =
-        res.ok && std::equal(ws.data.begin(), ws.data.end(), word);
-    if (data_ok) {
-      result.corrected_symbols += res.corrected_symbols;
-    } else {
-      ++failures;
-    }
-    h = h_end;
-  }
-  result.word_errors += failures;
-  result.frame_errors += failures != 0;
-}
-
-/// Streaming path: frame size decoupled from the code word, bounded
-/// memory. Full RS(n, k) words are packed back to back into the
-/// interleaver capacity (a sub-word tail stays zero padding).
-///
-/// The trick that avoids materializing the frame: corruption is sparse
-/// and data-independent, so the source yields the exact (position, flip)
-/// event stream of the real transmission without the frame ever
-/// existing. Each event is mapped back to its input position through the
-/// interleaver's O(1) inverse; words with no hits decode trivially and
-/// are only counted, words with hits are regenerated from their per-word
-/// seed, re-encoded, corrupted and decoded for real.
-void run_frames_streaming(const PipelineConfig& config, const fec::ReedSolomon& rs,
-                          const StreamInterleaver& il, source::ErrorSource* src,
-                          PipelineResult& result) {
-  const unsigned n = rs.n();
-  const unsigned k = rs.k();
-  const std::uint64_t capacity = il.capacity_symbols();
-  const std::uint64_t words_per_frame = capacity / n;
-
-  const std::uint64_t data_root = job_seed(config.seed, 0);
-  Rng word_rng;
-
-  FrameWorkspace ws = FrameWorkspace::streaming(n, k);
-
-  const std::uint64_t host_start = perf::now_ns();
-  perf::AllocationScope alloc_scope;
-  for (unsigned f = 0; f < config.frames; ++f) {
-    // Frame 0 is the warm-up (chunk/hits growth, decoder scratch); the
-    // steady-state window starts after it.
-    if (f == 1) alloc_scope.restart();
-    // --- source pass, wire order -------------------------------------------
-    ws.hits.clear();
-    if (src != nullptr) {
-      result.channel_symbols += capacity;
-      const std::uint64_t frame_base = static_cast<std::uint64_t>(f) * capacity;
-      auto to_hit = [&ws, &il, frame_base](const source::Corruption& e) {
-        ws.hits.push_back({il.wire_to_input(e.wire_pos - frame_base), e.flip});
-      };
-      result.channel_symbol_errors += src->events(frame_base, capacity, to_hit);
-      // A composite source interleaves its links' event streams, so sort
-      // unconditionally; the input indices are a permutation of distinct
-      // wire positions and never tie.
-      std::sort(ws.hits.begin(), ws.hits.end(),
-                [](const ErrorHit& a, const ErrorHit& b) {
-                  return a.input_index < b.input_index;
-                });
-    }
-
-    // --- decode: only words the channel actually touched do work -----------
-    decode_streaming_frame(rs, words_per_frame, job_seed(data_root, f), word_rng,
-                           ws, result);
-  }
-  result.host_ns = perf::now_ns() - host_start;
-  result.steady_allocations = config.frames > 1 ? alloc_scope.allocations() : 0;
-  result.steady_frames = config.frames - 1;
-  result.workspace_peak_bytes =
-      ws.allocated_bytes() + (src != nullptr ? src->scratch_bytes() : 0);
+      std::max<std::uint64_t>(result.workspace_peak_bytes, weights.capacity());
 }
 
 /// DRAM stage shared by run_pipeline and combine_pipeline_slices: honored
@@ -501,25 +278,17 @@ std::unique_ptr<source::ErrorSource> make_source(const PipelineConfig& config) {
     }
     src = source::TraceReplaySource::open(config.trace_replay);
   } else if (config.channel != "none") {
-    const std::uint64_t chunk = config.stream_chunk_symbols != 0
-                                    ? config.stream_chunk_symbols
-                                    : kDefaultChunkSymbols;
-    // Same stream split as the pre-source pipeline: index 1 off the cell
-    // seed is the channel stream (index 0 is data), so a single link
-    // reproduces the legacy channel_rng draws bit for bit.
+    // Index 1 off the cell seed is the channel stream: the committed
+    // baselines pin its draws.
     const std::uint64_t channel_root = job_seed(config.seed, 1);
     const auto factory = [config]() { return make_channel(config); };
     if (config.links == 1) {
-      src = std::make_unique<source::ChannelSource>(factory, channel_root, chunk);
+      src = std::make_unique<source::ChannelSource>(factory, channel_root);
     } else {
-      // Per-link chunks shrink with the link count so N links hold about
-      // the same total scratch as one.
-      const std::uint64_t link_chunk =
-          std::max<std::uint64_t>(4096, chunk / config.links);
       std::vector<source::MultiLinkSource::Link> links(config.links);
       for (unsigned l = 0; l < config.links; ++l) {
         links[l].source = std::make_unique<source::ChannelSource>(
-            factory, job_seed(channel_root, l), link_chunk);
+            factory, job_seed(channel_root, l));
         links[l].phase_offset =
             static_cast<std::uint64_t>(l) * config.link_phase_symbols;
       }
@@ -541,33 +310,7 @@ PipelineResult run_pipeline(const PipelineConfig& config,
   if (rs.n() != config.rs_n || rs.k() != config.rs_k) {
     throw std::invalid_argument("pipeline: codec does not match config");
   }
-  if (config.frames == 0) {
-    throw std::invalid_argument("pipeline: frames must be > 0");
-  }
-
-  const std::uint64_t side = config.side != 0 ? config.side : config.rs_n;
-  const StreamInterleaver il(config.interleaver, side, config.symbols_per_burst);
-  const auto src = make_source(config);
-
-  PipelineResult result;
-  result.frames = config.frames;
-  result.frame_symbols = il.capacity_symbols();
-
-  // Two-stage frames are always streamed (the stage-2 triangle is
-  // burst-granular, there is no row-aligned layout for it); the classic
-  // kinds stream exactly when the side is decoupled from the code word.
-  if (config.interleaver == "two-stage" || side != config.rs_n) {
-    if (il.capacity_symbols() < config.rs_n) {
-      throw std::invalid_argument(
-          "pipeline: side too small for one RS code word");
-    }
-    run_frames_streaming(config, rs, il, src.get(), result);
-  } else {
-    run_frames_materialized(config, rs, il, side, src.get(), result);
-  }
-
-  run_dram_phase(config, side, result);
-  return result;
+  return run_pipeline(config);
 }
 
 PipelineResult run_pipeline(const PipelineConfig& config) {
@@ -575,13 +318,43 @@ PipelineResult run_pipeline(const PipelineConfig& config) {
       (config.rs_n - config.rs_k) % 2 != 0) {
     throw std::invalid_argument("pipeline: invalid RS(n, k)");
   }
-  const fec::ReedSolomon rs(config.rs_n, config.rs_k);
-  return run_pipeline(config, rs);
+  if (config.frames == 0) {
+    throw std::invalid_argument("pipeline: frames must be > 0");
+  }
+  const std::uint64_t side = frame_side(config);
+  const StreamInterleaver il(config.interleaver, side, config.symbols_per_burst);
+  const std::uint64_t capacity = il.capacity_symbols();
+  if (pipeline_streams(config) && capacity < config.rs_n) {
+    throw std::invalid_argument("pipeline: side too small for one RS code word");
+  }
+  const WordLayout layout(config, capacity);
+  const auto src = make_source(config);
+
+  PipelineResult result;
+  result.frames = config.frames;
+  result.frame_symbols = capacity;
+  count_frames(config, layout, result, [&](unsigned f, std::uint8_t* weights) {
+    if (src == nullptr) return;
+    // The wire position advances contiguously frame to frame, so the
+    // source's channel state stays continuous in symbol time.
+    const std::uint64_t frame_base = static_cast<std::uint64_t>(f) * capacity;
+    auto count = [&](const source::Corruption& e) {
+      ++weights[layout.word_of(il.wire_to_input(e.wire_pos - frame_base))];
+    };
+    result.channel_symbols += capacity;
+    result.channel_symbol_errors += src->events(frame_base, capacity, count);
+  });
+  if (src != nullptr) result.workspace_peak_bytes += src->scratch_bytes();
+
+  run_dram_phase(config, side, result);
+  return result;
 }
 
 bool pipeline_streams(const PipelineConfig& config) {
-  const std::uint64_t side = config.side != 0 ? config.side : config.rs_n;
-  return config.interleaver == "two-stage" || side != config.rs_n;
+  // Two-stage frames are always streamed (the stage-2 triangle is
+  // burst-granular, there is no row-aligned layout for it); the classic
+  // kinds stream exactly when the side is decoupled from the code word.
+  return config.interleaver == "two-stage" || frame_side(config) != config.rs_n;
 }
 
 std::pair<std::uint64_t, std::uint64_t> stream_slice_range(std::uint64_t capacity,
@@ -611,8 +384,8 @@ PipelineSliceResult run_pipeline_slice(const PipelineConfig& config, unsigned sl
         "run_pipeline_slice: trace_record would capture a partial trace — "
         "record with an unsliced run");
   }
-  const std::uint64_t side = config.side != 0 ? config.side : config.rs_n;
-  const StreamInterleaver il(config.interleaver, side, config.symbols_per_burst);
+  const StreamInterleaver il(config.interleaver, frame_side(config),
+                            config.symbols_per_burst);
   if (il.capacity_symbols() < config.rs_n) {
     throw std::invalid_argument("pipeline: side too small for one RS code word");
   }
@@ -672,13 +445,10 @@ PipelineResult combine_pipeline_slices(const PipelineConfig& config,
         "combine_pipeline_slices: config is not on the streaming path");
   }
 
-  const std::uint64_t side = config.side != 0 ? config.side : config.rs_n;
-  const StreamInterleaver il(config.interleaver, side, config.symbols_per_burst);
-  const unsigned n = rs.n();
-  const std::uint64_t capacity = il.capacity_symbols();
-  const std::uint64_t words_per_frame = capacity / n;
-  const std::uint64_t data_root = job_seed(config.seed, 0);
-  Rng word_rng;
+  const std::uint64_t side = frame_side(config);
+  const std::uint64_t capacity =
+      StreamInterleaver(config.interleaver, side, config.symbols_per_burst)
+          .capacity_symbols();
 
   PipelineResult result;
   result.frames = config.frames;
@@ -691,39 +461,19 @@ PipelineResult combine_pipeline_slices(const PipelineConfig& config,
         std::max(result.workspace_peak_bytes, s.workspace_peak_bytes);
   }
 
-  FrameWorkspace ws = FrameWorkspace::streaming(n, rs.k());
+  // The weight count is order-free, so each slice's hits of frame f (the
+  // slices are frame-major) go straight into the same pass the unsliced
+  // run makes.
   std::vector<std::size_t> cursor(slices.size(), 0);
-
-  const std::uint64_t host_start = perf::now_ns();
-  perf::AllocationScope alloc_scope;
-  for (unsigned f = 0; f < config.frames; ++f) {
-    if (f == 1) alloc_scope.restart();
-    // Concatenating the slices' per-frame events in slice order and
-    // sorting by input position reproduces exactly the list the unsliced
-    // source pass builds: the indices are a permutation of distinct wire
-    // positions, so the sort order is unique.
-    ws.hits.clear();
+  const WordLayout layout(config, capacity);
+  count_frames(config, layout, result, [&](unsigned f, std::uint8_t* weights) {
     for (std::size_t s = 0; s < slices.size(); ++s) {
-      const auto& sh = slices[s].hits;
-      std::size_t& c = cursor[s];
-      while (c < sh.size() && sh[c].frame == f) {
-        ws.hits.push_back({sh[c].input_index, sh[c].flip});
-        ++c;
+      const auto& hits = slices[s].hits;
+      for (std::size_t& c = cursor[s]; c < hits.size() && hits[c].frame == f; ++c) {
+        ++weights[layout.word_of(hits[c].input_index)];
       }
     }
-    std::sort(ws.hits.begin(), ws.hits.end(),
-              [](const ErrorHit& a, const ErrorHit& b) {
-                return a.input_index < b.input_index;
-              });
-    decode_streaming_frame(rs, words_per_frame, job_seed(data_root, f), word_rng,
-                           ws, result);
-  }
-  result.host_ns += perf::now_ns() - host_start;
-  result.steady_allocations =
-      config.frames > 1 ? alloc_scope.allocations() : 0;
-  result.steady_frames = config.frames - 1;
-  result.workspace_peak_bytes =
-      std::max(result.workspace_peak_bytes, ws.allocated_bytes());
+  });
 
   run_dram_phase(config, side, result);
   return result;
@@ -732,16 +482,11 @@ PipelineResult combine_pipeline_slices(const PipelineConfig& config,
 std::vector<FerRecord> run_fer_sweep(const SweepGrid& grid, const FerSweepOptions& options) {
   const auto cells = grid.expand();
 
-  // Hoist codec construction out of the per-cell work: cells share one
-  // immutable ReedSolomon per distinct rs_k (generator polynomial +
-  // multiplier tables), safe for concurrent use by the sweep workers.
-  std::map<unsigned, fec::ReedSolomon> codecs;
   for (const auto& cell : cells) {
     if (options.base.rs_n > 255 || cell.rs_k == 0 || cell.rs_k >= options.base.rs_n ||
         (options.base.rs_n - cell.rs_k) % 2 != 0) {
       throw std::invalid_argument("run_fer_sweep: invalid RS(n, k)");
     }
-    codecs.try_emplace(cell.rs_k, options.base.rs_n, cell.rs_k);
   }
 
   return sweep_map(cells.size(), options.sweep,
@@ -750,7 +495,7 @@ std::vector<FerRecord> run_fer_sweep(const SweepGrid& grid, const FerSweepOption
     FerRecord record;
     record.scenario = scenario;
     record.config = fer_cell_config(options.base, scenario, seed);
-    record.result = run_pipeline(record.config, codecs.at(scenario.rs_k));
+    record.result = run_pipeline(record.config);
     return record;
   });
 }

@@ -10,19 +10,25 @@
 ///
 /// * **Row-aligned** (side == rs_n, the legacy geometry): one shortened
 ///   RS(n, k) code word per triangle row (row i carries word symbols
-///   i..n-1, the leading i zeros are implicit). Frames are materialized
-///   and permuted buffer-to-buffer.
+///   i..n-1, the leading i zeros are implicit); the trailing n - k rows
+///   are padding.
 /// * **Streaming** (side != rs_n, or the "two-stage" interleaver): frame
 ///   size is decoupled from the code word — full RS(n, k) words are
-///   packed back to back into the interleaver's symbol capacity, and the
-///   frame is never materialized. The channel walks the wire order in
-///   bounded chunks; because every Channel corrupts symbols with
-///   data-independent draws (guaranteed non-zero XOR flips), the sparse
-///   corruption events are recovered from a zeroed chunk buffer and
-///   mapped back to code-word positions through the interleaver's O(1)
-///   inverse permutation. Peak memory is bounded by the chunk size plus
-///   the per-frame error count — never by the triangle capacity — which
-///   is what makes the paper's 12.5 M-symbol frames simulable.
+///   packed back to back into the interleaver's symbol capacity, and a
+///   sub-word tail is padding.
+///
+/// Neither layout materializes a frame. Every Channel corrupts symbols
+/// with data-independent, non-zero XOR flips, and RS is linear, so a
+/// bounded-distance decoder's verdict on a word depends only on the
+/// word's error weight: it recovers the word, with one correction per
+/// error, iff the weight is <= t = (n - k) / 2. The frame loop therefore
+/// takes the source's (wire position, flip) events, maps each back to
+/// its code-word stream position through the interleaver's O(1) inverse
+/// permutation, adds 1 to that word's byte in a fixed weight array, and
+/// judges every word by its weight after the frame. Memory is the weight
+/// array — capacity / n bytes, 3.1 MB for the paper's side-5000,
+/// 64-symbol-per-burst two-stage frame — and never grows with the event
+/// count. Events in padding count toward channel_symbol_errors only.
 #pragma once
 
 #include <cstdint>
@@ -61,9 +67,6 @@ struct PipelineConfig {
   /// The default matches a 64-byte DRAM burst of byte symbols; the
   /// paper's 3-bit-symbol geometry corresponds to 170.
   std::uint64_t symbols_per_burst = 64;
-  /// Streaming path: wire symbols processed per channel chunk (bounds the
-  /// peak allocation; 0 = the 65536 default).
-  std::uint64_t stream_chunk_symbols = 65536;
 
   // --- channel knobs -------------------------------------------------------
   double error_probability = 1e-3;  ///< bsc: per-symbol error probability
@@ -102,20 +105,19 @@ struct PipelineConfig {
 
 struct PipelineResult {
   std::uint64_t frames = 0;
-  std::uint64_t code_words = 0;             ///< total decoded words
-  std::uint64_t word_errors = 0;            ///< undecodable or miscorrected
+  std::uint64_t code_words = 0;             ///< total code words judged
+  std::uint64_t word_errors = 0;            ///< words with error weight > t
   std::uint64_t frame_errors = 0;           ///< frames with >= 1 word error
   std::uint64_t channel_symbol_errors = 0;  ///< symbols the channel corrupted
-  std::uint64_t corrected_symbols = 0;      ///< RS corrections on good decodes
+  std::uint64_t corrected_symbols = 0;      ///< error weight of the words <= t
   std::uint64_t frame_symbols = 0;          ///< interleaver symbol capacity per frame
-  /// Peak bytes held by the reusable frame workspace over the whole run
-  /// (all buffer capacities, including the decoder scratch and the
-  /// streaming error list). The streaming-path memory test asserts this
-  /// stays bounded by the chunk size, not the triangle capacity.
+  /// Peak bytes the frame loop holds: the per-word weight array (one
+  /// byte per code word of a frame) plus a replayed trace's event list.
+  /// The streaming memory test bounds it by capacity / n.
   std::uint64_t workspace_peak_bytes = 0;
 
   // --- in-process perf counters (src/perf/counters.hpp) --------------------
-  /// Host wall time of the frame loop (encode + channel + decode), ns.
+  /// Host wall time of the frame loop (channel walk + weight count), ns.
   std::uint64_t host_ns = 0;
   /// operator-new allocations on this thread after the warm-up frame —
   /// the workspace-reuse invariant says this is 0 for the FER hot path.
@@ -181,10 +183,9 @@ PipelineConfig fer_cell_config(const PipelineConfig& base, const Scenario& scena
 /// ("triangular" or "two-stage").
 PipelineResult run_pipeline(const PipelineConfig& config);
 
-/// As above, but with a caller-provided codec (rs.n()/rs.k() must match
-/// the config). Lets sweeps hoist the generator-polynomial and
-/// multiplier-table construction out of the per-cell work; the codec is
-/// immutable after construction and safe to share across threads.
+/// As above, but with a caller-provided codec, whose rs.n()/rs.k() must
+/// match the config. The frame loop only needs the code's parameters, so
+/// both overloads produce identical results.
 PipelineResult run_pipeline(const PipelineConfig& config, const fec::ReedSolomon& rs);
 
 // ---------------------------------------------------------------------------
@@ -192,16 +193,16 @@ PipelineResult run_pipeline(const PipelineConfig& config, const fec::ReedSolomon
 //
 // A paper-scale streaming frame is dominated by the channel walk over the
 // wire order, and the random-access ErrorSource contract (counter-based
-// skip-ahead, PR 8) makes any contiguous wire range independently
-// computable. run_pipeline_slice therefore runs ONLY the source pass of
-// every frame over one of num_slices contiguous wire ranges and returns
-// the sparse corruption events already mapped to input positions;
-// combine_pipeline_slices merges the slices' events per frame (sorting
-// restores the exact order the unsliced path produces), runs the shared
-// decode loop and the deterministic DRAM phase, and yields a
-// PipelineResult whose every field except workspace_peak_bytes and
-// host_ns is byte-identical to run_pipeline on the same config. The
-// dsweep "fer" kernel uses this to spread one frame across sweep workers.
+// skip-ahead) makes any contiguous wire range independently computable.
+// run_pipeline_slice therefore runs ONLY the source pass of every frame
+// over one of num_slices contiguous wire ranges and returns the sparse
+// corruption events already mapped to input positions;
+// combine_pipeline_slices feeds the slices' events of each frame into the
+// same per-word weight count (order-free, so no sort), runs the
+// deterministic DRAM phase, and yields a PipelineResult whose every field
+// except workspace_peak_bytes and host_ns is byte-identical to
+// run_pipeline on the same config. The dsweep "fer" kernel uses this to
+// spread one frame across sweep workers.
 // ---------------------------------------------------------------------------
 
 /// One corruption event from a slice, mapped to the input (code-word
@@ -215,7 +216,7 @@ struct StreamHit {
 /// Channel-pass output of one slice. The hits vector is the record
 /// payload (it rides the dsweep wire), not per-frame workspace, so slice
 /// runs carry no steady_allocations counter of their own — the merged
-/// counter comes from the combine decode loop, the same hot loop the
+/// counter comes from the combine weight count, the same hot loop the
 /// unsliced path measures.
 struct PipelineSliceResult {
   unsigned slice = 0;
@@ -248,8 +249,8 @@ PipelineSliceResult run_pipeline_slice(const PipelineConfig& config, unsigned sl
                                        unsigned num_slices);
 
 /// Merge one slice result per slice index (any order; they are sorted by
-/// slice) into the full PipelineResult: per-frame event merge + decode +
-/// DRAM phase. All FER/counter fields are byte-identical to the unsliced
+/// slice) into the full PipelineResult: per-frame weight count + DRAM
+/// phase. All FER/counter fields are byte-identical to the unsliced
 /// run_pipeline; workspace_peak_bytes becomes the max over the slice
 /// peaks and the combine workspace, and host_ns sums the slice and
 /// combine times.
@@ -273,8 +274,8 @@ struct FerSweepOptions {
   /// cell's frames into this many intra-frame channel slices, each its
   /// own dsweep cell, merged by combine_pipeline_slices. 1 = classic
   /// one-cell-per-scenario sweeps (job config byte-identical to pre-slice
-  /// drivers). Cells on the materialized path ignore the split (slice 0
-  /// computes the whole cell). The in-process run_fer_sweep ignores this.
+  /// drivers). Row-aligned cells ignore the split (slice 0 computes the
+  /// whole cell). The in-process run_fer_sweep ignores this.
   unsigned frame_slices = 1;
 };
 

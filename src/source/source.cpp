@@ -1,6 +1,5 @@
 #include "source/source.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace tbi::source {
@@ -19,17 +18,10 @@ std::uint64_t ErrorSource::collect(std::uint64_t start, std::uint64_t span,
   return events(start, span, EventSink(append));
 }
 
-ChannelSource::ChannelSource(ChannelFactory factory, std::uint64_t seed,
-                             std::uint64_t chunk_symbols)
-    : factory_(std::move(factory)),
-      seed_(seed),
-      chunk_symbols_(chunk_symbols),
-      rng_(seed) {
+ChannelSource::ChannelSource(ChannelFactory factory, std::uint64_t seed)
+    : factory_(std::move(factory)), seed_(seed), rng_(seed) {
   if (!factory_) {
     throw std::invalid_argument("ChannelSource: null channel factory");
-  }
-  if (chunk_symbols_ == 0) {
-    throw std::invalid_argument("ChannelSource: chunk_symbols must be > 0");
   }
   channel_ = factory_();
   if (!channel_) {
@@ -37,35 +29,13 @@ ChannelSource::ChannelSource(ChannelFactory factory, std::uint64_t seed,
   }
 }
 
-void ChannelSource::rewind_if_behind(std::uint64_t start) {
+std::uint64_t ChannelSource::events(std::uint64_t start, std::uint64_t span,
+                                    EventSink sink) {
   if (start < channel_->position()) {
     channel_ = factory_();
     rng_.reseed(seed_);
   }
-}
-
-std::uint64_t ChannelSource::events(std::uint64_t start, std::uint64_t span,
-                                    EventSink sink) {
-  rewind_if_behind(start);
-  std::uint64_t count = 0;
-  for (std::uint64_t off = 0; off < span; off += chunk_symbols_) {
-    const std::uint64_t len = std::min(chunk_symbols_, span - off);
-    chunk_.assign(static_cast<std::size_t>(len), 0);
-    const std::uint64_t hits = channel_->apply_range(
-        start + off, std::span<std::uint8_t>(chunk_.data(), len), rng_);
-    if (hits == 0) continue;
-    for (std::uint64_t i = 0; i < len; ++i) {
-      if (chunk_[i] != 0) sink({start + off + i, chunk_[i]});
-    }
-    count += hits;
-  }
-  return count;
-}
-
-std::uint64_t ChannelSource::corrupt(std::uint64_t start,
-                                     std::span<std::uint8_t> wire) {
-  rewind_if_behind(start);
-  return channel_->apply_range(start, wire, rng_);
+  return channel_->events(start, span, rng_, sink);
 }
 
 const char* ChannelSource::name() const { return channel_->name(); }
@@ -100,14 +70,6 @@ std::uint64_t MultiLinkSource::events(std::uint64_t start, std::uint64_t span,
     count += links_[l].source->events(lo + off, hi - lo, EventSink(remap));
   }
   return count;
-}
-
-std::uint64_t MultiLinkSource::scratch_bytes() const {
-  std::uint64_t total = 0;
-  for (const Link& link : links_) {
-    total += link.source->scratch_bytes();
-  }
-  return total;
 }
 
 }  // namespace tbi::source

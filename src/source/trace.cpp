@@ -7,6 +7,26 @@
 
 namespace tbi::source {
 
+namespace {
+
+/// Sort \p events by wire position and reject repeated positions.
+void sort_by_position(std::vector<Corruption>& events) {
+  std::sort(events.begin(), events.end(),
+            [](const Corruption& a, const Corruption& b) {
+              return a.wire_pos < b.wire_pos;
+            });
+  const auto dup = std::adjacent_find(
+      events.begin(), events.end(), [](const Corruption& a, const Corruption& b) {
+        return a.wire_pos == b.wire_pos;
+      });
+  if (dup != events.end()) {
+    throw std::invalid_argument("burst trace: two events at wire position " +
+                                std::to_string(dup->wire_pos));
+  }
+}
+
+}  // namespace
+
 std::string format_burst_event(const Corruption& event) {
   return std::to_string(event.wire_pos) + ' ' +
          std::to_string(static_cast<unsigned>(event.flip));
@@ -45,10 +65,7 @@ std::vector<Corruption> read_burst_trace(std::istream& in) {
   while (std::getline(in, line)) {
     if (parse_burst_event(line, event)) events.push_back(event);
   }
-  std::sort(events.begin(), events.end(),
-            [](const Corruption& a, const Corruption& b) {
-              return a.wire_pos < b.wire_pos;
-            });
+  sort_by_position(events);
   return events;
 }
 
@@ -67,10 +84,7 @@ void BurstTraceWriter::record(const Corruption& event) {
 
 TraceReplaySource::TraceReplaySource(std::vector<Corruption> events)
     : events_(std::move(events)) {
-  std::sort(events_.begin(), events_.end(),
-            [](const Corruption& a, const Corruption& b) {
-              return a.wire_pos < b.wire_pos;
-            });
+  sort_by_position(events_);
 }
 
 std::unique_ptr<TraceReplaySource> TraceReplaySource::open(

@@ -13,7 +13,9 @@
 /// One event per line: the absolute wire position (decimal symbol
 /// index) and the non-zero XOR flip mask (decimal, 1..255). Events may
 /// appear in any order — multi-link recordings interleave streams — and
-/// the loader sorts by wire position.
+/// the loader sorts by wire position. A position appears at most once: a
+/// symbol is either corrupted or not, and the pipeline counts one error
+/// per event.
 ///
 /// Recording and replaying the same configuration reproduces the exact
 /// FER and corruption positions of the live run: channels are
@@ -42,7 +44,8 @@ std::string format_burst_event(const Corruption& event);
 bool parse_burst_event(const std::string& line, Corruption& event);
 
 /// Read a whole trace from a stream (header line required). Events are
-/// returned sorted by wire position.
+/// returned sorted by wire position; throws std::invalid_argument when
+/// two events share a position.
 std::vector<Corruption> read_burst_trace(std::istream& in);
 
 /// Streams events out as they are recorded; writes the header up front.
@@ -65,7 +68,8 @@ class BurstTraceWriter {
 /// query is a binary search.
 class TraceReplaySource final : public ErrorSource {
  public:
-  /// Takes ownership of the events; sorts them by wire position.
+  /// Takes ownership of the events; sorts them by wire position and
+  /// throws std::invalid_argument when two share a position.
   explicit TraceReplaySource(std::vector<Corruption> events);
 
   /// Load from a trace file; throws std::runtime_error if the file is

@@ -526,6 +526,46 @@ TEST(DsweepFer, JobConfigOmitsSliceKeysWhenUnsliced) {
             std::to_string(options.sweep.base_seed));
 }
 
+TEST(DsweepFer, ChunkKeyOfOlderJobConfigsIsIgnored) {
+  // Older drivers wrote a "stream_chunk_symbols" key into the base
+  // config; the knob is gone, so the key is no longer written, and a job
+  // config that still carries it runs exactly like one that does not.
+  SweepGrid grid;
+  grid.devices = {"LPDDR5-8533"};
+  grid.interleavers = {"none", "two-stage"};
+  grid.channels = {"gilbert-elliott"};
+  grid.rs_ks = {223};
+  FerSweepOptions options;
+  options.sweep.threads = 1;
+  options.sweep.base_seed = 5;
+  options.base.frames = 2;
+  options.base.side = 64;
+  options.base.symbols_per_burst = 8;
+  options.base.run_dram = false;
+
+  Json job = fer_job_config(grid, options);
+  EXPECT_FALSE(job.at("base").contains("stream_chunk_symbols"));
+  job["base"]["stream_chunk_symbols"] = 4096;
+
+  dsweep_register_builtin_kernels();
+  DsweepOptions opt;
+  opt.workers = 1;
+  opt.threads = 1;
+  const auto res = dsweep_run("fer", job, grid.size(), options.sweep.base_seed, opt);
+  const auto reference = run_fer_sweep(grid, options);
+  ASSERT_EQ(res.records.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_TRUE(res.done[i]);
+    const FerCell cell = fer_cell_from_json(res.records[i]);
+    const PipelineResult& a = reference[i].result;
+    EXPECT_GT(a.channel_symbol_errors, 0u) << i;
+    EXPECT_EQ(cell.result.channel_symbol_errors, a.channel_symbol_errors) << i;
+    EXPECT_EQ(cell.result.word_errors, a.word_errors) << i;
+    EXPECT_EQ(cell.result.corrected_symbols, a.corrected_symbols) << i;
+    EXPECT_EQ(cell.result.code_words, a.code_words) << i;
+  }
+}
+
 TEST(DsweepFer, PaperScaleFrameSplitsAcrossWorkersByteIdentical) {
   // The tentpole's distribution payoff: one side-5000 streaming frame
   // (25 M symbols) split into 4 intra-frame slices, run on 1, 2 and 4

@@ -55,7 +55,7 @@ TEST(Pipeline, CleanChannelHasZeroErrors) {
 TEST(Pipeline, SteadyStateFrameLoopAllocatesNothing) {
   // The workspace-reuse invariant behind every bench record's
   // allocations_per_frame == 0: after the warm-up frame, neither the
-  // materialized nor the streaming frame path touches the allocator.
+  // row-aligned nor the streaming frame layout touches the allocator.
   for (const char* il : {"none", "block", "triangular"}) {
     auto c = burst_config(il, 3);
     const auto r = run_pipeline(c);
@@ -73,7 +73,6 @@ TEST(Pipeline, SteadyStateFrameLoopAllocatesNothing) {
     auto c = burst_config("triangular", 3);
     c.channel = channel;
     c.side = 400;
-    c.stream_chunk_symbols = 8192;
     const auto r = run_pipeline(c);
     EXPECT_EQ(r.steady_allocations, 0u) << channel;
     EXPECT_EQ(r.allocations_per_frame(), 0.0) << channel;
@@ -314,40 +313,11 @@ TEST(PipelineStreaming, TriangularStreamingRecoversBursts) {
   EXPECT_GT(interleaved.corrected_symbols, 0u);
 }
 
-TEST(PipelineStreaming, ChunkSizeNeverChangesResults) {
-  // stream_chunk_symbols is a pure memory knob: every channel evolves
-  // its state continuously in symbol time (the LEO power process carries
-  // its sample phase across calls), so chunk boundaries are invisible to
-  // the corruption pattern.
-  for (const char* channel : {"bsc", "gilbert-elliott", "leo"}) {
-    PipelineConfig c;
-    c.interleaver = "two-stage";
-    c.side = 64;
-    c.symbols_per_burst = 16;
-    c.channel = channel;
-    c.error_probability = 0.01;
-    c.fade_fraction = 0.05;
-    c.mean_burst_symbols = 700;  // not a divisor of any chunk size
-    c.frames = 3;
-    c.run_dram = false;
-    c.stream_chunk_symbols = 1024;
-    const auto small_chunks = run_pipeline(c);
-    c.stream_chunk_symbols = 1 << 20;
-    const auto one_chunk = run_pipeline(c);
-    EXPECT_GT(small_chunks.channel_symbol_errors, 0u) << channel;
-    EXPECT_EQ(small_chunks.channel_symbol_errors, one_chunk.channel_symbol_errors)
-        << channel;
-    EXPECT_EQ(small_chunks.word_errors, one_chunk.word_errors) << channel;
-    EXPECT_EQ(small_chunks.corrected_symbols, one_chunk.corrected_symbols)
-        << channel;
-  }
-}
-
 TEST(PipelineStreaming, PaperScaleTwoStageBoundedMemory) {
   // Acceptance scale: a >= 5000-burst-side two-stage pipeline (25 M
   // symbols per frame) completes, and the instrumented workspace peak is
-  // bounded by the chunk size plus the sparse error list — never by the
-  // triangle capacity.
+  // the fixed per-word weight array — one byte per code word, however
+  // many events the channel throws.
   PipelineConfig c;
   c.interleaver = "two-stage";
   c.side = 5000;
@@ -370,15 +340,10 @@ TEST(PipelineStreaming, PaperScaleTwoStageBoundedMemory) {
   EXPECT_LE(r.corrected_symbols, r.channel_symbol_errors);
   EXPECT_LE(r.channel_symbol_errors - r.corrected_symbols, 210u);
 
-  // Peak allocation: one chunk buffer + the sorted error list (16 B per
-  // hit, 4096-entry up-front headroom, vector growth <= 2x) + small
-  // constant scratch. A materialized frame would need >= 3 capacity-sized
-  // buffers.
-  const std::uint64_t chunk_bytes = c.stream_chunk_symbols;
-  EXPECT_GT(r.workspace_peak_bytes, 0u);
-  EXPECT_LE(r.workspace_peak_bytes,
-            chunk_bytes + 32u * r.channel_symbol_errors + 4096u * 16u + 16384u);
-  EXPECT_LT(r.workspace_peak_bytes, r.frame_symbols / 8);
+  // Peak allocation: capacity / n weight bytes plus the padding slot. A
+  // materialized frame would need >= 3 capacity-sized buffers.
+  EXPECT_GE(r.workspace_peak_bytes, r.frame_symbols / 255);
+  EXPECT_LE(r.workspace_peak_bytes, r.frame_symbols / 255 + 64);
 }
 
 TEST(PipelineStreaming, FerOrdersTwoStageTriangularBlockNone) {
@@ -569,8 +534,7 @@ TEST(PipelineTrace, RecordThenReplayReproducesTheRun) {
 }
 
 TEST(PipelineTrace, StreamingPathRecordsAndReplaysIdentically) {
-  // Same round trip on the streaming frame path (side != rs_n), where
-  // events flow through the sink instead of the in-place fast path.
+  // Same round trip on the streaming frame layout (side != rs_n).
   const std::string trace = ::testing::TempDir() + "pipeline_trace_stream.txt";
   auto live_cfg = burst_config("two-stage", 29);
   live_cfg.side = 64;
@@ -592,6 +556,59 @@ TEST(PipelineTrace, StreamingPathRecordsAndReplaysIdentically) {
   EXPECT_EQ(replayed.frame_errors, live.frame_errors);
   EXPECT_EQ(replayed.corrected_symbols, live.corrected_symbols);
   std::remove(trace.c_str());
+}
+
+TEST(PipelineTrace, ShortenedRowMiscorrectionIsAWordError) {
+  // A row-aligned word i carries word symbols [i, n); its prefix [0, i)
+  // is an implicit zero. Take the codeword d = encode(x, 0, ..., 0) and
+  // send d's symbols on [1, n) as the error of row 1: the received word
+  // then sits at distance 1 from (row-1 word) + d, a codeword that
+  // differs from the sent one only in the prefix and the parity. A
+  // decoder "corrects" position 0 and hands back the sent payload
+  // [1, k), but the error weight is 2t, so the word is lost all the same.
+  PipelineConfig c;
+  c.interleaver = "none";  // wire position == code-word stream position
+  c.channel = "trace";
+  c.frames = 1;
+  c.run_dram = false;
+  ASSERT_FALSE(pipeline_streams(c));
+  const fec::ReedSolomon rs(c.rs_n, c.rs_k);
+  std::vector<std::uint8_t> data(rs.k(), 0);
+  data[0] = 0x5A;
+  const auto d = rs.encode(data);
+
+  std::vector<source::Corruption> events;
+  const std::uint64_t row1 = c.rs_n;  // row 0 holds n symbols
+  for (unsigned j = 1; j < rs.n(); ++j) {
+    if (d[j] != 0) events.push_back({row1 + (j - 1), d[j]});
+  }
+  EXPECT_EQ(events.size(), 2u * rs.t());
+  const std::string trace = ::testing::TempDir() + "pipeline_miscorrection.trace";
+  {
+    std::ofstream out(trace);
+    source::BurstTraceWriter writer(out);
+    for (const auto& e : events) writer.record(e);
+  }
+  c.trace_replay = trace;
+  const auto r = run_pipeline(c);
+  std::remove(trace.c_str());
+
+  EXPECT_EQ(r.channel_symbol_errors, events.size());
+  EXPECT_EQ(r.word_errors, 1u);
+  EXPECT_EQ(r.frame_errors, 1u);
+  EXPECT_EQ(r.corrected_symbols, 0u);
+
+  // The decoder really does miscorrect into the prefix: the received row
+  // decodes, with one correction, to a word whose payload matches.
+  std::vector<std::uint8_t> sent(rs.k(), 0);
+  for (unsigned j = 1; j < rs.k(); ++j) sent[j] = static_cast<std::uint8_t>(j);
+  auto received = rs.encode(sent);
+  for (unsigned j = 1; j < rs.n(); ++j) received[j] ^= d[j];
+  const auto res = rs.decode(received);
+  ASSERT_TRUE(res.ok);
+  EXPECT_EQ(res.corrected_symbols, 1u);
+  EXPECT_NE(received[0], 0) << "the correction landed in the zero prefix";
+  EXPECT_TRUE(std::equal(sent.begin() + 1, sent.end(), received.begin() + 1));
 }
 
 TEST(PipelineMultiLink, SingleLinkMatchesLegacySingleChannel) {
@@ -789,11 +806,11 @@ TEST(PipelineSlices, CombineMatchesUnslicedRun) {
 }
 
 TEST(PipelineSlices, RejectsNonStreamingAndInvalidArguments) {
-  PipelineConfig materialized;  // side == rs_n, "none": legacy path
-  materialized.frames = 1;
-  materialized.run_dram = false;
-  ASSERT_FALSE(pipeline_streams(materialized));
-  EXPECT_THROW(run_pipeline_slice(materialized, 0, 2), std::invalid_argument);
+  PipelineConfig rows;  // side == rs_n, "none": row-aligned layout
+  rows.frames = 1;
+  rows.run_dram = false;
+  ASSERT_FALSE(pipeline_streams(rows));
+  EXPECT_THROW(run_pipeline_slice(rows, 0, 2), std::invalid_argument);
 
   PipelineConfig c;
   c.interleaver = "two-stage";

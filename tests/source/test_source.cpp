@@ -8,6 +8,7 @@
 #include <sstream>
 #include <vector>
 
+#include "channel/bsc.hpp"
 #include "channel/gilbert_elliott.hpp"
 #include "channel/leo.hpp"
 #include "source/source.hpp"
@@ -22,6 +23,10 @@ ChannelFactory ge_factory() {
         channel::GilbertElliottParams::from_burst_profile(300, 0.05, 0.95, 8);
     return std::make_unique<channel::GilbertElliottChannel>(p);
   };
+}
+
+ChannelFactory bsc_factory() {
+  return [] { return std::make_unique<channel::SymmetricChannel>(0.01, 8); };
 }
 
 ChannelFactory leo_factory() {
@@ -58,9 +63,9 @@ TEST(ChannelSource, CorruptMatchesRawChannelApply) {
   constexpr std::size_t kTotal = 60'000;
   const auto expected = reference_wire(ge_factory(), 5, kTotal);
 
-  ChannelSource src(ge_factory(), 5, 4096);
+  ChannelSource src(ge_factory(), 5);
   std::vector<std::uint8_t> wire(kTotal, 0);
-  // Frame-sized forward chunks, like the materialized pipeline.
+  // Frame-sized forward windows.
   for (std::size_t pos = 0; pos < kTotal; pos += 7000) {
     const std::size_t len = std::min<std::size_t>(7000, kTotal - pos);
     src.corrupt(pos, std::span<std::uint8_t>(wire.data() + pos, len));
@@ -69,18 +74,40 @@ TEST(ChannelSource, CorruptMatchesRawChannelApply) {
 }
 
 TEST(ChannelSource, EventsMatchCorruptPattern) {
-  // events() over zeroed scratch chunks must discover exactly the
-  // corruption corrupt() writes, independent of the chunk size.
+  // The channels emit their events directly, so splitting a range into
+  // sub-ranges — down to one symbol each — must emit exactly the events
+  // of one call, which must be the corruption apply() writes into a
+  // zeroed buffer. Every channel model; the random split lengths bear no
+  // relation to the LEO sample window or the GE burst length.
   constexpr std::size_t kTotal = 40'000;
-  const auto expected = events_of(reference_wire(ge_factory(), 11, kTotal));
-  ASSERT_FALSE(expected.empty());
+  for (const auto& [name, factory] :
+       {std::pair{"bsc", bsc_factory()}, std::pair{"ge", ge_factory()},
+        std::pair{"leo", leo_factory()}}) {
+    const auto expected = events_of(reference_wire(factory, 11, kTotal));
+    ASSERT_FALSE(expected.empty()) << name;
 
-  for (const std::uint64_t chunk : {1u, 313u, 4096u, 100'000u}) {
-    ChannelSource src(ge_factory(), 11, chunk);
-    std::vector<Corruption> got;
-    const auto n = src.collect(0, kTotal, got);
-    EXPECT_EQ(n, got.size());
-    EXPECT_EQ(got, expected) << "chunk_symbols = " << chunk;
+    ChannelSource whole(factory, 11);
+    std::vector<Corruption> one_call;
+    EXPECT_EQ(whole.collect(0, kTotal, one_call), expected.size()) << name;
+    EXPECT_EQ(one_call, expected) << name;
+
+    ChannelSource split(factory, 11);
+    std::vector<Corruption> random_split;
+    Rng len_rng(3);
+    for (std::size_t pos = 0; pos < kTotal;) {
+      const std::size_t len = std::min(
+          kTotal - pos, static_cast<std::size_t>(1 + len_rng.uniform(997)));
+      split.collect(pos, len, random_split);
+      pos += len;
+    }
+    EXPECT_EQ(random_split, expected) << name;
+
+    ChannelSource stepped(factory, 11);
+    std::vector<Corruption> single_symbols;
+    for (std::size_t pos = 0; pos < kTotal; ++pos) {
+      stepped.collect(pos, 1, single_symbols);
+    }
+    EXPECT_EQ(single_symbols, expected) << name;
   }
 }
 
@@ -88,7 +115,7 @@ TEST(ChannelSource, RandomAccessRewindsDeterministically) {
   constexpr std::size_t kTotal = 30'000;
   const auto expected = reference_wire(leo_factory(), 21, kTotal);
 
-  ChannelSource src(leo_factory(), 21, 4096);
+  ChannelSource src(leo_factory(), 21);
   // Walk to the end, then jump back to arbitrary earlier windows: each
   // must reproduce the sequential pattern exactly.
   std::vector<Corruption> sink;
@@ -104,25 +131,17 @@ TEST(ChannelSource, RandomAccessRewindsDeterministically) {
   }
 }
 
-TEST(ChannelSource, ScratchGrowsWithChunkOnly) {
-  ChannelSource src(ge_factory(), 3, 8192);
-  EXPECT_EQ(src.scratch_bytes(), 0u) << "chunk buffer is lazy";
-  std::vector<Corruption> sink;
-  src.collect(0, 100'000, sink);
-  EXPECT_EQ(src.scratch_bytes(), 8192u);
-}
-
 TEST(MultiLink, SingleLinkIsIdentityRemap) {
   // N=1, zero phase: the composite must emit exactly the inner source's
   // events at unchanged positions.
   constexpr std::size_t kTotal = 30'000;
-  ChannelSource plain(ge_factory(), 77, 4096);
+  ChannelSource plain(ge_factory(), 77);
   std::vector<Corruption> expected;
   plain.collect(0, kTotal, expected);
   ASSERT_FALSE(expected.empty());
 
   std::vector<MultiLinkSource::Link> links;
-  links.push_back({std::make_unique<ChannelSource>(ge_factory(), 77, 4096), 0});
+  links.push_back({std::make_unique<ChannelSource>(ge_factory(), 77), 0});
   MultiLinkSource multi(std::move(links));
   std::vector<Corruption> got;
   multi.collect(0, kTotal, got);
@@ -146,10 +165,10 @@ TEST(MultiLink, RoundRobinCompositionMatchesPerLinkStreams) {
   for (std::size_t l = 0; l < kLinks; ++l) {
     const std::uint64_t seed = 400 + l;
     links.push_back(
-        {std::make_unique<ChannelSource>(ge_factory(), seed, 4096), phase[l]});
+        {std::make_unique<ChannelSource>(ge_factory(), seed), phase[l]});
     // Standalone reference covering every local position the composite
     // can touch for this link.
-    ChannelSource ref(ge_factory(), seed, 4096);
+    ChannelSource ref(ge_factory(), seed);
     ref.collect(phase[l], kSpan / kLinks + 1, per_link[l]);
   }
   MultiLinkSource multi(std::move(links));
@@ -183,7 +202,7 @@ TEST(MultiLink, ChunkedQueriesMatchOneShot) {
     std::vector<MultiLinkSource::Link> links;
     for (std::size_t l = 0; l < 4; ++l) {
       links.push_back(
-          {std::make_unique<ChannelSource>(ge_factory(), 900 + l, 4096),
+          {std::make_unique<ChannelSource>(ge_factory(), 900 + l),
            l * 137});
     }
     return std::make_unique<MultiLinkSource>(std::move(links));
@@ -228,6 +247,20 @@ TEST(BurstTrace, ParserSkipsCommentsAndRejectsMalformed) {
   EXPECT_THROW(parse_burst_event("42 256", e), std::invalid_argument);
   EXPECT_THROW(parse_burst_event("42 7 junk", e), std::invalid_argument);
   EXPECT_THROW(parse_burst_event("not a number 7", e), std::invalid_argument);
+}
+
+TEST(BurstTrace, RejectsTwoEventsAtOnePosition) {
+  // A second flip at one position would cancel the first or count twice;
+  // a trace that has one is malformed, whatever order it is written in.
+  std::istringstream in(std::string(kBurstTraceHeader) + "\n5 1\n123456 2\n5 3\n");
+  try {
+    read_burst_trace(in);
+    FAIL() << "duplicate position accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("position 5"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(TraceReplaySource({{9, 1}, {4, 2}, {9, 1}}), std::invalid_argument);
+  EXPECT_NO_THROW(TraceReplaySource({{9, 1}, {4, 2}}));
 }
 
 TEST(BurstTrace, WriterReaderRoundTripSortsByPosition) {
@@ -281,7 +314,7 @@ TEST(Recording, TeeWritesEveryEventAndForwards) {
   constexpr std::size_t kTotal = 80'000;
   auto out = std::make_unique<std::ostringstream>();
   auto* out_raw = out.get();
-  RecordingSource rec(std::make_unique<ChannelSource>(ge_factory(), 55, 4096),
+  RecordingSource rec(std::make_unique<ChannelSource>(ge_factory(), 55),
                       std::move(out));
 
   std::vector<Corruption> live;
