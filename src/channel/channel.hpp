@@ -21,6 +21,13 @@
 /// channel fast-forward to any wire position and continue byte-identically
 /// to a sequential walk, and lets range-addressable error sources
 /// (src/source/) hand disjoint spans of one frame to independent workers.
+///
+/// Clean stretches cost no per-symbol draws. The BSC draws the geometric
+/// gap to its next error, Gilbert-Elliott draws each good-state sojourn in
+/// one go and walks only its fades, and LEO draws one power sample per
+/// window and walks only faded windows. Each carries its pending event (or sample
+/// phase) across calls, so a walk or a skip costs O(events), not
+/// O(symbols), and a split walk draws exactly what one pass draws.
 #pragma once
 
 #include <cstdint>
@@ -98,8 +105,8 @@ class Channel {
   /// Fast-forward the channel over \p span symbols, discarding their
   /// events: consumes exactly the RNG draws apply() would, so a
   /// subsequent apply() continues byte-identically to an uninterrupted
-  /// sequential walk. The LEO model skips un-faded power samples in O(1)
-  /// per sample.
+  /// sequential walk. Costs O(events) for every model (see the file
+  /// comment).
   void skip(std::uint64_t span, Rng& rng);
 
   /// events() XORed into \p symbols, which stand for the wire range
@@ -123,6 +130,19 @@ class Channel {
  private:
   std::uint64_t position_ = 0;
 };
+
+/// Revision of the models' RNG draws: one seed yields the same events
+/// under one revision. Bump it whenever a model changes its draws; FER
+/// job configs carry it (sim/dsweep.hpp), so a checkpoint written under
+/// another revision is refused rather than mixed into a run.
+/// 1: one Bernoulli per symbol. 2: BSC and Gilbert-Elliott draw gaps.
+inline constexpr unsigned kDrawRevision = 2;
+
+/// Wire position \p gap symbols past \p pos, saturating at Rng::kNever
+/// (the gap of a p = 0 event never ends).
+inline std::uint64_t gap_end(std::uint64_t pos, std::uint64_t gap) {
+  return gap < Rng::kNever - pos ? pos + gap : Rng::kNever;
+}
 
 /// Random non-zero flip mask confined to the low \p bits.
 inline std::uint8_t corrupt_flip(unsigned bits, Rng& rng) {

@@ -1,5 +1,6 @@
 #include "channel/gilbert_elliott.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace tbi::channel {
@@ -27,6 +28,11 @@ GilbertElliottChannel::GilbertElliottChannel(GilbertElliottParams params)
       !check01(params_.error_good) || !check01(params_.error_bad)) {
     throw std::invalid_argument("GilbertElliottChannel: probability out of range");
   }
+  // 1 - q = (1 - p_gb)(1 - error_good), summed in log space: exact for
+  // the tiny p_gb the fade profiles produce.
+  log1m_stop_ = std::log1p(-params_.p_gb) + std::log1p(-params_.error_good);
+  const double q = params_.p_gb + params_.error_good * (1.0 - params_.p_gb);
+  stop_is_bad_ = q > 0.0 ? params_.p_gb / q : 0.0;
 }
 
 double GilbertElliottChannel::stationary_bad() const {
@@ -39,21 +45,49 @@ std::uint64_t GilbertElliottChannel::advance(std::uint64_t start,
                                              EventSink sink) {
   // The walk runs on local copies of the generator, the state and the
   // parameters: the sink is an opaque call, so anything it could reach
-  // would otherwise be stored and reloaded on every symbol.
+  // would otherwise be stored and reloaded on every event.
   Rng r = rng;
   bool bad = bad_;
   const GilbertElliottParams p = params_;
+  const double log1m_stop = log1m_stop_;
+  const double stop_is_bad = stop_is_bad_;
+  // The chain starts good before wire position 0, where the first
+  // advance() starts.
+  std::uint64_t next = drawn_ ? next_stop_ : r.geometric_log1m(log1m_stop);
+  const std::uint64_t end = start + span;
   std::uint64_t corrupted = 0;
-  for (std::uint64_t i = 0; i < span; ++i) {
-    bad = bad ? !r.bernoulli(p.p_bg) : r.bernoulli(p.p_gb);
-    const double error_rate = bad ? p.error_bad : p.error_good;
-    if (error_rate > 0.0 && r.bernoulli(error_rate)) {
-      sink({start + i, corrupt_flip(p.symbol_bits, r)});
-      ++corrupted;
+  auto corrupt = [&](std::uint64_t pos) {
+    sink({pos, corrupt_flip(p.symbol_bits, r)});
+    ++corrupted;
+  };
+  for (std::uint64_t pos = start; pos < end; ++pos) {
+    if (!bad) {
+      // Every good symbol before the stop is clean and stays good; the
+      // stop is a fade's first symbol with probability p_gb / q, else a
+      // good-state error.
+      if (next >= end) break;
+      pos = next;
+      if (p.error_good == 0.0 || r.bernoulli(stop_is_bad)) {
+        bad = true;
+        if (p.error_bad > 0.0 && r.bernoulli(p.error_bad)) corrupt(pos);
+      } else {
+        corrupt(pos);
+        next = gap_end(pos + 1, r.geometric_log1m(log1m_stop));
+      }
+    } else if (r.bernoulli(p.p_bg)) {
+      // A fade ends on this symbol: it is good, and so is the sojourn
+      // that follows up to the next stop.
+      bad = false;
+      if (p.error_good > 0.0 && r.bernoulli(p.error_good)) corrupt(pos);
+      next = gap_end(pos + 1, r.geometric_log1m(log1m_stop));
+    } else if (p.error_bad > 0.0 && r.bernoulli(p.error_bad)) {
+      corrupt(pos);
     }
   }
   rng = r;
   bad_ = bad;
+  next_stop_ = next;
+  drawn_ = true;
   return corrupted;
 }
 

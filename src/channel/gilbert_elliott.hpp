@@ -38,12 +38,25 @@ class GilbertElliottChannel final : public Channel {
   double stationary_bad() const;
 
  protected:
+  /// Gap-sampled: from a good symbol, the distance to the next symbol
+  /// that is bad or a good-state error is one geometric draw (at the
+  /// bench's p_gb ~ 1e-5 and error_good = 0, one draw per ~75 k clean
+  /// symbols). Fades are walked symbol by symbol, two draws each.
   std::uint64_t advance(std::uint64_t start, std::uint64_t span, Rng& rng,
                         EventSink sink) override;
 
  private:
   GilbertElliottParams params_;
-  bool bad_ = false;
+  /// log1p(-q) with q = P(a good symbol's successor is bad or a good
+  /// error) = 1 - (1 - p_gb)(1 - error_good): the sojourn gap constant.
+  double log1m_stop_;
+  /// P(that stop is the bad state, not a good-state error) = p_gb / q.
+  double stop_is_bad_;
+  bool bad_ = false;  ///< state of the last walked symbol
+  /// In the good state: absolute wire position of the next stop, drawn
+  /// by the first advance() and after each stop.
+  std::uint64_t next_stop_ = 0;
+  bool drawn_ = false;
 };
 
 }  // namespace tbi::channel

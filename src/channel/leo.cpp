@@ -57,65 +57,78 @@ LeoFadingChannel::LeoFadingChannel(LeoChannelParams params) : params_(params) {
   threshold_ = inv_norm_cdf(params_.fade_probability);
 }
 
-double LeoFadingChannel::next_gaussian(Rng& rng) {
-  // Marsaglia polar method with spare caching.
-  if (has_spare_) {
-    has_spare_ = false;
-    return spare_;
-  }
-  double u, v, s;
-  do {
-    u = 2.0 * rng.uniform_double() - 1.0;
-    v = 2.0 * rng.uniform_double() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double m = std::sqrt(-2.0 * std::log(s) / s);
-  spare_ = v * m;
-  has_spare_ = true;
-  return u * m;
-}
-
 std::uint64_t LeoFadingChannel::advance(std::uint64_t start, std::uint64_t span,
                                         Rng& rng, EventSink sink) {
+  // The walk runs on local copies of the generator, the AR(1) state and
+  // the Gaussian spare (see GilbertElliottChannel::advance): the sink is
+  // an opaque call, and the members would otherwise be stored and
+  // reloaded around it and around every power sample.
+  Rng r = rng;
+  double state = state_;
+  bool started = started_;
+  bool faded = faded_;
+  unsigned phase = sample_phase_;
+  bool has_spare = has_spare_;
+  double spare = spare_;
+  const double rho = rho_;
+  const double sigma = std::sqrt(1.0 - rho * rho);
+  const double threshold = threshold_;
+  const double error_rate = params_.fade_depth_error_rate;
+  const unsigned bits = params_.symbol_bits;
+  const unsigned symbols_per_sample = params_.symbols_per_sample;
+  // Marsaglia polar method with spare caching.
+  auto gaussian = [&r, &has_spare, &spare]() {
+    if (has_spare) {
+      has_spare = false;
+      return spare;
+    }
+    double u, v, s;
+    do {
+      u = 2.0 * r.uniform_double() - 1.0;
+      v = 2.0 * r.uniform_double() - 1.0;
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+    const double m = std::sqrt(-2.0 * std::log(s) / s);
+    spare = v * m;
+    has_spare = true;
+    return u * m;
+  };
+
   std::uint64_t corrupted = 0;
-  const double sigma = std::sqrt(1.0 - rho_ * rho_);
   std::uint64_t k = 0;
   while (k < span) {
-    if (sample_phase_ == 0) {
-      if (started_) {
-        state_ = rho_ * state_ + sigma * next_gaussian(rng);
-      } else {
-        // Stationary start: the process is unit-variance in steady state,
-        // so the very first sample comes from N(0,1) — not from the
-        // zero-variance median, which under-fades the first coherence
-        // time of every stream.
-        state_ = next_gaussian(rng);
-        started_ = true;
-      }
-      faded_ = state_ < threshold_;
+    if (phase == 0) {
+      // Stationary start: the process is unit-variance in steady state,
+      // so the very first sample comes from N(0,1) — not from the
+      // zero-variance median, which under-fades the first coherence time
+      // of every stream.
+      state = started ? rho * state + sigma * gaussian() : gaussian();
+      started = true;
+      faded = state < threshold;
     }
-    const std::uint64_t take = std::min(
-        span - k,
-        static_cast<std::uint64_t>(params_.symbols_per_sample - sample_phase_));
-    if (faded_) {
+    const std::uint64_t take =
+        std::min(span - k, static_cast<std::uint64_t>(symbols_per_sample - phase));
+    if (faded) {
       // The per-symbol draws only exist inside fades, so every clean
-      // sample window is crossed for free. Local copies keep the
-      // generator in registers across the opaque sink call.
-      Rng r = rng;
-      const double error_rate = params_.fade_depth_error_rate;
-      const unsigned bits = params_.symbol_bits;
+      // sample window is crossed for free.
       for (std::uint64_t i = k; i < k + take; ++i) {
         if (r.bernoulli(error_rate)) {
           sink({start + i, corrupt_flip(bits, r)});
           ++corrupted;
         }
       }
-      rng = r;
     }
-    sample_phase_ = static_cast<unsigned>(
-        (sample_phase_ + take) % params_.symbols_per_sample);
+    phase += static_cast<unsigned>(take);
+    if (phase == symbols_per_sample) phase = 0;
     k += take;
   }
+  rng = r;
+  state_ = state;
+  started_ = started;
+  faded_ = faded;
+  sample_phase_ = phase;
+  has_spare_ = has_spare;
+  spare_ = spare;
   return corrupted;
 }
 

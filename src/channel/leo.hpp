@@ -46,8 +46,6 @@ class LeoFadingChannel final : public Channel {
                         EventSink sink) override;
 
  private:
-  double next_gaussian(Rng& rng);
-
   LeoChannelParams params_;
   double rho_;
   double threshold_;

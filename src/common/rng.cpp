@@ -1,7 +1,6 @@
 #include "common/rng.hpp"
 
 #include <cassert>
-#include <cmath>
 
 namespace tbi {
 namespace {
@@ -31,13 +30,6 @@ std::uint64_t Rng::uniform(std::uint64_t bound) {
     const std::uint64_t r = next_u64();
     if (r >= threshold) return r % bound;
   }
-}
-
-std::uint64_t Rng::geometric(double p) {
-  assert(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
-  const double u = uniform_double();
-  return static_cast<std::uint64_t>(std::floor(std::log1p(-u) / std::log1p(-p)));
 }
 
 }  // namespace tbi

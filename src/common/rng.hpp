@@ -7,6 +7,8 @@
 /// and the few distributions we need.
 #pragma once
 
+#include <cassert>
+#include <cmath>
 #include <cstdint>
 
 namespace tbi {
@@ -42,8 +44,27 @@ class Rng {
   /// Bernoulli trial with probability \p p.
   bool bernoulli(double p) { return uniform_double() < p; }
 
-  /// Geometric: number of failures before first success, success prob p > 0.
-  std::uint64_t geometric(double p);
+  /// A geometric variate too large for any wire position.
+  static constexpr std::uint64_t kNever = UINT64_MAX;
+
+  /// Geometric: number of failures before the first success of
+  /// Bernoulli(p) trials, p in [0, 1], by inversion of one uniform draw.
+  /// p = 0 returns kNever and p = 1 returns 0, neither with a draw; a
+  /// variate at or past 2^64 saturates to kNever.
+  std::uint64_t geometric(double p) { return geometric_log1m(std::log1p(-p)); }
+
+  /// geometric() with log1p(-p) precomputed, for walks that draw many
+  /// gaps at one p. Inline like next_u64(): the channel walks draw one
+  /// gap per error event.
+  std::uint64_t geometric_log1m(double log1m_p) {
+    assert(log1m_p <= 0.0);  // log1p(-p) of a p in [0, 1]
+    if (!(log1m_p < 0.0)) return kNever;  // p = 0: no trial ever succeeds
+    if (std::isinf(log1m_p)) return 0;  // p = 1: the first trial succeeds
+    // P(G >= g) = (1 - p)^g, so G = floor(log(1 - U) / log(1 - p)).
+    const double g = std::floor(std::log1p(-uniform_double()) / log1m_p);
+    // Casting a double at or past 2^64 to uint64_t is undefined: saturate.
+    return g < 0x1p64 ? static_cast<std::uint64_t>(g) : kNever;
+  }
 
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

@@ -21,6 +21,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "channel/channel.hpp"
 #include "common/net.hpp"
 #include "common/wire.hpp"
 #include "perf/counters.hpp"
@@ -1010,13 +1011,17 @@ Json fer_job_config(const SweepGrid& grid, const FerSweepOptions& options) {
   Json job;
   job["grid"] = g;
   job["base"] = base;
+  // Not a setting: the channel models' draw revision. It enters the run
+  // fingerprint, so --resume and --merge-shards refuse a manifest whose
+  // records were drawn by other channel code (or written before the
+  // stamp existed), and the fer kernel refuses to compute such a job.
+  job["channel_draws"] = static_cast<std::uint64_t>(channel::kDrawRevision);
   // Intra-frame slicing rides in the job config so a worker can recover
   // (cell, slice) from its expanded index and recompute the cell's own
   // seed — the driver's per-record seeds walk the expanded cell x slice
   // space. base_seed travels as a string: Json numbers are doubles and
-  // would round 64-bit seeds. Both keys are omitted for frame_slices == 1
-  // so classic sweeps keep their pre-slice fingerprints (old manifests
-  // resume fine).
+  // would round 64-bit seeds. Both keys are omitted for frame_slices == 1,
+  // so an unsliced run's fingerprint does not depend on slicing support.
   if (options.frame_slices > 1) {
     job["frame_slices"] = static_cast<std::uint64_t>(options.frame_slices);
     job["base_seed"] = std::to_string(options.sweep.base_seed);

@@ -6,7 +6,9 @@
 /// name, never by value).
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
+#include "channel/channel.hpp"
 #include "dram/standards.hpp"
 #include "interleaver/streams.hpp"
 #include "sim/dsweep.hpp"
@@ -93,6 +95,13 @@ PipelineConfig base_from_json(const Json& b) {
 /// it from the job-carried base_seed rather than using the driver's
 /// expanded-index seed.
 Json fer_kernel(const Json& job, std::uint64_t index, std::uint64_t seed) {
+  if (job.get_or("channel_draws", 0.0) != channel::kDrawRevision) {
+    throw std::invalid_argument(
+        "fer kernel: job config has channel-draw revision " +
+        (job.contains("channel_draws") ? job.at("channel_draws").dump() : "none") +
+        ", this binary draws revision " + std::to_string(channel::kDrawRevision) +
+        "; its records would mix two channel samplers");
+  }
   const SweepGrid grid = grid_from_json(job.at("grid"));
   const PipelineConfig base = base_from_json(job.at("base"));
   const auto num_slices =

@@ -273,9 +273,9 @@ struct FerSweepOptions {
   /// Distributed backend (run_fer_sweep_dist): split every streaming
   /// cell's frames into this many intra-frame channel slices, each its
   /// own dsweep cell, merged by combine_pipeline_slices. 1 = classic
-  /// one-cell-per-scenario sweeps (job config byte-identical to pre-slice
-  /// drivers). Row-aligned cells ignore the split (slice 0 computes the
-  /// whole cell). The in-process run_fer_sweep ignores this.
+  /// one-cell-per-scenario sweeps (no slice keys in the job config).
+  /// Row-aligned cells ignore the split (slice 0 computes the whole
+  /// cell). The in-process run_fer_sweep ignores this.
   unsigned frame_slices = 1;
 };
 

@@ -35,7 +35,8 @@ using channel::EventSink;
 /// Ranges are normally requested in increasing order (the pipeline walks
 /// frames forward); implementations backed by stateful channels support
 /// random access by rewinding to a fresh instance and skipping forward,
-/// which is deterministic but costs the skipped draws. Events within one
+/// which is deterministic and costs O(events) of the skipped prefix (the
+/// channels draw gaps and power samples, not symbols). Events within one
 /// call arrive in increasing wire_pos per underlying stream, but a
 /// composite source may interleave streams, so consumers must not assume
 /// a global order (the pipeline only counts events per code word). Every
@@ -72,8 +73,9 @@ using ChannelFactory = std::function<std::unique_ptr<channel::Channel>()>;
 /// Channel::events (skipping any gap); a request behind the current
 /// position rebuilds the channel from the factory and reseeds, then
 /// skips forward — deterministic random access at the cost of replaying
-/// the prefix draws (cheap for LEO, whose clean sample windows skip in
-/// O(1); see leo.hpp).
+/// the prefix draws. That is cheap for every model: a skip costs
+/// O(events), one draw per error gap (BSC), good-state sojourn or fade
+/// symbol (Gilbert-Elliott), or power sample (LEO); see channel.hpp.
 class ChannelSource final : public ErrorSource {
  public:
   ChannelSource(ChannelFactory factory, std::uint64_t seed);

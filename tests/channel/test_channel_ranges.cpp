@@ -2,15 +2,21 @@
 /// stream through apply_range at arbitrary boundaries — including one
 /// symbol at a time — must be byte-identical to a single sequential
 /// apply() over the whole stream, for every channel model. This is the
-/// contract the source layer (src/source/) builds on.
+/// contract the source layer (src/source/) builds on. The gap-sampled
+/// models carry a pending event (BSC, Gilbert-Elliott) or a sample phase
+/// (LEO) across calls, so the boundaries that matter most are the ones
+/// on or next to an event or a fade edge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "channel/bsc.hpp"
 #include "channel/gilbert_elliott.hpp"
 #include "channel/leo.hpp"
+#include "source/source.hpp"
 
 namespace tbi::channel {
 namespace {
@@ -19,6 +25,12 @@ std::unique_ptr<Channel> make_named(const std::string& which) {
   if (which == "bsc") return std::make_unique<SymmetricChannel>(0.01, 8);
   if (which == "ge") {
     const auto p = GilbertElliottParams::from_burst_profile(300, 0.05, 0.95, 8);
+    return std::make_unique<GilbertElliottChannel>(p);
+  }
+  if (which == "ge-noisy") {
+    // Good-state errors compete with the sojourn's end for each stop.
+    auto p = GilbertElliottParams::from_burst_profile(300, 0.05, 0.6, 8);
+    p.error_good = 0.002;
     return std::make_unique<GilbertElliottChannel>(p);
   }
   LeoChannelParams p;
@@ -123,8 +135,154 @@ TEST_P(ChannelRanges, BackwardStartThrows) {
   EXPECT_THROW(ch->apply_range(599, data, rng), std::logic_error);
 }
 
+using Factory = std::function<std::unique_ptr<Channel>()>;
+
+Factory named(const std::string& which) {
+  return [which] { return make_named(which); };
+}
+
+/// The whole stream in one apply(): the reference every split must match.
+std::vector<std::uint8_t> sequential(const Factory& make, std::size_t total,
+                                     std::uint64_t seed) {
+  auto ch = make();
+  Rng rng(seed);
+  std::vector<std::uint8_t> data(total, 0);
+  ch->apply(data, rng);
+  return data;
+}
+
+/// Walk [0, total) through apply_range over the given boundaries, which
+/// may repeat (zero-length ranges) but never decrease.
+std::vector<std::uint8_t> split_at(const Factory& make, std::size_t total,
+                                   std::uint64_t seed,
+                                   const std::vector<std::size_t>& cuts) {
+  auto ch = make();
+  Rng rng(seed);
+  std::vector<std::uint8_t> data(total, 0);
+  std::size_t pos = 0;
+  for (std::size_t cut : cuts) {
+    cut = std::min(cut, total);
+    ch->apply_range(pos, std::span<std::uint8_t>(data.data() + pos, cut - pos), rng);
+    pos = cut;
+  }
+  ch->apply_range(pos, std::span<std::uint8_t>(data.data() + pos, total - pos), rng);
+  return data;
+}
+
+TEST_P(ChannelRanges, RangesEndingOnAnEventMatchSequentialApply) {
+  // Every range ends exactly on a corrupted symbol (the event is still
+  // pending when the range closes) or just past it (the next gap has
+  // just been drawn).
+  constexpr std::size_t kTotal = 40'000;
+  const auto reference = sequential(named(GetParam()), kTotal, 5);
+  std::vector<std::size_t> cuts;
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    if (reference[i] != 0) cuts.push_back(cuts.size() % 2 == 0 ? i : i + 1);
+  }
+  ASSERT_GT(cuts.size(), 20u);
+  EXPECT_EQ(split_at(named(GetParam()), kTotal, 5, cuts), reference);
+}
+
+TEST_P(ChannelRanges, ZeroLengthRangesChangeNothing) {
+  // Empty ranges at the stream start (before any gap is drawn), on
+  // events, and ahead of the walk (a skip to the range start, then
+  // nothing) leave the pattern of one pass intact.
+  constexpr std::size_t kTotal = 40'000;
+  const auto reference = sequential(named(GetParam()), kTotal, 8);
+  std::vector<std::size_t> cuts = {0, 0};
+  Rng len_rng(21);
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    if (reference[i] != 0 && len_rng.uniform(4) == 0) {
+      cuts.insert(cuts.end(), {i, i, i + 1, i + 1});
+    }
+  }
+  EXPECT_EQ(split_at(named(GetParam()), kTotal, 8, cuts), reference);
+
+  auto ch = make_named(GetParam());
+  Rng rng(8);
+  std::vector<std::uint8_t> none;
+  EXPECT_EQ(ch->apply_range(0, none, rng), 0u);
+  EXPECT_EQ(ch->apply_range(1000, none, rng), 0u);
+  EXPECT_EQ(ch->position(), 1000u);
+  std::vector<std::uint8_t> rest(kTotal - 1000, 0);
+  ch->apply_range(1000, rest, rng);
+  EXPECT_TRUE(std::equal(rest.begin(), rest.end(), reference.begin() + 1000));
+}
+
+TEST_P(ChannelRanges, OneSymbolRangesAcrossFadeEdgesMatchSequentialApply) {
+  // One-symbol ranges through every edge of the error pattern (a fade
+  // starting or ending, for the bursty models), bigger ranges between.
+  constexpr std::size_t kTotal = 60'000;
+  const auto reference = sequential(named(GetParam()), kTotal, 17);
+  std::vector<std::size_t> cuts;
+  std::size_t edges = 0;
+  for (std::size_t i = 1; i < kTotal; ++i) {
+    if ((reference[i] != 0) == (reference[i - 1] != 0)) continue;
+    ++edges;
+    const std::size_t from = std::max(i >= 4 ? i - 4 : 0, cuts.empty() ? 0 : cuts.back());
+    for (std::size_t c = from; c <= std::min(i + 4, kTotal); ++c) cuts.push_back(c);
+  }
+  ASSERT_GT(edges, 10u);
+  EXPECT_EQ(split_at(named(GetParam()), kTotal, 17, cuts), reference);
+}
+
+TEST_P(ChannelRanges, SourceRewindMidFrameMatchesSequentialEvents) {
+  // A ChannelSource asked for a range behind its channel rebuilds the
+  // channel, reseeds and skips forward; the rewound events must be the
+  // sequential ones, and so must every range after the rewind.
+  constexpr std::uint64_t kFrame = 50'000;
+  const Factory factory = named(GetParam());
+  source::ChannelSource whole(factory, 99);
+  std::vector<Corruption> reference;
+  whole.collect(0, 3 * kFrame, reference);
+  ASSERT_GT(reference.size(), 20u);
+  const auto expected = [&reference](std::uint64_t lo, std::uint64_t hi) {
+    std::vector<Corruption> out;
+    for (const Corruption& e : reference) {
+      if (e.wire_pos >= lo && e.wire_pos < hi) out.push_back(e);
+    }
+    return out;
+  };
+
+  source::ChannelSource src(factory, 99);
+  std::vector<Corruption> got;
+  src.collect(0, kFrame + kFrame / 2, got);  // into the second frame
+  EXPECT_EQ(got, expected(0, kFrame + kFrame / 2));
+  got.clear();
+  src.collect(kFrame + 1234, 20'000, got);  // behind: rewind mid-frame
+  EXPECT_EQ(got, expected(kFrame + 1234, kFrame + 21'234));
+  got.clear();
+  src.collect(2 * kFrame, kFrame, got);  // and forward again
+  EXPECT_EQ(got, expected(2 * kFrame, 3 * kFrame));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModels, ChannelRanges,
-                         ::testing::Values("bsc", "ge", "leo"));
+                         ::testing::Values("bsc", "ge", "ge-noisy", "leo"));
+
+TEST(ChannelRangesBsc, CertainAndImpossibleErrorsSplitLikeOnePass) {
+  // p = 0 never draws a gap that ends, and p = 1 draws zero-length gaps
+  // only: any split of either walk emits exactly the events of one pass.
+  constexpr std::size_t kTotal = 5'000;
+  Rng len_rng(4);
+  std::vector<std::size_t> cuts;
+  for (std::size_t pos = 0; pos < kTotal; pos += len_rng.uniform(40)) {
+    cuts.push_back(pos);
+  }
+  for (const double p : {0.0, 1.0}) {
+    const Factory make = [p] { return std::make_unique<SymmetricChannel>(p, 8); };
+    const auto reference = sequential(make, kTotal, 6);
+    const auto clean =
+        static_cast<std::size_t>(std::count(reference.begin(), reference.end(), 0));
+    EXPECT_EQ(clean, p == 0.0 ? kTotal : 0u) << p;
+    EXPECT_EQ(split_at(make, kTotal, 6, cuts), reference) << p;
+  }
+  // Nothing to draw at p = 0: the generator is untouched.
+  SymmetricChannel never(0.0, 8);
+  Rng rng(6);
+  std::vector<std::uint8_t> data(kTotal, 0);
+  EXPECT_EQ(never.apply(data, rng), 0u);
+  EXPECT_EQ(rng.next_u64(), Rng(6).next_u64());
+}
 
 TEST(ChannelSkipAhead, LeoFixedSeedGolden) {
   // Deterministic regression pin: skipping 1M symbols into a fixed-seed

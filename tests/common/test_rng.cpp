@@ -79,5 +79,43 @@ TEST(Rng, GeometricPOne) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.geometric(1.0), 0u);
 }
 
+TEST(Rng, GeometricEdgeProbabilities) {
+  // p = 0 and p = 1 are decided without a draw.
+  Rng rng(3);
+  EXPECT_EQ(rng.geometric(0.0), Rng::kNever);
+  EXPECT_EQ(rng.geometric(1.0), 0u);
+  EXPECT_EQ(rng.next_u64(), Rng(3).next_u64());
+  // A vanishing p overflows uint64_t on (nearly) every draw: saturate.
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(rng.geometric(1e-300), Rng::kNever);
+}
+
+TEST(Rng, GeometricMatchesItsDistributionAcrossScales) {
+  // Mean (1 - p) / p and P(G = 0) = p, from p = 1e-18 (variates near
+  // 2^60, saturating about once in 1e8 draws) to p = 0.5.
+  for (const double p : {1e-18, 2e-3, 0.5}) {
+    Rng rng(17);
+    const double log1m_p = std::log1p(-p);
+    constexpr int kTrials = 40'000;
+    double sum = 0;
+    int zeros = 0;
+    for (int i = 0; i < kTrials; ++i) {
+      // Both entry points draw the same variate from the same state.
+      Rng twin = rng;
+      const std::uint64_t g = rng.geometric(p);
+      EXPECT_EQ(twin.geometric_log1m(log1m_p), g);
+      ASSERT_NE(g, Rng::kNever) << p;
+      sum += static_cast<double>(g);
+      zeros += g == 0;
+    }
+    const double mean = (1.0 - p) / p;
+    // The standard deviation of G is sqrt(1 - p) / p; 6 standard errors.
+    EXPECT_NEAR(sum / kTrials, mean, 6.0 * std::sqrt(1.0 - p) / p / std::sqrt(kTrials))
+        << p;
+    EXPECT_NEAR(zeros / static_cast<double>(kTrials), p,
+                6.0 * std::sqrt(p * (1.0 - p) / kTrials) + 1e-9)
+        << p;
+  }
+}
+
 }  // namespace
 }  // namespace tbi

@@ -508,9 +508,8 @@ TEST(DsweepFer, SliceRecordRoundTripsThroughWireJson) {
 }
 
 TEST(DsweepFer, JobConfigOmitsSliceKeysWhenUnsliced) {
-  // frame_slices == 1 must leave the job config byte-identical to
-  // pre-slice drivers: the config feeds the run fingerprint, so adding
-  // the keys unconditionally would orphan every existing manifest.
+  // frame_slices == 1 adds no slice keys: the config feeds the run
+  // fingerprint, which for an unsliced run must not depend on slicing.
   SweepGrid grid;
   grid.devices = {"LPDDR5-8533"};
   FerSweepOptions options;
@@ -542,6 +541,11 @@ TEST(DsweepFer, ChunkKeyOfOlderJobConfigsIsIgnored) {
   options.base.side = 64;
   options.base.symbols_per_burst = 8;
   options.base.run_dram = false;
+  // Dense fades (about 20 per cell), so every cell has errors to compare
+  // whatever the seed: at the default 2% duty cycle and 400-symbol fades
+  // most seeds leave the 4 k-symbol "none" cell clean.
+  options.base.fade_fraction = 0.2;
+  options.base.mean_burst_symbols = 50;
 
   Json job = fer_job_config(grid, options);
   EXPECT_FALSE(job.at("base").contains("stream_chunk_symbols"));
@@ -564,6 +568,64 @@ TEST(DsweepFer, ChunkKeyOfOlderJobConfigsIsIgnored) {
     EXPECT_EQ(cell.result.corrected_symbols, a.corrected_symbols) << i;
     EXPECT_EQ(cell.result.code_words, a.code_words) << i;
   }
+}
+
+TEST(DsweepFer, ManifestWithoutChannelDrawStampIsRefused) {
+  // The job config carries the channel models' draw revision, so records
+  // drawn by other channel code never enter a run: a manifest written
+  // for the unstamped job (every manifest from before the stamp) is a
+  // different run to --resume and --merge-shards, and the fer kernel
+  // refuses to compute cells of an unstamped job.
+  SweepGrid grid;
+  grid.devices = {"LPDDR5-8533"};
+  grid.interleavers = {"none"};
+  grid.channels = {"bsc", "gilbert-elliott"};
+  grid.rs_ks = {223};
+  FerSweepOptions options;
+  options.sweep.threads = 1;
+  options.sweep.base_seed = 3;
+  options.base.frames = 2;
+  options.base.side = 64;
+  options.base.run_dram = false;
+
+  const Json job = fer_job_config(grid, options);
+  EXPECT_EQ(job.at("channel_draws").as_double(),
+            static_cast<double>(channel::kDrawRevision));
+  Json unstamped;
+  unstamped["grid"] = job.at("grid");
+  unstamped["base"] = job.at("base");
+
+  // A complete manifest of the unstamped job, as an older binary writes it.
+  const std::string path = temp_manifest("unstamped");
+  std::remove(path.c_str());
+  const std::uint64_t cells = grid.size();
+  ManifestWriter writer;
+  ASSERT_TRUE(writer.open(
+      path, sweep_fingerprint("fer", unstamped, cells, options.sweep.base_seed),
+      /*fresh=*/true));
+  const auto reference = run_fer_sweep(grid, options);
+  for (std::uint64_t i = 0; i < cells; ++i) {
+    ASSERT_TRUE(writer.append(
+        i, fer_cell_to_json(reference[i].scenario, reference[i].result)));
+  }
+  writer.close();
+
+  DsweepOptions dist;
+  dist.manifest_path = path;
+  dist.resume = true;
+  EXPECT_THROW(run_fer_sweep_dist(grid, options, dist), std::runtime_error);
+  EXPECT_THROW(run_fer_merge_shards(grid, options, {path}), std::runtime_error);
+  std::remove(path.c_str());
+
+  DsweepOptions opt;
+  opt.workers = 1;
+  opt.threads = 1;
+  EXPECT_THROW(dsweep_run("fer", unstamped, cells, options.sweep.base_seed, opt),
+               std::invalid_argument);
+  Json older = job;
+  older["channel_draws"] = static_cast<std::uint64_t>(channel::kDrawRevision - 1);
+  EXPECT_THROW(dsweep_run("fer", older, cells, options.sweep.base_seed, opt),
+               std::invalid_argument);
 }
 
 TEST(DsweepFer, PaperScaleFrameSplitsAcrossWorkersByteIdentical) {
