@@ -82,6 +82,8 @@ int main(int argc, char** argv) {
       row["bursts"] = rm.total_bursts() + opt.total_bursts();
       row["row_major_sched_ns_per_pick"] = rm.sched_ns_per_pick();
       row["optimized_sched_ns_per_pick"] = opt.sched_ns_per_pick();
+      row["row_major_candidates_per_pick"] = rm.candidates_per_pick();
+      row["optimized_candidates_per_pick"] = opt.candidates_per_pick();
       queue_rows.push_back(row);
     }
     std::fputs(md ? t.render_markdown().c_str() : t.render().c_str(), stdout);
@@ -106,6 +108,8 @@ int main(int argc, char** argv) {
       row["bursts"] = rm.total_bursts() + opt.total_bursts();
       row["row_major_sched_ns_per_pick"] = rm.sched_ns_per_pick();
       row["optimized_sched_ns_per_pick"] = opt.sched_ns_per_pick();
+      row["row_major_candidates_per_pick"] = rm.candidates_per_pick();
+      row["optimized_candidates_per_pick"] = opt.candidates_per_pick();
       policy_rows.push_back(row);
     }
     std::fputs(md ? t.render_markdown().c_str() : t.render().c_str(), stdout);
@@ -131,6 +135,7 @@ int main(int argc, char** argv) {
       row["min_utilization"] = run.min_utilization();
       row["bursts"] = run.total_bursts();
       row["sched_ns_per_pick"] = run.sched_ns_per_pick();
+      row["candidates_per_pick"] = run.candidates_per_pick();
       layout_rows.push_back(row);
     }
     std::fputs(md ? t.render_markdown().c_str() : t.render().c_str(), stdout);

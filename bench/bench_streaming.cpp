@@ -67,6 +67,8 @@ int main(int argc, char** argv) {
       row["bursts"] = streaming.stats.bursts;
       row["activates"] = streaming.stats.activates;
       row["row_hit_rate"] = streaming.stats.row_hit_rate();
+      row["sched_ns_per_pick"] = streaming.stats.ns_per_pick();
+      row["candidates_per_pick"] = streaming.stats.candidates_per_pick();
       rows.push_back(row);
     }
   }

@@ -102,6 +102,7 @@ int main(int argc, char** argv) {
       row["bursts"] = r.run.total_bursts();
       row["activates"] = r.run.total_activates();
       row["sched_ns_per_pick"] = r.run.sched_ns_per_pick();
+      row["candidates_per_pick"] = r.run.candidates_per_pick();
       rows.push_back(row);
       total_bursts += r.run.write.stats.bursts + r.run.read.stats.bursts;
     }

@@ -47,6 +47,8 @@ std::vector<std::string> TimingChecker::finish() {
   Ps last_act_any = kNegInf;
   Ps last_cas_any = kNegInf;
   Ps last_wr_data_end = kNegInf;
+  Ps last_rd_data_end = kNegInf;
+  bool last_burst_was_read = false;
   Ps bus_busy_until = kNegInf;
   std::deque<Ps> faw;
 
@@ -92,6 +94,12 @@ std::vector<std::string> TimingChecker::finish() {
         if (c.issue < last_cas_any + t.tCCD_S) flag("tCCD_S violated", c);
         if (c.issue < last_cas_bg[group_of(c.bank)] + t.tCCD_L) flag("tCCD_L violated", c);
         if (!is_wr && c.issue < last_wr_data_end + t.tWTR) flag("tWTR violated", c);
+        // Each CAS follows the previous one by >= tCCD_S, so issue order is
+        // bus order and the last CAS seen owns the preceding data burst.
+        if (is_wr && last_burst_was_read &&
+            c.data_start < last_rd_data_end + t.tRTW_bubble) {
+          flag("tRTW bubble violated", c);
+        }
         if (c.data_start < bus_busy_until) flag("data bus overlap", c);
         const Ps latency = is_wr ? t.CWL : t.CL;
         if (c.data_start < c.issue + latency) flag("CAS latency violated", c);
@@ -99,10 +107,12 @@ std::vector<std::string> TimingChecker::finish() {
         last_cas_any = c.issue;
         last_cas_bg[group_of(c.bank)] = c.issue;
         bus_busy_until = c.data_end;
+        last_burst_was_read = !is_wr;
         if (is_wr) {
           last_wr_data_end = c.data_end;
           b.last_wr_data_end = c.data_end;
         } else {
+          last_rd_data_end = c.data_end;
           b.last_rd_cas = c.issue;
         }
         break;

@@ -34,7 +34,7 @@ Controller::Controller(DeviceConfig device, ControllerConfig config)
   for (std::uint32_t b = 0; b < device_.banks; ++b) {
     group_of_[b] = b % device_.bank_groups;
   }
-  queued_per_group_.assign(device_.bank_groups, {0, 0});
+  group_floor_.assign(static_cast<std::size_t>(device_.bank_groups) * 4, 0);
 
   slots_.resize(config_.queue_depth);
   free_slots_.reserve(config_.queue_depth);
@@ -44,7 +44,10 @@ Controller::Controller(DeviceConfig device, ControllerConfig config)
   bank_next_.assign(config_.queue_depth, kNoSlot);
   bank_prev_.assign(config_.queue_depth, kNoSlot);
   bins_.resize(device_.banks);
-  populated_.assign((device_.banks + 63) / 64, 0);
+  class_head_.assign(static_cast<std::size_t>(device_.banks) * 4, kNoSlot);
+  head_mask_.assign((class_head_.size() + 63) / 64, 0);
+  local_.resize(class_head_.size());
+  for (std::uint32_t b = 0; b < device_.banks; ++b) update_local(b);
   std::size_t table = 64;
   while (table < static_cast<std::size_t>(config_.queue_depth) * 4) table *= 2;
   row_counts_.assign(table, RowCountEntry{});
@@ -157,43 +160,6 @@ Controller::Plan Controller::plan_class(std::uint32_t bank_id, RowBufferResult k
   return plan;
 }
 
-Ps Controller::eval_class(std::uint32_t bank_id, RowBufferResult kind,
-                          bool is_write) const {
-  // Mirrors plan_class() but folds straight to data_start:
-  //   data_start = max(cas_t + latency, bus_ready)
-  // with cas_t the max of the bank-chain, CAS-rate and W->R floors.
-  const unsigned bg = group_of_[bank_id];
-  const Bank& b = banks_[bank_id];
-  const TimingParams& t = device_.timing;
-
-  Ps rdwr_ready = b.rdwr_ready;
-  switch (kind) {
-    case RowBufferResult::Hit:
-      break;
-    case RowBufferResult::Miss:
-      rdwr_ready = earliest_act_after(b.act_ready, bank_id) + t.tRCD;
-      break;
-    case RowBufferResult::Conflict: {
-      const Ps pre_t = std::max(b.pre_ready, b.last_act + t.tRAS);
-      const Ps act_floor = std::max(b.act_ready, pre_t + t.tRP);
-      rdwr_ready = earliest_act_after(act_floor, bank_id) + t.tRCD;
-      break;
-    }
-  }
-
-  Ps cas_t = std::max(rdwr_ready, last_cas_any_ + t.tCCD_S);
-  cas_t = std::max(cas_t, last_cas_in_group_[bg] + t.tCCD_L);
-  Ps bus_ready = bus_free_;
-  if (is_write) {
-    if (!last_burst_was_write_) {
-      bus_ready = std::max(bus_ready, last_rd_data_end_ + t.tRTW_bubble);
-    }
-    return std::max(cas_t + t.CWL, bus_ready);
-  }
-  cas_t = std::max(cas_t, last_wr_data_end_ + t.tWTR);  // rank-level W->R
-  return std::max(cas_t + t.CL, bus_ready);
-}
-
 Controller::Plan Controller::plan_request(const Request& req) const {
   return plan_class(req.addr.bank, classify(req), req.is_write);
 }
@@ -202,11 +168,11 @@ Ps Controller::close_bank(std::uint32_t bank_id, PhaseStats& stats) {
   Bank& b = banks_[bank_id];
   assert(b.open);
   const Ps pre_t = std::max(b.pre_ready, b.last_act + device_.timing.tRAS);
-  queued_hits_ -= row_count_get(row_key(bank_id, b.row, false)) +
-                  row_count_get(row_key(bank_id, b.row, true));
   b.open = false;
+  refill_heads(bank_id);
   b.act_ready = std::max(b.act_ready, pre_t + device_.timing.tRP);
   b.ref_ready = std::max(b.ref_ready, pre_t + device_.timing.tRP);
+  update_local(bank_id);
   ++stats.precharges;
   emit(Command{.kind = CommandKind::Pre, .issue = pre_t, .bank = bank_id});
   return pre_t;
@@ -236,8 +202,6 @@ void Controller::commit(const Request& req, const Plan& plan, PhaseStats& stats)
       break;
     case RowBufferResult::Conflict: {
       ++stats.row_conflicts;
-      queued_hits_ -= row_count_get(row_key(bank_id, b.row, false)) +
-                      row_count_get(row_key(bank_id, b.row, true));
       b.open = false;
       b.act_ready = std::max(b.act_ready, plan.pre_t + t.tRP);
       b.ref_ready = std::max(b.ref_ready, plan.pre_t + t.tRP);
@@ -249,8 +213,7 @@ void Controller::commit(const Request& req, const Plan& plan, PhaseStats& stats)
       if (plan.kind == RowBufferResult::Miss) ++stats.row_misses;
       b.open = true;
       b.row = req.addr.row;
-      queued_hits_ += row_count_get(row_key(bank_id, b.row, false)) +
-                      row_count_get(row_key(bank_id, b.row, true));
+      refill_heads(bank_id);
       b.last_act = plan.act_t;
       b.act_ready = plan.act_t + t.tRC;
       b.rdwr_ready = plan.act_t + t.tRCD;
@@ -276,6 +239,7 @@ void Controller::commit(const Request& req, const Plan& plan, PhaseStats& stats)
     b.pre_ready = std::max(b.pre_ready, plan.cas_t + t.tRTP);
     ++stats.reads;
   }
+  update_local(bank_id);
 
   ++stats.bursts;
   stats.busy += device_.burst_time;
@@ -358,14 +322,12 @@ std::uint32_t Controller::enqueue(const Request& req) {
     bank_next_[bin.tail] = id;
   } else {
     bin.head = id;
-    populated_[req.addr.bank >> 6] |= std::uint64_t{1} << (req.addr.bank & 63);
   }
   bin.tail = id;
   ++bin.total[req.is_write ? 1 : 0];
-  ++queued_per_group_[group_of_[req.addr.bank]][req.is_write ? 1 : 0];
   row_count_add(row_key(req.addr.bank, req.addr.row, req.is_write));
-  const Bank& b = banks_[req.addr.bank];
-  if (b.open && b.row == req.addr.row) ++queued_hits_;
+  const std::uint32_t index = req.addr.bank * 4 + class_of(req);
+  if (class_head_[index] == kNoSlot) set_head(index, id);  // the newcomer is the youngest
   return id;
 }
 
@@ -381,221 +343,118 @@ void Controller::dequeue(std::uint32_t slot_id) {
   const std::uint32_t bp = bank_prev_[slot_id];
   (bp != kNoSlot ? bank_next_[bp] : bin.head) = bn;
   (bn != kNoSlot ? bank_prev_[bn] : bin.tail) = bp;
-  if (bin.head == kNoSlot) {
-    populated_[req.addr.bank >> 6] &= ~(std::uint64_t{1} << (req.addr.bank & 63));
-  }
   --bin.total[req.is_write ? 1 : 0];
-  --queued_per_group_[group_of_[req.addr.bank]][req.is_write ? 1 : 0];
   row_count_remove(row_key(req.addr.bank, req.addr.row, req.is_write));
-  const Bank& b = banks_[req.addr.bank];
-  if (b.open && b.row == req.addr.row) --queued_hits_;
+  const unsigned c = class_of(req);
+  const std::uint32_t index = req.addr.bank * 4 + c;
+  if (class_head_[index] == slot_id) {  // the next classmate takes over
+    std::uint32_t next = bn;
+    while (next != kNoSlot && class_of(slots_[next]) != c) next = bank_next_[next];
+    set_head(index, next);
+  }
 
   free_slots_.push_back(slot_id);
 }
 
-Ps Controller::pick_bound() const {
-  // E = min over populated (bank group, direction) classes of the
-  // group-global data-slot floor. Every term is a floor that
-  // plan_class() applies to every request of that group and direction,
-  // so no queued request can start earlier. Using each group's own
-  // CAS-rate state (instead of the loosest group's) makes the floor
-  // exact whenever the winner is rate- rather than bank-limited — the
-  // steady state of every paper workload. When no queued request hits
-  // an open row, every plan additionally carries an ACT, so the group's
-  // ACT-rate floor (tRRD / four-activate window) plus tRCD tightens the
-  // bound further — the ACT-limited conflict-chain regimes.
-  const TimingParams& t = device_.timing;
-  const Ps cas_any = last_cas_any_ + t.tCCD_S;
-  Ps act_any = kNegInf;
-  if (queued_hits_ == 0) {
-    act_any = last_act_any_ + t.tRRD_S;
-    if (faw_len_ == 4) act_any = std::max(act_any, faw_[faw_head_] + t.tFAW);
+void Controller::set_head(std::uint32_t index, std::uint32_t slot_id) {
+  class_head_[index] = slot_id;
+  const std::uint64_t bit = std::uint64_t{1} << (index & 63);
+  if (slot_id == kNoSlot) {
+    head_mask_[index >> 6] &= ~bit;
+  } else {
+    head_mask_[index >> 6] |= bit;
   }
-  const Ps wtr_floor = last_wr_data_end_ + t.tWTR;
-  Ps bus_w = bus_free_;
-  if (!last_burst_was_write_) {
-    bus_w = std::max(bus_w, last_rd_data_end_ + t.tRTW_bubble);
-  }
-
-  Ps bound = std::numeric_limits<Ps>::max();
-  for (std::size_t g = 0; g < queued_per_group_.size(); ++g) {
-    const auto& queued = queued_per_group_[g];
-    if (queued[0] == 0 && queued[1] == 0) continue;
-    Ps cas_g = std::max(cas_any, last_cas_in_group_[g] + t.tCCD_L);
-    if (queued_hits_ == 0) {
-      const Ps act_g =
-          std::max(act_any, last_act_in_group_[g] + t.tRRD_L);
-      cas_g = std::max(cas_g, act_g + t.tRCD);
-    }
-    if (queued[0] > 0) {  // reads
-      const Ps cas_r = std::max(cas_g, wtr_floor);
-      bound = std::min(bound, std::max(bus_free_, cas_r + t.CL));
-    }
-    if (queued[1] > 0) {  // writes
-      bound = std::min(bound, std::max(bus_w, cas_g + t.CWL));
-    }
-  }
-  return bound;
 }
 
-#ifdef TBI_PICK_STATS
-namespace {
-struct PickStats {
-  unsigned long long picks = 0, fast_exits = 0, fallback_banks = 0, plans = 0;
-  unsigned long long exit_step[17] = {};
-  ~PickStats() {
-    std::fprintf(stderr,
-                 "picks %llu fast %llu (%.1f%%) fallback-banks/pick %.2f "
-                 "plans/pick %.2f\n",
-                 picks, fast_exits, 100.0 * fast_exits / picks,
-                 double(fallback_banks) / picks, double(plans) / picks);
-    for (int i = 0; i < 17; ++i)
-      if (exit_step[i])
-        std::fprintf(stderr, "  exit@walk%d: %.1f%%\n", i,
-                     100.0 * exit_step[i] / picks);
-  }
-} g_pick_stats;
-}  // namespace
-#define PICK_STAT(field, n) (g_pick_stats.field += (n))
-#else
-#define PICK_STAT(field, n) ((void)0)
-#endif
+void Controller::update_local(std::uint32_t bank_id) {
+  const Bank& b = banks_[bank_id];
+  const TimingParams& t = device_.timing;
+  // L: rdwr_ready for a hit; for an ACT, act_ready behind the PRE chain
+  // when a row is open.
+  const Ps act = b.open ? std::max(b.act_ready,
+                                   std::max(b.pre_ready, b.last_act + t.tRAS) + t.tRP)
+                        : b.act_ready;
+  Ps* local = &local_[static_cast<std::size_t>(bank_id) * 4];
+  local[0] = b.rdwr_ready + t.CL;
+  local[1] = b.rdwr_ready + t.CWL;
+  local[2] = act + t.tRCD + t.CL;
+  local[3] = act + t.tRCD + t.CWL;
+}
 
-std::uint32_t Controller::pick_fr_fcfs(Plan& plan_out) const {
+void Controller::refill_heads(std::uint32_t bank_id) {
+  const Bin& bin = bins_[bank_id];
+  const Bank& b = banks_[bank_id];
+  unsigned missing = 0;  // populated classes whose oldest member is not yet found
+  for (unsigned dir = 0; dir < 2; ++dir) {
+    const std::uint32_t hits = b.open ? row_count_get(row_key(bank_id, b.row, dir != 0)) : 0;
+    if (hits > 0) missing |= 1u << dir;
+    if (bin.total[dir] > hits) missing |= 1u << (2 + dir);
+  }
+  for (unsigned c = 0; c < 4; ++c) set_head(bank_id * 4 + c, kNoSlot);
+  for (std::uint32_t id = bin.head; missing != 0; id = bank_next_[id]) {
+    const unsigned c = class_of(slots_[id]);
+    if ((missing & (1u << c)) == 0) continue;
+    set_head(bank_id * 4 + c, id);
+    missing &= ~(1u << c);
+  }
+}
+
+std::uint32_t Controller::pick_fr_fcfs(Plan& plan_out, std::uint64_t& candidates) {
   assert(fifo_head_ != kNoSlot);
-  // Fast path: walk the oldest few requests in age order and compare
-  // each Plan against the global floor E (pick_bound). data_start >= E
-  // for every queued request, so the first — i.e. oldest — request
-  // landing on the floor is unbeatable: nothing can be earlier, and it
-  // wins every tie by age. In steady state (bus- or rate-limited, the
-  // regime of every paper workload) some front-of-queue request sits on
-  // the floor and the pick resolves after one or two Plans. Consecutive
-  // classmates (same bank, outcome, direction) share a Plan and lose the
-  // age tie-break, so runs of them — the single-bank conflict-chain
-  // regime — cost one classify() each, not a replan.
-  constexpr unsigned kWalkLimit = 8;
-  PICK_STAT(picks, 1);
-  // Nothing can start before the current end of the bus schedule, so a
-  // head request landing exactly there wins outright — without even
-  // computing the full floor. This is the saturated-bus steady state.
-  const Request& head = slots_[fifo_head_];
-  const RowBufferResult head_kind = classify(head);
-  if (fifo_next_[fifo_head_] == kNoSlot) {  // single-element queue
-    PICK_STAT(fast_exits, 1);
-    plan_out = plan_class(head.addr.bank, head_kind, head.is_write);
-    return fifo_head_;
-  }
-  const Ps head_ds = eval_class(head.addr.bank, head_kind, head.is_write);
-  if (head_ds <= bus_free_) {
-    PICK_STAT(fast_exits, 1);
-    PICK_STAT(exit_step[0], 1);
-    plan_out = plan_class(head.addr.bank, head_kind, head.is_write);
-    return fifo_head_;
-  }
-  const Ps bound = pick_bound();
-  if (head_ds <= bound) {  // oldest on the floor: unbeatable
-    PICK_STAT(fast_exits, 1);
-    PICK_STAT(exit_step[0], 1);
-    plan_out = plan_class(head.addr.bank, head_kind, head.is_write);
-    return fifo_head_;
-  }
-  std::uint32_t best = fifo_head_;
-  Ps best_slot = head_ds;
-  std::uint64_t best_seq = head.seq;
-  std::uint32_t prev_bank = head.addr.bank;
-  unsigned prev_class = class_index(head_kind, head.is_write);
-  std::uint32_t id = fifo_next_[fifo_head_];
-  for (unsigned walked = 1; walked < kWalkLimit && id != kNoSlot;
-       ++walked, id = fifo_next_[id]) {
-    const Request& r = slots_[id];
-    const RowBufferResult kind = classify(r);
-    const unsigned cls = class_index(kind, r.is_write);
-    if (r.addr.bank == prev_bank && cls == prev_class) continue;
-    prev_bank = r.addr.bank;
-    prev_class = cls;
-    const Ps ds = eval_class(r.addr.bank, kind, r.is_write);
-    PICK_STAT(plans, 1);
-    if (ds < best_slot) {  // age order: ties keep the older
-      best_slot = ds;
-      best_seq = r.seq;
-      best = id;
-      if (best_slot <= bound) {
-        PICK_STAT(fast_exits, 1);
-        PICK_STAT(exit_step[walked > 16 ? 16 : walked], 1);
-        plan_out = plan_class(r.addr.bank, kind, r.is_write);
-        return best;
-      }
-    }
-  }
-  if (id == kNoSlot) {  // the walk covered the whole queue
-    plan_out = plan_request(slots_[best]);
-    return best;
+  // No Plan starts before bus_free_, so an oldest request landing there
+  // wins outright: nothing is earlier and it wins every tie by age.
+  ++candidates;
+  plan_out = plan_request(slots_[fifo_head_]);
+  if (plan_out.data_start <= bus_free_) return fifo_head_;
+
+  // data_start = max(L + c, G) per class (see the header design note).
+  // G per (bank group, class): the CAS-rate, W->R and bus floors, plus
+  // the ACT-rate floor + tRCD for the classes that need an ACT.
+  const TimingParams& t = device_.timing;
+  const Ps cas_any = last_cas_any_ + t.tCCD_S;
+  Ps act_any = last_act_any_ + t.tRRD_S;
+  if (faw_len_ == 4) act_any = std::max(act_any, faw_[faw_head_] + t.tFAW);
+  const Ps wtr = last_wr_data_end_ + t.tWTR;
+  const Ps bus_w = last_burst_was_write_
+                       ? bus_free_
+                       : std::max(bus_free_, last_rd_data_end_ + t.tRTW_bubble);
+  for (std::size_t g = 0; g < last_cas_in_group_.size(); ++g) {
+    const Ps cas = std::max(cas_any, last_cas_in_group_[g] + t.tCCD_L);
+    const Ps act = std::max(act_any, last_act_in_group_[g] + t.tRRD_L) + t.tRCD;
+    Ps* floor = &group_floor_[4 * g];
+    floor[0] = std::max(std::max(cas, wtr) + t.CL, bus_free_);
+    floor[1] = std::max(cas + t.CWL, bus_w);
+    floor[2] = std::max(std::max({cas, wtr, act}) + t.CL, bus_free_);
+    floor[3] = std::max(std::max(cas, act) + t.CWL, bus_w);
   }
 
-  // Fallback: only the oldest queued request of each (bank, outcome,
-  // direction) class can win — classmates share one Plan and lose the
-  // age tie-break. Which classes are populated follows in O(1) from the
-  // membership counts and the bank's open row, and each bin scan stops
-  // once every populated class produced its oldest member, so the fold
-  // is O(banks with queued work) instead of O(queue_depth). Re-planning
-  // a class the walk already folded is harmless: it reproduces the same
-  // (data_start, seq) and loses the strict comparison.
-  for (std::size_t w = 0; w < populated_.size(); ++w) {
-  for (std::uint64_t word = populated_[w]; word != 0; word &= word - 1) {
-    const std::uint32_t bank =
-        static_cast<std::uint32_t>(w * 64) +
-        static_cast<std::uint32_t>(std::countr_zero(word));
-    const Bin& bin = bins_[bank];
-    PICK_STAT(fallback_banks, 1);
-    // Once some candidate reached the floor, plans strictly below it are
-    // impossible and ties lose to age: a bank whose oldest request is
-    // younger than the incumbent cannot win.
-    if (best_slot <= bound && slots_[bin.head].seq > best_seq) continue;
-    const Bank& b = banks_[bank];
-    // Every class of this bank starts at or after rdwr_ready + CAS
-    // latency (an ACT chain only pushes later), so a bank strictly above
-    // the incumbent cannot win or tie.
-    const Ps lat_min = std::min(device_.timing.CL, device_.timing.CWL);
-    if (b.rdwr_ready + lat_min > best_slot) continue;
-    unsigned present = 0;
-    if (!b.open) {
-      for (unsigned dir = 0; dir < 2; ++dir) {
-        if (bin.total[dir] > 0) {
-          present |= 1u << class_index(RowBufferResult::Miss, dir != 0);
-        }
-      }
-    } else {
-      for (unsigned dir = 0; dir < 2; ++dir) {
-        if (bin.total[dir] == 0) continue;
-        const std::uint32_t hits = row_count_get(row_key(bank, b.row, dir != 0));
-        if (hits > 0) present |= 1u << class_index(RowBufferResult::Hit, dir != 0);
-        if (bin.total[dir] > hits) {
-          present |= 1u << class_index(RowBufferResult::Conflict, dir != 0);
-        }
-      }
-    }
-    for (std::uint32_t cand = bin.head; cand != kNoSlot && present != 0;
-         cand = bank_next_[cand]) {
-      const Request& r = slots_[cand];
-      const RowBufferResult kind = classify(r);
-      const unsigned c = class_index(kind, r.is_write);
-      if ((present & (1u << c)) == 0) continue;
-      present &= ~(1u << c);
-      PICK_STAT(plans, 1);
-      const Ps ds = eval_class(bank, kind, r.is_write);
-      if (ds < best_slot || (ds == best_slot && r.seq < best_seq)) {
-        best_slot = ds;
-        best_seq = r.seq;
-        best = cand;
-      }
+  // Fold (data_start, seq) over the occupied class heads as one 128-bit
+  // key, so the comparison compiles to conditional moves (data_start >=
+  // bus_free_ >= 0, so the high half orders correctly).
+  using Key = unsigned __int128;
+  const std::size_t floor_mask = group_floor_.size() - 1;
+  Key best_key = ~Key{0};
+  std::uint32_t best = kNoSlot;
+  std::uint64_t evaluated = 0;
+  for (std::size_t w = 0; w < head_mask_.size(); ++w) {
+    for (std::uint64_t word = head_mask_[w]; word != 0; word &= word - 1) {
+      const std::size_t index = w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      const Ps ds = std::max(local_[index], group_floor_[index & floor_mask]);
+      const std::uint32_t id = class_head_[index];
+      const Key key = (static_cast<Key>(ds) << 64) | slots_[id].seq;
+      best = key < best_key ? id : best;
+      best_key = key < best_key ? key : best_key;
+      ++evaluated;
     }
   }
-  }
-  plan_out = plan_request(slots_[best]);
+  candidates += evaluated;
+  if (best != fifo_head_) plan_out = plan_request(slots_[best]);
+  assert(plan_out.data_start == static_cast<Ps>(best_key >> 64));
   return best;
 }
 
-std::uint32_t Controller::pick_fr_fcfs_oracle(Plan& plan_out) const {
+std::uint32_t Controller::pick_fr_fcfs_oracle(Plan& plan_out,
+                                              std::uint64_t& candidates) const {
   assert(fifo_head_ != kNoSlot);
   // Brute-force reference: replan every queued request on every pick.
   // data_start can never precede the current bus_free_, so a request
@@ -605,6 +464,7 @@ std::uint32_t Controller::pick_fr_fcfs_oracle(Plan& plan_out) const {
   std::uint32_t best = fifo_head_;
   Ps best_slot = std::numeric_limits<Ps>::max();
   for (std::uint32_t id = fifo_head_; id != kNoSlot; id = fifo_next_[id]) {
+    ++candidates;
     const Plan p = plan_request(slots_[id]);
     if (p.data_start < best_slot) {
       best_slot = p.data_start;
@@ -626,8 +486,9 @@ void Controller::do_refresh(PhaseStats& stats) {
       ready = std::max(ready, banks_[i].ref_ready);
     }
     ready = std::max(ready, last_refresh_ + t.tRFC_ab);
-    for (auto& b : banks_) {
-      b.act_ready = std::max(b.act_ready, ready + t.tRFC_ab);
+    for (std::uint32_t i = 0; i < device_.banks; ++i) {
+      banks_[i].act_ready = std::max(banks_[i].act_ready, ready + t.tRFC_ab);
+      update_local(i);
     }
     emit(Command{.kind = CommandKind::RefAb, .issue = ready});
   } else {
@@ -647,6 +508,7 @@ void Controller::do_refresh(PhaseStats& stats) {
     for (std::uint32_t i = 0; i < device_.banks; ++i) {
       if (is_member(i)) {
         banks_[i].act_ready = std::max(banks_[i].act_ready, ready + t.tRFC_grp);
+        update_local(i);
       }
     }
     emit(Command{.kind = CommandKind::RefGrp, .issue = ready, .bank = group});
@@ -691,12 +553,13 @@ PhaseStats Controller::run_phase(RequestStream& stream, std::string label) {
       case ControllerConfig::Policy::Fcfs:
         slot_id = fifo_head_;
         plan = plan_request(slots_[slot_id]);
+        ++stats.pick_candidates;
         break;
       case ControllerConfig::Policy::FrFcfs:
-        slot_id = pick_fr_fcfs(plan);
+        slot_id = pick_fr_fcfs(plan, stats.pick_candidates);
         break;
       case ControllerConfig::Policy::FrFcfsOracle:
-        slot_id = pick_fr_fcfs_oracle(plan);
+        slot_id = pick_fr_fcfs_oracle(plan, stats.pick_candidates);
         break;
       default:
         throw std::logic_error("Controller: unknown policy");

@@ -10,47 +10,43 @@
 /// fast enough (millions of bursts per second) to reproduce all Table I
 /// configurations in seconds.
 ///
-/// Incremental FR-FCFS (design note). The earliest-data-slot pick needs
-/// the earliest-legal Plan of every queued request, but a full replan of
-/// the whole queue per burst is O(queue_depth) and dominates paper-scale
-/// runs. The scheduler instead exploits two structural facts of the
-/// timing model:
+/// Decomposed FR-FCFS pick (design note). The pick serves the queued
+/// request whose burst reaches the data bus first, the oldest on ties.
+/// Replanning the whole queue per burst is O(queue_depth); the scheduler
+/// instead rests on two facts of the timing model:
 ///
-///  1. Class sharing. A request's Plan depends only on (bank, row-buffer
-///     outcome, direction) plus global bus/CAS/ACT-rate state — never on
-///     its row or column — so all queued requests of one bank with the
-///     same outcome and direction share one Plan, and only the *oldest*
-///     member of each such class can win the pick (ties go to age).
-///     Requests are binned per bank on intrusive arrival-ordered lists,
-///     and a pick evaluates at most one Plan per populated class.
-///  2. A computable global floor. Every Plan of direction d satisfies
-///     data_start >= E(d) = max(bus availability, global CAS-rate floor
-///     + CAS latency), a bound built purely from rank-global state in
-///     O(1). The globally oldest request is planned first; if it lands
-///     on the floor it is unbeatable — nothing can be earlier and it
-///     wins every tie — so the steady-state pick costs ONE Plan. Only
-///     when bank-local chains (tRP/tRCD/tRAS) push the oldest request
-///     off the floor does the pick fall back to the per-bank class scan,
-///     which again prunes with the floor: once some candidate reaches
-///     E, a bank whose oldest request is younger cannot win and is
-///     skipped without planning.
+///  1. Class sharing. A request's Plan depends only on its bank, whether
+///     it targets the bank's open row, and its direction; never on its
+///     row or column. All queued requests of one such class share one
+///     data_start, and only the oldest of them can win. The controller
+///     keeps the oldest queued slot of each bank's <= 4 classes (open row
+///     or other row, x read or write; every row of a closed bank is an
+///     other row). A newcomer only fills an empty class; a dequeued head
+///     is replaced by the next classmate in its bank's bin; an open-row
+///     change (ACT, PRE, refresh close) refills the bank's heads in one
+///     bin walk that stops once every class the row-count table reports
+///     populated was found.
+///  2. Decomposition. Every term of plan_class() is a max of (state +
+///     constant), so data_start = max(L + c, G). L reads only the bank:
+///     rdwr_ready for an open-row hit; for an ACT, act_ready, behind the
+///     PRE chain max(pre_ready, last_act + tRAS) + tRP when a row is open.
+///     c is CL or CWL, plus tRCD when an ACT is needed. G holds the rank-
+///     and group-global floors: tCCD_S/L, tWTR, the bus and tRTW, plus
+///     tRRD/tFAW + tRCD when an ACT is needed. L + c is cached per (bank,
+///     class) and recomputed when the bank's timing state changes; G is
+///     computed once per pick for each (bank group, class).
 ///
-/// Cache and invalidation rules: which classes are populated is tracked
-/// by state-independent membership counts — per-bin totals per direction
-/// plus an exact (bank, row, direction) count table — updated only on
-/// enqueue/dequeue and never invalidated, because a committed command
-/// changes a bank's *open row*, not which rows the queued requests
-/// target. Comparing a bin's counts against its bank's open row yields
-/// the populated classes in O(1) (e.g. zero requests for the open row
-/// proves there is no hit without touching the bin). Global bus/CAS/ACT
-/// state changes on *every* commit, but it enters the Plan through a
-/// handful of max() terms, so it is folded in fresh, in O(1) per
-/// evaluated class, at pick time rather than invalidating anything.
-/// A pick is thus O(1) in steady state and O(banks with queued work)
-/// in the worst case, not O(queue_depth), and the command stream is
-/// bit-identical to the brute-force scan (Policy::FrFcfsOracle keeps the
-/// replan-everything reference; a randomized test asserts equivalence on
-/// DDR4/DDR5/LPDDR4).
+/// data_start never precedes bus_free_, so an oldest request landing
+/// there wins outright: that exit costs one Plan. Otherwise the pick
+/// folds (data_start, seq) over the occupied class heads and plans only
+/// the winner. Measured on the paper's full-size streams (20 Table I
+/// cells, PhaseStats::pick_candidates): the exit resolves 50% of the
+/// separate-phase picks and 18% of the double-buffered mixed ones, and a
+/// pick evaluates 8.5 data_starts on average over the phases (1.2-17 per
+/// cell) and 17.4 over the mixed streams (6-33 per cell). The command
+/// stream is identical to the replan-everything reference
+/// (Policy::FrFcfsOracle); tests/dram/test_scheduler_equivalence.cpp
+/// checks it command for command on random and on the paper's streams.
 ///
 /// Fidelity notes (DESIGN.md §5): per-bank row state, bank-group-aware
 /// tCCD/tRRD, the four-activate window, rank-level write-to-read
@@ -140,13 +136,8 @@ class Controller {
     Ps data_end = 0;
   };
 
-  /// Per-bank view of the queue for the incremental FR-FCFS pick: an
-  /// intrusive arrival-ordered list of the bank's queued slots plus
-  /// per-direction member totals. Which (outcome x direction) classes are
-  /// populated is derived in O(1) from the totals and the row-count table
-  /// (see the header design note), so the per-bin scan for class
-  /// representatives stops as soon as every populated class produced its
-  /// oldest member — one step in the common single-class regimes.
+  /// Per-bank view of the queue: an intrusive arrival-ordered list of the
+  /// bank's queued slots plus per-direction member totals.
   struct Bin {
     std::uint32_t head = kNoSlot;          ///< oldest queued slot of this bank
     std::uint32_t tail = kNoSlot;
@@ -156,8 +147,8 @@ class Controller {
   /// Open-addressing count table keyed by (bank, row, direction): how
   /// many queued requests target that exact page. Membership counts do
   /// not depend on bank state, so they are maintained incrementally on
-  /// enqueue/dequeue only and never invalidated; the pick uses them to
-  /// prove the absence of row hits without scanning a bin. Linear
+  /// enqueue/dequeue only and never invalidated; a class-head refill uses
+  /// them to stop its bin walk once every populated class is found. Linear
   /// probing with backward-shift deletion; sized at 4x queue depth so
   /// probe chains stay short.
   struct RowCountEntry {
@@ -166,18 +157,17 @@ class Controller {
   };
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
-  static constexpr unsigned class_index(RowBufferResult kind, bool is_write) {
-    return static_cast<unsigned>(kind) * 2 + (is_write ? 1 : 0);
-  }
-
   RowBufferResult classify(const Request& req) const;
+  /// Pick class of a queued request under its bank's current open row:
+  /// (other row ? 2 : 0) + is_write, where every row of a closed bank is
+  /// an other row. Hit classes (0, 1) need no ACT; 2 and 3 need one.
+  unsigned class_of(const Request& req) const {
+    const Bank& b = banks_[req.addr.bank];
+    return (b.open && b.row == req.addr.row ? 0u : 2u) + (req.is_write ? 1u : 0u);
+  }
   /// Earliest-legal Plan for any (bank, outcome, direction) class; the
   /// single source of scheduling truth shared by all policies.
   Plan plan_class(std::uint32_t bank_id, RowBufferResult kind, bool is_write) const;
-  /// data_start of plan_class() alone — the pick's comparison key —
-  /// without materializing the Plan. The winner is re-planned in full
-  /// exactly once per pick.
-  Ps eval_class(std::uint32_t bank_id, RowBufferResult kind, bool is_write) const;
   Plan plan_request(const Request& req) const;
   void commit(const Request& req, const Plan& plan, PhaseStats& stats);
   void refresh_if_due(PhaseStats& stats);
@@ -190,11 +180,16 @@ class Controller {
   // Queue management (slot arena + arrival FIFO + per-bank bins).
   std::uint32_t enqueue(const Request& req);
   void dequeue(std::uint32_t slot_id);
-  /// E = min over queued directions of the global data-slot floor (see
-  /// the header design note): no queued request can start earlier.
-  Ps pick_bound() const;
-  std::uint32_t pick_fr_fcfs(Plan& plan_out) const;
-  std::uint32_t pick_fr_fcfs_oracle(Plan& plan_out) const;
+  /// Re-derive a bank's class heads after its open row changed.
+  void refill_heads(std::uint32_t bank_id);
+  /// Point class head \p index at \p slot_id (kNoSlot empties it) and
+  /// keep head_mask_ in step.
+  void set_head(std::uint32_t index, std::uint32_t slot_id);
+  /// Recompute a bank's local_ entries after its timing state changed.
+  void update_local(std::uint32_t bank_id);
+  // Each pick adds its data_start evaluations to `candidates`.
+  std::uint32_t pick_fr_fcfs(Plan& plan_out, std::uint64_t& candidates);
+  std::uint32_t pick_fr_fcfs_oracle(Plan& plan_out, std::uint64_t& candidates) const;
 
   // Row-count table primitives.
   static std::uint64_t row_key(std::uint32_t bank, std::uint32_t row, bool is_write) {
@@ -245,21 +240,21 @@ class Controller {
   std::uint32_t fifo_head_ = kNoSlot;        ///< oldest queued slot
   std::uint32_t fifo_tail_ = kNoSlot;
   std::vector<Bin> bins_;                    ///< one per bank
-  /// Bitmask of banks with a non-empty bin (64 banks per word); the
-  /// pick's fallback visits only set bits instead of scanning every bank.
-  std::vector<std::uint64_t> populated_;
+  /// Oldest queued slot per (bank, class) at index bank * 4 + class_of(),
+  /// kNoSlot when the class is empty (see the header design note).
+  std::vector<std::uint32_t> class_head_;
+  /// Bitmask of the occupied class_head_ entries (64 per word): the pick
+  /// folds over the set bits only.
+  std::vector<std::uint64_t> head_mask_;
+  /// Bank-local term L + c of data_start per (bank, class), indexed like
+  /// class_head_; refreshed whenever the bank's timing state changes.
+  std::vector<Ps> local_;
   std::vector<RowCountEntry> row_counts_;    ///< (bank, row, dir) -> queued count
   std::size_t row_mask_ = 0;                 ///< row_counts_.size() - 1 (power of two)
-  /// Queued totals per (bank group, direction): lets the pick's floor use
-  /// each populated group's own CAS/ACT-rate state instead of the loosest
-  /// group's, which is what makes it exact in the steady state.
-  std::vector<std::array<std::uint32_t, 2>> queued_per_group_;
-  /// Number of queued requests that currently hit an open row. Updated on
-  /// enqueue/dequeue and on every open-row change (ACT/PRE/refresh).
-  /// When zero, every queued request needs an ACT, so the pick's floor
-  /// may include the global ACT-rate terms — the tight bound in the
-  /// ACT-limited (conflict-chain) regimes.
-  std::uint32_t queued_hits_ = 0;
+  /// Pick scratch: the group-global floor G at index group * 4 + class.
+  /// Bank groups are bank % bank_groups, a power of two, so a class head's
+  /// entry is its class_head_ index masked by group_floor_.size() - 1.
+  std::vector<Ps> group_floor_;
   std::uint64_t next_seq_ = 0;
 };
 

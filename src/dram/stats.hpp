@@ -19,6 +19,10 @@ struct PhaseStats {
   /// served; separate counter so the pick-cost metric stays honest if the
   /// scheduling loop ever changes shape).
   std::uint64_t picks = 0;
+  /// Scheduler work: data_start evaluations the picks made, summed over
+  /// picks (FR-FCFS: one per class head it compared). A count, not a time,
+  /// so it is exact across hosts.
+  std::uint64_t pick_candidates = 0;
   /// Host wall time spent inside Controller::run_phase for this phase, in
   /// nanoseconds (two clock reads per phase — not per pick).
   std::uint64_t host_ns = 0;
@@ -56,6 +60,13 @@ struct PhaseStats {
   /// exactly: it is host timing, not simulated time).
   double ns_per_pick() const {
     return picks ? static_cast<double>(host_ns) / static_cast<double>(picks) : 0.0;
+  }
+
+  /// Scheduler data_start evaluations per pick: deterministic, compared
+  /// exactly by bench_compare.
+  double candidates_per_pick() const {
+    return picks ? static_cast<double>(pick_candidates) / static_cast<double>(picks)
+                 : 0.0;
   }
 
   double row_hit_rate() const {

@@ -67,6 +67,14 @@ struct InterleaverRun {
                        static_cast<double>(picks)
                  : 0.0;
   }
+  /// Scheduler data_start evaluations per pick over both phases.
+  double candidates_per_pick() const {
+    const std::uint64_t picks = write.stats.picks + read.stats.picks;
+    return picks ? static_cast<double>(write.stats.pick_candidates +
+                                       read.stats.pick_candidates) /
+                       static_cast<double>(picks)
+                 : 0.0;
+  }
 };
 
 /// Execute write phase then read phase on a fresh controller.

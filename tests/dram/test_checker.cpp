@@ -26,6 +26,12 @@ Command rd(Ps t, std::uint32_t bank, std::uint32_t row, Ps data_start) {
                  .data_end = data_start + dev().burst_time};
 }
 
+Command wr(Ps t, std::uint32_t bank, std::uint32_t row, Ps data_start) {
+  Command c = rd(t, bank, row, data_start);
+  c.kind = CommandKind::Wr;
+  return c;
+}
+
 std::vector<std::string> check(std::initializer_list<Command> cmds) {
   TimingChecker checker(dev(), RefreshMode::Disabled);
   for (const auto& c : cmds) checker.on_command(c);
@@ -152,6 +158,25 @@ TEST(Checker, CatchesDataBusOverlap) {
   const auto v = checker.finish();
   ASSERT_FALSE(v.empty());
   EXPECT_NE(v.front().find("data bus overlap"), std::string::npos);
+}
+
+TEST(Checker, CatchesReadToWriteBubbleViolation) {
+  const TimingParams& t = dev().timing;
+  ASSERT_GT(t.tRTW_bubble, 0);
+  // Banks 0 and 1 sit in different groups; the WR's CAS is legal and its
+  // burst would follow the RD's back to back, without the RD->WR bubble.
+  const Ps cas1 = t.tRRD_S + t.tRCD;
+  const Ps cas2 = cas1 + t.tCCD_S;
+  const Command read = rd(cas1, 0, 1, cas1 + t.CL);
+  ASSERT_GE(read.data_end, cas2 + t.CWL);
+  const auto v = check({act(0, 0, 1), act(t.tRRD_S, 1, 1), read,
+                        wr(cas2, 1, 1, read.data_end)});
+  ASSERT_FALSE(v.empty());
+  EXPECT_NE(v.front().find("tRTW"), std::string::npos);
+  // The same burst one bubble later is legal.
+  EXPECT_TRUE(check({act(0, 0, 1), act(t.tRRD_S, 1, 1), read,
+                     wr(cas2, 1, 1, read.data_end + t.tRTW_bubble)})
+                  .empty());
 }
 
 TEST(Checker, CatchesCasLatencyViolation) {

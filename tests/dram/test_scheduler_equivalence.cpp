@@ -1,17 +1,24 @@
 /// \file test_scheduler_equivalence.cpp
-/// The incremental FR-FCFS pick (per-bank bins, membership counts, global
-/// data-slot floor) must be observationally identical to the brute-force
+/// The decomposed FR-FCFS pick (per-bank class heads, per-group timing
+/// floors) must be observationally identical to the brute-force
 /// replan-everything reference (Policy::FrFcfsOracle): same command
 /// stream, command for command, and same PhaseStats — over random request
-/// mixes on DDR4, DDR5 and LPDDR4 geometries, across queue depths.
+/// mixes on DDR3, DDR4, DDR5, LPDDR4 and LPDDR5 geometries across queue
+/// depths, and over the interleaver's own streams on all ten devices.
 #include "dram/controller.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "dram/checker.hpp"
 #include "dram/standards.hpp"
+#include "interleaver/streams.hpp"
+#include "mapping/factory.hpp"
+#include "mapping/offset.hpp"
+#include "sim/runner.hpp"
 
 namespace tbi::dram {
 namespace {
@@ -89,7 +96,7 @@ class SchedulerEquivalence : public ::testing::TestWithParam<const char*> {};
 TEST_P(SchedulerEquivalence, IncrementalMatchesOracleOnRandomStreams) {
   const DeviceConfig& dev = *find_config(GetParam());
   Rng rng(0xE9u ^ std::hash<std::string>{}(dev.name));
-  for (const unsigned queue_depth : {3u, 16u, 64u}) {
+  for (const unsigned queue_depth : {1u, 3u, 16u, 64u, 128u}) {
     for (const unsigned row_pool : {2u, 8u, 64u}) {
       for (const double write_fraction : {0.0, 0.5, 1.0}) {
         // Two chained phases so bank/bus/refresh state carries across.
@@ -118,15 +125,101 @@ TEST_P(SchedulerEquivalence, IncrementalMatchesOracleOnRandomStreams) {
   }
 }
 
+std::string test_name(const ::testing::TestParamInfo<const char*>& info) {
+  std::string name = info.param;
+  for (char& ch : name)
+    if (ch == '-') ch = '_';
+  return name;
+}
+
+// LPDDR5-8533: 16 banks in 4 groups with per-bank refresh; DDR3-800: one
+// bank group and all-bank refresh.
 INSTANTIATE_TEST_SUITE_P(AllFamilies, SchedulerEquivalence,
                          ::testing::Values("DDR4-3200", "DDR5-6400",
-                                           "LPDDR4-4266"),
-                         [](const auto& info) {
-                           std::string name = info.param;
-                           for (char& ch : name)
-                             if (ch == '-') ch = '_';
-                           return name;
-                         });
+                                           "LPDDR4-4266", "LPDDR5-8533",
+                                           "DDR3-800"),
+                         test_name);
+
+/// One stream of the paper's traffic on a fresh controller per policy,
+/// every command checked by a TimingChecker.
+struct PaperRun {
+  std::vector<PhaseStats> stats;
+  std::vector<Command> commands;
+  std::vector<std::string> violations;
+};
+
+/// Truncation of every walk: a few thousand bursts each.
+constexpr std::uint64_t kPaperBursts = 3000;
+
+PaperRun run_paper_streams(const DeviceConfig& dev, const std::string& spec,
+                           bool streaming, ControllerConfig::Policy policy) {
+  const std::uint64_t side = sim::paper_side_for(dev);
+  const auto write_map = mapping::make_mapping(spec, dev, side);
+  ControllerConfig cfg;
+  cfg.policy = policy;
+  Controller ctl(dev, cfg);
+  CommandRecorder recorder;
+  ctl.set_observer(&recorder);
+  PaperRun run;
+  if (streaming) {
+    // Double-buffered operation as in sim::run_streaming, with the read
+    // block in the upper half of the rows (disjoint from the written one).
+    const mapping::RowOffsetMapping read_map(mapping::make_mapping(spec, dev, side),
+                                             dev.rows_per_bank / 2, dev.rows_per_bank);
+    interleaver::StreamingPhaseStream stream(*write_map, read_map, kPaperBursts);
+    run.stats.push_back(ctl.run_phase(stream, "streaming"));
+  } else {
+    interleaver::WritePhaseStream write(*write_map, kPaperBursts);
+    run.stats.push_back(ctl.run_phase(write, "write"));
+    interleaver::ReadPhaseStream read(*write_map, kPaperBursts);
+    run.stats.push_back(ctl.run_phase(read, "read"));
+  }
+  TimingChecker checker(dev, ctl.refresh_mode());
+  for (const Command& c : recorder.commands) checker.on_command(c);
+  run.violations = checker.finish();
+  run.commands = std::move(recorder.commands);
+  return run;
+}
+
+class PaperStreamEquivalence : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(PaperStreamEquivalence, IncrementalMatchesOracleOnInterleaverStreams) {
+  const DeviceConfig& dev = *find_config(GetParam());
+  for (const std::string spec : {"row-major", "optimized"}) {
+    for (const bool streaming : {false, true}) {
+      const std::string where = dev.name + " " + spec + (streaming ? " mixed" : " phases");
+      const PaperRun fast =
+          run_paper_streams(dev, spec, streaming, ControllerConfig::Policy::FrFcfs);
+      const PaperRun oracle =
+          run_paper_streams(dev, spec, streaming, ControllerConfig::Policy::FrFcfsOracle);
+      EXPECT_TRUE(fast.violations.empty()) << where << ": " << fast.violations.front();
+      ASSERT_EQ(fast.stats.size(), oracle.stats.size());
+      std::uint64_t refreshes = 0;
+      for (std::size_t p = 0; p < fast.stats.size(); ++p) {
+        EXPECT_EQ(fast.stats[p].bursts, streaming ? 2 * kPaperBursts : kPaperBursts)
+            << where;
+        expect_same_stats(fast.stats[p], oracle.stats[p]);
+        refreshes += fast.stats[p].refreshes;
+      }
+      EXPECT_GT(refreshes, 0u) << where;  // refresh closes rows mid-stream
+      ASSERT_EQ(fast.commands.size(), oracle.commands.size()) << where;
+      for (std::size_t c = 0; c < fast.commands.size(); ++c) {
+        ASSERT_TRUE(same_command(fast.commands[c], oracle.commands[c]))
+            << where << " command " << c << " (" << to_string(fast.commands[c].kind)
+            << " vs " << to_string(oracle.commands[c].kind) << ")";
+      }
+    }
+  }
+}
+
+std::vector<const char*> standard_names() {
+  std::vector<const char*> names;
+  for (const DeviceConfig& dev : standard_configs()) names.push_back(dev.name.c_str());
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(TableOneDevices, PaperStreamEquivalence,
+                         ::testing::ValuesIn(standard_names()), test_name);
 
 }  // namespace
 }  // namespace tbi::dram

@@ -97,6 +97,34 @@ TEST(CompareBench, HotPathAllocationRegressionIsExact) {
   EXPECT_EQ(report.failures.size(), 2u) << report.render();
 }
 
+TEST(CompareBench, PickWorkCountIsExactWhilePickTimeIsBanded) {
+  // The controller records stamp candidates_per_pick (a deterministic
+  // count of scheduler work) next to sched_ns_per_pick (host time): the
+  // time gets the loose band, the count none.
+  EXPECT_EQ(classify_metric("candidates_per_pick"), MetricKind::Exact);
+  EXPECT_EQ(classify_metric("optimized_candidates_per_pick"), MetricKind::Exact);
+  Json baseline = fixture_doc();
+  Json::Array rows = baseline.at("records").as_array();
+  rows[0]["sched_ns_per_pick"] = 120.0;
+  rows[0]["candidates_per_pick"] = 1.25;
+  baseline["records"] = rows;
+  CompareOptions opt;
+  opt.time_tol_pct = 400.0;
+
+  Json slower = baseline;
+  rows[0]["sched_ns_per_pick"] = 480.0;  // 4x: inside the band
+  slower["records"] = rows;
+  EXPECT_TRUE(compare_bench(baseline, slower, opt).ok());
+
+  Json more_work = baseline;
+  rows[0]["sched_ns_per_pick"] = 120.0;
+  rows[0]["candidates_per_pick"] = 1.2500001;
+  more_work["records"] = rows;
+  const auto report = compare_bench(baseline, more_work, opt);
+  ASSERT_EQ(report.failures.size(), 1u) << report.render();
+  EXPECT_NE(report.failures[0].path.find("candidates_per_pick"), std::string::npos);
+}
+
 TEST(CompareBench, TimeBandIsLooseAndOneSided) {
   const Json baseline = fixture_doc();
   CompareOptions opt;
