@@ -7,15 +7,13 @@
 /// DRAM-resident implementation sustains the link rate only with the
 /// optimized mapping.
 ///
-/// Runs on the fault-tolerant sweep backend (sim/dsweep.hpp) with
-/// deterministic per-cell seeding: the records are identical for any
-/// --threads *and* --workers value. `--workers N` shards the grid over N
-/// worker processes with crash recovery; with `--json` every completed
-/// cell is checkpointed to `<file>.manifest`, `--resume` skips the cells
-/// already recorded there, and SIGINT/SIGTERM flush a valid partial
-/// document (plus the manifest) before exiting 130. `--stable-json` drops
-/// the host-timing fields so two runs of the same sweep can be compared
-/// with a plain diff.
+/// Runs on the checkpointed sweep (sim/dsweep.hpp) with deterministic
+/// per-cell seeding: the records are identical for any --threads value.
+/// With `--json` every completed cell is checkpointed to
+/// `<file>.manifest`, `--resume` skips the cells already recorded there,
+/// and SIGINT/SIGTERM flush a valid partial document (plus the manifest)
+/// before exiting 130. `--stable-json` drops the host-timing fields so two
+/// runs of the same sweep can be compared with a plain diff.
 ///
 /// The interleaver axis includes the paper's headline "two-stage" scheme
 /// (§II): those cells run the streaming frame path at the burst-granular
@@ -23,22 +21,21 @@
 /// their frames are spb x larger than the RS-255 triangle of the classic
 /// rows.
 ///
-/// Fleet mode: `--listen HOST:PORT` adopts remote TCP workers started
-/// with `--connect HOST:PORT` instead of forking local ones; `--shard
-/// I/N` computes one contiguous slice of the grid into its own manifest
-/// and `--merge-shards M1,M2,..` reassembles the slices into output
-/// byte-identical (under --stable-json) to a single-process run.
+/// Sharding: `--shard I/N` computes one contiguous range of the grid into
+/// its own manifest (one shard per host, say) and `--merge-shards
+/// M1,M2,..` reassembles the ranges into output byte-identical (under
+/// --stable-json) to an unsharded run.
 ///
 /// Usage: bench_fer [--device NAME] [--frames N] [--seed S] [--threads T]
-///                  [--workers N] [--resume] [--fade-prob P]
-///                  [--burst-symbols B] [--side S] [--spb B] [--links N]
-///                  [--listen HOST:PORT | --connect HOST:PORT]
-///                  [--worker-timeout-ms MS] [--accept-timeout-ms MS]
+///                  [--resume] [--fade-prob P] [--burst-symbols B]
+///                  [--side S] [--spb B] [--links N]
 ///                  [--shard I/N] [--merge-shards M1,M2,..]
 ///                  [--markdown] [--progress] [--json FILE] [--stable-json]
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <limits>
+#include <utility>
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
@@ -56,43 +53,37 @@ volatile std::sig_atomic_t g_cancel = 0;
 
 void handle_signal(int) { g_cancel = 1; }
 
+/// Read integer option \p name into \p out. A value below \p min, or
+/// one that does not fit T, prints an error: line and returns false; an
+/// unchecked cast would turn --frames -1 into 4,294,967,295 frames.
+template <typename T>
+bool read_count(const tbi::CliParser& cli, const char* name, std::int64_t fallback,
+                std::int64_t min, T* out) {
+  const std::int64_t v = cli.get_int(name, fallback);
+  if (v < min || !std::in_range<T>(v)) {
+    std::fprintf(stderr, "error: --%s must be an integer in [%lld, %llu]\n", name,
+                 static_cast<long long>(min),
+                 static_cast<unsigned long long>(std::numeric_limits<T>::max()));
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Worker re-invocation? Hand the process to the protocol loop before
-  // any CLI parsing.
-  const int worker_fd = tbi::sim::dsweep_worker_fd(argc, argv);
-  if (worker_fd >= 0) {
-    return tbi::sim::dsweep_worker_main(worker_fd);
-  }
-  // Remote-worker invocation: dial the fleet driver and serve cells.
-  const std::string connect_spec = tbi::sim::dsweep_worker_connect_arg(argc, argv);
-  if (!connect_spec.empty()) {
-    return tbi::sim::dsweep_worker_connect(connect_spec);
-  }
-
   tbi::CliParser cli("bench_fer", "FER sweep: interleaver x channel x code rate");
   cli.add_option("device", "name", "DRAM device (default LPDDR5-8533)");
   cli.add_option("frames", "n", "frames per scenario (default 40)");
   cli.add_option("seed", "s", "sweep base seed (default 1)");
-  cli.add_option("threads", "T", "sweep worker threads (default: all cores)");
-  cli.add_option("workers", "N", "worker processes (default 1 = in-process)");
+  cli.add_option("threads", "T", "sweep threads (default: all cores)");
   cli.add_option("resume", "", "skip cells recorded in the --json manifest");
   cli.add_option("fade-prob", "p", "stationary fade duty cycle (default 0.004)");
   cli.add_option("burst-symbols", "b", "mean fade length in symbols (default 300)");
   cli.add_option("side", "s", "interleaver side (0 = RS-255 triangle; bursts for two-stage)");
   cli.add_option("spb", "b", "two-stage symbols per DRAM burst (default 64)");
   cli.add_option("links", "n", "downlinks interleaved on the wire (default 1)");
-  cli.add_option("frame-slices", "n",
-                 "split each streaming cell's frames into n intra-frame "
-                 "channel slices spread over the sweep workers (default 1)");
-  cli.add_option("listen", "h:p", "adopt remote TCP workers (fleet driver mode)");
-  cli.add_option("connect", "h:p", "serve a --listen driver as a remote worker");
-  cli.add_option("worker-timeout-ms", "ms",
-                 "declare a silent worker dead/partitioned after this long (default 5000)");
-  cli.add_option("accept-timeout-ms", "ms",
-                 "--listen: run in-process when no worker connects for this long "
-                 "(default 10000)");
   cli.add_option("shard", "i/n", "compute only shard i of n (needs --json)");
   cli.add_option("merge-shards", "m1,m2,..",
                  "merge shard manifests into the full result (no compute)");
@@ -111,7 +102,7 @@ int main(int argc, char** argv) {
 
   const std::string device = cli.get("device", "LPDDR5-8533");
   if (tbi::dram::find_config(device) == nullptr) {
-    std::fprintf(stderr, "unknown device '%s'\n", device.c_str());
+    std::fprintf(stderr, "error: unknown device '%s'\n", device.c_str());
     return 1;
   }
   if (cli.has("resume") && !cli.has("json")) {
@@ -120,9 +111,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const unsigned links = static_cast<unsigned>(cli.get_int("links", 1));
-  if (links == 0) {
-    std::fprintf(stderr, "error: --links must be >= 1\n");
+  tbi::sim::FerSweepOptions options;
+  unsigned links = 1;
+  if (!read_count(cli, "frames", 40, 1, &options.base.frames) ||
+      !read_count(cli, "links", 1, 1, &links) ||
+      !read_count(cli, "side", 0, 0, &options.base.side) ||
+      !read_count(cli, "spb", 64, 1, &options.base.symbols_per_burst)) {
     return 1;
   }
 
@@ -137,42 +131,18 @@ int main(int argc, char** argv) {
   // seeds and labels of single-link sweeps unchanged.
   if (links > 1) grid.links = {links};
 
-  tbi::sim::FerSweepOptions options;
   options.sweep.threads = static_cast<unsigned>(cli.get_int("threads", 0));
   options.sweep.base_seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  options.base.frames = static_cast<unsigned>(cli.get_int("frames", 40));
   options.base.fade_fraction = cli.get_double("fade-prob", 0.004);
   options.base.mean_burst_symbols = cli.get_double("burst-symbols", 300);
   options.base.error_probability = 2e-3;
   options.base.error_rate_bad = 0.95;
-  options.base.side = static_cast<std::uint64_t>(cli.get_int("side", 0));
-  options.base.symbols_per_burst = static_cast<std::uint64_t>(cli.get_int("spb", 64));
-  const std::int64_t frame_slices = cli.get_int("frame-slices", 1);
-  if (frame_slices <= 0) {
-    std::fprintf(stderr, "error: --frame-slices must be >= 1\n");
-    return 1;
-  }
-  options.frame_slices = static_cast<unsigned>(frame_slices);
 
   tbi::sim::DsweepOptions dist;
-  dist.workers = static_cast<unsigned>(cli.get_int("workers", 1));
   dist.resume = cli.has("resume");
   if (cli.has("json")) {
     dist.manifest_path = cli.get("json", "") + ".manifest";
   }
-  dist.listen = cli.get("listen", "");
-  const std::int64_t worker_timeout = cli.get_int("worker-timeout-ms", 5000);
-  if (worker_timeout <= 0) {
-    std::fprintf(stderr, "error: --worker-timeout-ms must be positive\n");
-    return 1;
-  }
-  dist.heartbeat_timeout_ms = static_cast<unsigned>(worker_timeout);
-  const std::int64_t accept_timeout = cli.get_int("accept-timeout-ms", 10000);
-  if (accept_timeout <= 0) {
-    std::fprintf(stderr, "error: --accept-timeout-ms must be positive\n");
-    return 1;
-  }
-  dist.accept_timeout_ms = static_cast<unsigned>(accept_timeout);
   if (cli.has("shard")) {
     try {
       tbi::sim::parse_shard_spec(cli.get("shard", ""), &dist.shard_index,
@@ -234,9 +204,9 @@ int main(int argc, char** argv) {
 
   if (cli.has("json")) {
     // --stable-json drops everything that varies run to run (host timing,
-    // machine load, process bookkeeping, worker topology), so clean,
-    // fault-injected and resumed runs of one sweep are literally
-    // diffable. The default document keeps it all for bench_compare.
+    // machine load, process bookkeeping), so clean, aborted-and-resumed
+    // and sharded runs of one sweep are literally diffable. The default
+    // document keeps it all for bench_compare.
     const bool stable = cli.has("stable-json");
     tbi::Json doc;
     doc["bench"] = "bench_fer";
@@ -246,14 +216,10 @@ int main(int argc, char** argv) {
     config["seed"] = options.sweep.base_seed;
     if (!stable) {
       config["threads"] = static_cast<std::uint64_t>(options.sweep.threads);
-      config["workers"] = static_cast<std::uint64_t>(dist.workers);
       // Which GF(2^8) kernel dispatch picked (TBI_SIMD override included)
       // — lets bench_compare trend lines name the backend they measured.
       config["simd_backend"] =
           tbi::fec::gf256_backend_name(tbi::fec::gf256_active_backend());
-    }
-    if (options.frame_slices > 1) {
-      config["frame_slices"] = static_cast<std::uint64_t>(options.frame_slices);
     }
     config["fade_prob"] = options.base.fade_fraction;
     config["burst_symbols"] = options.base.mean_burst_symbols;

@@ -4,12 +4,10 @@
 /// result document back — the scriptable front door to the library for
 /// parameter studies beyond the canned benches.
 ///
-/// Runs on the fault-tolerant sweep backend (sim/dsweep.hpp, "bandwidth"
-/// kernel): `--workers N` shards the runs over N crash-isolated worker
-/// processes; with `--output` every finished run is checkpointed to
-/// `<file>.manifest` and `--resume` skips the runs already recorded
-/// there. Results are merged by run index, so the document is identical
-/// for any worker count.
+/// Runs on the checkpointed sweep (sim/dsweep.hpp): with `--output`
+/// every finished run is checkpointed to `<file>.manifest` and `--resume`
+/// skips the runs already recorded there. Results are collected by run
+/// index, so the document is identical for any thread count.
 ///
 /// Config format (all fields except "runs" optional):
 /// {
@@ -22,9 +20,9 @@
 ///   ]
 /// }
 ///
-/// A config with a "fer" object instead drives the end-to-end FER sweep
-/// ("fer" kernel): axis arrays become the scenario grid (including the
-/// multi-link "links" axis), scalars configure the pipeline template:
+/// A config with a "fer" object instead drives the end-to-end FER sweep:
+/// axis arrays become the scenario grid (including the multi-link
+/// "links" axis), scalars configure the pipeline template:
 /// {
 ///   "fer": {
 ///     "interleavers": ["triangular", "two-stage"],
@@ -35,26 +33,21 @@
 ///   }
 /// }
 ///
-/// Usage: experiment_runner --config FILE [--output FILE]
-///                          [--workers N] [--resume]
-///                          [--listen HOST:PORT | --connect HOST:PORT]
-///                          [--worker-timeout-ms MS] [--shard I/N]
+/// Usage: experiment_runner --config FILE [--output FILE] [--resume]
 ///        experiment_runner --print-default-config
-///
-/// `--listen` adopts remote TCP workers (started with `--connect`)
-/// instead of forking local ones; `--shard I/N` computes one contiguous
-/// slice of the batch into its own manifest. The "fer" config object also
-/// accepts "worker_timeout_ms".
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
+#include "dram/standards.hpp"
+#include "interleaver/streams.hpp"
 #include "sim/dsweep.hpp"
-#include "sim/manifest.hpp"
 #include "sim/pipeline.hpp"
+#include "sim/runner.hpp"
 
 namespace {
 
@@ -74,10 +67,59 @@ volatile std::sig_atomic_t g_cancel = 0;
 
 void handle_signal(int) { g_cancel = 1; }
 
+/// One run of a bandwidth batch: deterministic DRAM phases only. \p job
+/// mirrors the config file: {"symbols", "max_bursts", "queue_depth",
+/// "runs": [...]}; \p index selects the run.
+tbi::Json bandwidth_run(const tbi::Json& job, std::uint64_t index) {
+  const tbi::Json& run_cfg = job.at("runs").as_array()[static_cast<std::size_t>(index)];
+  const auto symbols = static_cast<std::uint64_t>(job.get_or("symbols", 12'500'000.0));
+
+  const std::string device_name = run_cfg.at("device").as_string();
+  const auto* device = tbi::dram::find_config(device_name);
+  if (device == nullptr) {
+    throw std::invalid_argument("unknown device '" + device_name + "'");
+  }
+  tbi::sim::RunConfig rc;
+  rc.device = *device;
+  rc.mapping_spec = run_cfg.get_or("mapping", std::string("optimized"));
+  rc.side = tbi::interleaver::burst_triangle_side(symbols, 3, device->burst_bytes);
+  rc.max_bursts_per_phase = static_cast<std::uint64_t>(job.get_or("max_bursts", 0.0));
+  rc.controller.queue_depth = static_cast<unsigned>(job.get_or("queue_depth", 64.0));
+  if (run_cfg.get_or("refresh", std::string("default")) == "disabled") {
+    rc.controller.use_device_default_refresh = false;
+    rc.controller.refresh_mode = tbi::dram::RefreshMode::Disabled;
+  }
+  rc.check_protocol = run_cfg.get_or("check", false);
+
+  const tbi::sim::InterleaverRun run = tbi::sim::run_interleaver(rc);
+  const auto phase_json = [burst_bytes = device->burst_bytes](
+                              const tbi::sim::PhaseResult& p) {
+    tbi::Json j;
+    j["utilization"] = p.stats.utilization();
+    j["bandwidth_gbps"] = p.stats.bandwidth_gbps(burst_bytes);
+    j["bursts"] = p.stats.bursts;
+    j["activates"] = p.stats.activates;
+    j["row_hit_rate"] = p.stats.row_hit_rate();
+    j["refreshes"] = p.stats.refreshes;
+    j["elapsed_us"] = static_cast<double>(p.stats.elapsed()) / 1e6;
+    j["energy_nj"] = p.energy.total_nj();
+    return j;
+  };
+  tbi::Json r;
+  r["device"] = run.device_name;
+  r["mapping"] = run.mapping_name;
+  r["side_bursts"] = rc.side;
+  r["write"] = phase_json(run.write);
+  r["read"] = phase_json(run.read);
+  r["min_utilization"] = run.min_utilization();
+  r["throughput_gbps"] = run.throughput_gbps(device->burst_bytes);
+  return r;
+}
+
 /// FER batch: the "fer" config object drives run_fer_sweep_dist. Axis
 /// arrays select the grid, scalar fields fill the pipeline template with
 /// the bench_fer defaults.
-tbi::Json run_fer_experiment(const tbi::Json& fer, tbi::sim::DsweepOptions& dist,
+tbi::Json run_fer_experiment(const tbi::Json& fer, const tbi::sim::DsweepOptions& dist,
                              bool& interrupted) {
   tbi::sim::SweepGrid grid;
   const auto string_axis = [&fer](const char* key,
@@ -123,13 +165,6 @@ tbi::Json run_fer_experiment(const tbi::Json& fer, tbi::sim::DsweepOptions& dist
   options.base.error_rate_bad = fer.get_or("error_rate_bad", 0.95);
   options.base.link_phase_symbols =
       static_cast<std::uint64_t>(fer.get_or("link_phase_symbols", 0.0));
-  if (fer.contains("worker_timeout_ms")) {
-    const double timeout = fer.at("worker_timeout_ms").as_double();
-    if (timeout <= 0) {
-      throw std::invalid_argument("fer.worker_timeout_ms must be positive");
-    }
-    dist.heartbeat_timeout_ms = static_cast<unsigned>(timeout);
-  }
 
   const auto sweep = tbi::sim::run_fer_sweep_dist(grid, options, dist);
   interrupted = sweep.stats.interrupted;
@@ -159,32 +194,16 @@ tbi::Json run_fer_experiment(const tbi::Json& fer, tbi::sim::DsweepOptions& dist
   }
   results["fer"] = rows;
   if (interrupted) results["interrupted"] = true;
-  if (dist.workers > 1) results["dsweep"] = sweep.stats.to_json();
   return results;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int worker_fd = tbi::sim::dsweep_worker_fd(argc, argv);
-  if (worker_fd >= 0) {
-    return tbi::sim::dsweep_worker_main(worker_fd);
-  }
-  const std::string connect_spec = tbi::sim::dsweep_worker_connect_arg(argc, argv);
-  if (!connect_spec.empty()) {
-    return tbi::sim::dsweep_worker_connect(connect_spec);
-  }
-
   tbi::CliParser cli("experiment_runner", "JSON-driven simulation batches");
   cli.add_option("config", "file", "JSON experiment description");
   cli.add_option("output", "file", "write results to file (default stdout)");
-  cli.add_option("workers", "N", "worker processes (default 1 = in-process)");
   cli.add_option("resume", "", "skip runs recorded in the --output manifest");
-  cli.add_option("listen", "h:p", "adopt remote TCP workers (fleet driver mode)");
-  cli.add_option("connect", "h:p", "serve a --listen driver as a remote worker");
-  cli.add_option("worker-timeout-ms", "ms",
-                 "declare a silent worker dead/partitioned after this long (default 5000)");
-  cli.add_option("shard", "i/n", "compute only shard i of n (needs --output)");
   cli.add_option("print-default-config", "", "emit a starter config and exit");
   if (!cli.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n%s", cli.error().c_str(), cli.usage().c_str());
@@ -226,26 +245,9 @@ int main(int argc, char** argv) {
   bool interrupted = false;
   try {
     const tbi::Json config = tbi::Json::parse(text);
-    dist.workers = static_cast<unsigned>(cli.get_int("workers", 1));
     dist.resume = cli.has("resume");
     if (cli.has("output")) {
       dist.manifest_path = cli.get("output", "") + ".manifest";
-    }
-    dist.listen = cli.get("listen", "");
-    const std::int64_t worker_timeout = cli.get_int("worker-timeout-ms", 5000);
-    if (worker_timeout <= 0) {
-      std::fprintf(stderr, "error: --worker-timeout-ms must be positive\n");
-      return 1;
-    }
-    dist.heartbeat_timeout_ms = static_cast<unsigned>(worker_timeout);
-    if (cli.has("shard")) {
-      tbi::sim::parse_shard_spec(cli.get("shard", ""), &dist.shard_index,
-                                 &dist.shard_count);
-      if (!cli.has("output")) {
-        std::fprintf(stderr, "error: --shard needs --output (the shard's result "
-                             "is its manifest)\n");
-        return 1;
-      }
     }
     dist.cancel = &g_cancel;
     dist.faults = tbi::sim::FaultSpec::from_env();
@@ -253,7 +255,7 @@ int main(int argc, char** argv) {
     if (config.contains("fer")) {
       results = run_fer_experiment(config.at("fer"), dist, interrupted);
     } else {
-      // Canonical job config for the "bandwidth" kernel: built from parsed
+      // Canonical job config for the "bandwidth" sweep: built from parsed
       // values, never from the raw file text, so whitespace/key-order
       // changes in the config file don't invalidate a resume manifest.
       tbi::Json job;
@@ -267,7 +269,10 @@ int main(int argc, char** argv) {
       const auto cells =
           static_cast<std::uint64_t>(config.at("runs").as_array().size());
 
-      const auto run = tbi::sim::dsweep_run("bandwidth", job, cells, 0, dist);
+      const auto run = tbi::sim::dsweep_run(
+          "bandwidth", job, cells, 0, dist, [&job](std::uint64_t index, std::uint64_t) {
+            return bandwidth_run(job, index);
+          });
       interrupted = run.stats.interrupted;
 
       tbi::Json runs_out;
@@ -277,7 +282,6 @@ int main(int argc, char** argv) {
       results["runs"] = runs_out;
       results["symbols"] = job.at("symbols");
       if (interrupted) results["interrupted"] = true;
-      if (dist.workers > 1) results["dsweep"] = run.stats.to_json();
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "experiment failed: %s\n", e.what());
@@ -288,7 +292,7 @@ int main(int argc, char** argv) {
     if (!tbi::Json::write_file(cli.get("output", ""), results)) {
       return 1;
     }
-    if (!interrupted && !dist.manifest_path.empty() && dist.shard_count == 1) {
+    if (!interrupted && !dist.manifest_path.empty()) {
       std::remove(dist.manifest_path.c_str());
     }
   } else {

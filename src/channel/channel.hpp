@@ -20,7 +20,7 @@
 /// skip-ahead behind events() and apply_range(), which lets a fresh
 /// channel fast-forward to any wire position and continue byte-identically
 /// to a sequential walk, and lets range-addressable error sources
-/// (src/source/) hand disjoint spans of one frame to independent workers.
+/// (src/source/) serve any span of a frame on its own.
 ///
 /// Clean stretches cost no per-symbol draws. The BSC draws the geometric
 /// gap to its next error, Gilbert-Elliott draws each good-state sojourn in
@@ -132,9 +132,10 @@ class Channel {
 };
 
 /// Revision of the models' RNG draws: one seed yields the same events
-/// under one revision. Bump it whenever a model changes its draws; FER
-/// job configs carry it (sim/dsweep.hpp), so a checkpoint written under
-/// another revision is refused rather than mixed into a run.
+/// under one revision. Bump it whenever a model changes its draws; the
+/// FER sweep's job config carries it (`channel_draws`, sim/dsweep.hpp),
+/// so a checkpoint written under another revision is refused rather than
+/// mixed into a run.
 /// 1: one Bernoulli per symbol. 2: BSC and Gilbert-Elliott draw gaps.
 inline constexpr unsigned kDrawRevision = 2;
 

@@ -1,6 +1,6 @@
 /// \file fsio.hpp
 /// Crash-safe file IO primitives shared by the JSON result sink and the
-/// distributed-sweep checkpoint manifest.
+/// sweep checkpoint manifest.
 ///
 /// Two durability patterns:
 ///
@@ -34,7 +34,7 @@ class AppendLog {
 
   /// Open \p path for appending, creating it if missing; \p truncate
   /// discards existing contents first. Returns false on failure. The
-  /// descriptor is opened close-on-exec so spawned workers do not
+  /// descriptor is opened close-on-exec so spawned processes do not
   /// inherit it.
   bool open(const std::string& path, bool truncate = false);
   bool is_open() const { return fd_ >= 0; }

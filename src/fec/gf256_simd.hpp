@@ -2,7 +2,7 @@
 /// Vectorized constant-multiplier kernel over GF(2^8)/0x11D.
 ///
 /// The whole RS hot path — encode's parity-feedback rows and the
-/// syndrome power-row accumulation (DESIGN.md §8) — reduces to one
+/// syndrome power-row accumulation (DESIGN.md §7) — reduces to one
 /// primitive: XOR-accumulate a span multiplied by a fixed field scalar,
 ///
 ///     dst[i] ^= m * src[i]   for i in [0, len),   m constant.

@@ -16,7 +16,7 @@
 /// reversed-generator row per data symbol; syndromes XOR-accumulate one
 /// precomputed power row per nonzero received symbol
 /// (S_i = sum_j w_j * alpha^{i(n-1-j)}), so both inner loops run in
-/// 16/32/64-byte SIMD strips (DESIGN.md §8) and stay byte-identical to
+/// 16/32/64-byte SIMD strips (DESIGN.md §7) and stay byte-identical to
 /// the scalar backend. The span overloads of encode()/decode() write into
 /// caller-owned buffers and an RsScratch workspace, so a steady-state
 /// pipeline performs zero heap allocations per code word; the vector

@@ -193,7 +193,7 @@ class Comparer {
 }  // namespace
 
 MetricKind classify_metric(const std::string& key) {
-  // Run-dependent fields: worker count is a harness knob, the process
+  // Run-dependent fields: the thread count is a harness knob, the process
   // allocation counter includes startup noise from other code,
   // generated_* stamps are provenance, and simd_backend names whichever
   // GF(2^8) kernel CPUID dispatch (or TBI_SIMD) picked on this host — all

@@ -1,54 +1,26 @@
 /// \file dsweep.hpp
-/// Fault-tolerant multi-process sweep backend.
+/// Checkpointed sweeps: `sweep_map` threads plus a manifest.
 ///
-/// `sweep_map` shards a grid across threads of one process; this backend
-/// shards it across N worker *processes*, each a re-invocation of the
-/// current binary with `--worker-fd` (the Mu2e DAQ shape: N independent
-/// links with per-link state feeding one merge). The parent assigns cells
-/// one at a time, workers stream length-prefixed, CRC-checked record
-/// batches back (common/wire.hpp), and the parent merges them **by cell
-/// index**, so the result vector is byte-identical to the single-process
-/// order no matter how cells land on workers — every cell's seed is
-/// `job_seed(base_seed, index)`, exactly as in `sweep_map`, which stays
-/// the in-process fallback with unchanged semantics.
+/// `dsweep_run` keeps `sweep_map`'s contract — every cell's seed is
+/// `job_seed(base_seed, index)` and records are collected *by index*, so
+/// the result is byte-identical for any thread count — and adds what a
+/// long sweep on a preemptible machine needs:
 ///
-/// The worker connection itself is pluggable (sim/transport.hpp):
-///  * fork/exec over a local socketpair (the default), or
-///  * TCP (`DsweepOptions::listen` + `dsweep_worker_connect`): the driver
-///    listens, remote workers dial in, handshake with a `Hello` frame
-///    carrying the run fingerprint (foreign workers are rejected exactly
-///    like foreign manifests), and reconnect with exponential backoff
-///    under a bounded retry budget when the link drops.
+///  * a checkpoint journal (sim/manifest.hpp): every committed cell is
+///    appended and fsynced, fingerprinted by (name, job, cells, seed);
+///  * `resume`: cells already in the journal are adopted, not recomputed;
+///  * cancellation (the SIGINT/SIGTERM flag) and the `abort-after=K`
+///    fault (sim/fault.hpp): no new cell starts, the cells in flight
+///    commit, and the result comes back partial with `interrupted` set;
+///  * sharding: `shard_index / shard_count` computes one contiguous cell
+///    range into its own manifest (all shards share the full-run
+///    fingerprint), and `dsweep_merge_shards` reassembles the ranges into
+///    a result byte-identical to the unsharded run. Multi-host runs are
+///    independent shards.
 ///
-/// Large grids split across driver processes with `shard_index /
-/// shard_count`: each shard computes a contiguous cell range into its own
-/// manifest (all shards share the full-run fingerprint), and
-/// `dsweep_merge_shards` reassembles the ranges into a result
-/// byte-identical to the unsharded run.
-///
-/// Failure model (all paths exercised deterministically via
-/// sim/fault.hpp):
-///  * crashed worker (exit/kill): EOF on the socket -> its in-flight cell
-///    is reassigned, the slot respawns with exponential backoff up to a
-///    bounded retry budget;
-///  * hung worker: heartbeat frames stop -> SIGKILL after the heartbeat
-///    timeout, then the same reassign/respawn path;
-///  * corrupt or truncated batch: CRC/framing failure -> the batch is
-///    rejected and the worker discarded (never merged);
-///  * workers cannot spawn at all (or every retry budget is exhausted):
-///    graceful degradation to in-process execution of the remaining
-///    cells on a thread pool;
-///  * parent preemption (SIGINT/SIGTERM or injected abort): completed
-///    cells are already in the append-fsync manifest
-///    (sim/manifest.hpp); `resume` skips them on the next run.
-///
-/// Work is expressed as a **kernel**: a named, deterministic function
-/// (job config JSON, cell index, per-cell seed) -> record JSON. Kernels
-/// must be registered in both the parent and the re-exec'd worker binary
-/// (built-ins via dsweep_register_builtin_kernels, test kernels in the
-/// test main). The multi-process path ships the job config as JSON, so
-/// kernels must be reconstructible from it — e.g. the "fer" kernel
-/// addresses DRAM devices by standard-config name.
+/// The cell function is named by `name` only for the fingerprint; `job`
+/// is the JSON view of everything the cells depend on, so a manifest from
+/// a run with another grid, seed or configuration is refused.
 #pragma once
 
 #include <csignal>
@@ -64,76 +36,32 @@
 
 namespace tbi::sim {
 
-/// A sweep kernel: deterministic (job, index, seed) -> record. Runs on
-/// parent threads (in-process mode) or inside worker processes.
-using DsweepKernel =
-    std::function<Json(const Json& job, std::uint64_t index, std::uint64_t seed)>;
-
-/// Register \p kernel under \p name (replaces an existing registration).
-void dsweep_register_kernel(const std::string& name, DsweepKernel kernel);
-
-/// Register the built-in kernels ("fer", "bandwidth"); idempotent, called
-/// automatically by dsweep_run and dsweep_worker_main.
-void dsweep_register_builtin_kernels();
+/// One cell of a checkpointed sweep: deterministic (index, seed) -> record.
+/// Runs concurrently on the sweep's threads.
+using DsweepCell = std::function<Json(std::uint64_t index, std::uint64_t seed)>;
 
 struct DsweepOptions {
-  /// Worker processes; <= 1 runs in-process on `threads` threads. The
-  /// effective count is clamped to the number of outstanding cells.
-  unsigned workers = 1;
-  unsigned threads = 0;  ///< in-process executor threads (0 = all cores)
+  unsigned threads = 0;  ///< sweep threads (0 = all cores)
   bool resume = false;   ///< load the manifest and skip recorded cells
   /// Checkpoint journal path (conventionally `<json-sink>.manifest`);
   /// empty disables checkpointing and resume.
   std::string manifest_path;
-  unsigned max_worker_restarts = 3;    ///< respawn budget per worker slot
-  unsigned heartbeat_interval_ms = 250;
-  /// Liveness window: a worker that sends neither records nor heartbeats
-  /// for this long is declared dead/partitioned and its in-flight cell is
-  /// reassigned. Must be positive (dsweep_run throws otherwise).
-  unsigned heartbeat_timeout_ms = 5000;
-  unsigned backoff_base_ms = 100;      ///< respawn delay, doubled per restart
-  /// TCP fleet mode: listen on "host:port" (port 0 = ephemeral) and adopt
-  /// remote workers that dial in, instead of forking local ones.
-  /// `workers` becomes the number of adoption slots.
-  std::string listen;
-  /// TCP: degrade to in-process execution when no worker has been alive
-  /// or mid-handshake for this long.
-  unsigned accept_timeout_ms = 10000;
-  /// TCP: called with the bound port once the listener is up (ephemeral
-  /// port discovery for tests and logs).
-  std::function<void(std::uint16_t)> on_listening;
   /// Shard `shard_index` of `shard_count`: compute only the contiguous
   /// range shard_range(cells, index, count). The manifest still carries
   /// the full-run fingerprint, so dsweep_merge_shards can reassemble.
   unsigned shard_index = 0;
   unsigned shard_count = 1;
-  FaultSpec faults;                    ///< injected faults (tests / CI)
+  FaultSpec faults;  ///< injected preemption (tests / CI)
   /// Cooperative cancellation (SIGINT/SIGTERM handler flag): checked
-  /// between cells; a set flag stops assignment, flushes the manifest and
-  /// returns the completed prefix with stats.interrupted set.
+  /// before each cell starts; a set flag stops the sweep and returns the
+  /// committed cells with stats.interrupted set.
   const volatile std::sig_atomic_t* cancel = nullptr;
-  std::function<void(const SweepProgress&)> progress;  ///< optional
-};
-
-struct DsweepWorkerStats {
-  unsigned slot = 0;
-  unsigned restarts = 0;            ///< respawns of this slot
-  std::uint64_t cells_completed = 0;
+  std::function<void(const SweepProgress&)> progress;  ///< optional, serialized
 };
 
 struct DsweepStats {
-  unsigned workers = 0;             ///< processes spawned initially
-  unsigned worker_restarts = 0;     ///< total respawns across slots
-  unsigned heartbeat_timeouts = 0;  ///< hung workers detected and killed
-  unsigned batches_rejected = 0;    ///< corrupt/truncated record batches
-  std::uint64_t cells_reassigned = 0;
   std::uint64_t resumed_cells = 0;  ///< cells loaded from the manifest
-  bool degraded_inprocess = false;  ///< fell back to in-process execution
   bool interrupted = false;         ///< stopped by cancel/abort, result partial
-  bool tcp = false;                 ///< the TCP transport carried this run
-  unsigned connections_adopted = 0;   ///< TCP: handshaken connections adopted
-  unsigned connections_rejected = 0;  ///< TCP: handshakes refused (foreign/versions)
-  std::vector<DsweepWorkerStats> per_worker;
 
   Json to_json() const;
 };
@@ -146,62 +74,31 @@ struct DsweepResult {
   DsweepStats stats;
 };
 
-/// Run \p cells cells of \p kernel over the configured backend. Throws
-/// std::invalid_argument for unknown kernels / deterministic kernel
-/// failures and std::runtime_error when a resume manifest does not match
-/// this run's fingerprint.
-DsweepResult dsweep_run(const std::string& kernel, const Json& job,
-                        std::uint64_t cells, std::uint64_t base_seed,
-                        const DsweepOptions& options);
+/// Run the outstanding cells of this shard through sweep_map, committing
+/// each to the manifest as it finishes. Rethrows the first exception a
+/// cell throws; throws std::runtime_error when a resume manifest does not
+/// match this run's fingerprint.
+DsweepResult dsweep_run(const std::string& name, const Json& job, std::uint64_t cells,
+                        std::uint64_t base_seed, const DsweepOptions& options,
+                        const DsweepCell& fn);
 
 /// Reassemble a sharded sweep from its per-shard manifests. Every
 /// manifest must carry this run's fingerprint (foreign manifests throw
 /// std::runtime_error) and together the shards must cover every cell —
 /// a torn or unfinished shard must be `--resume`d to completion before
 /// it can merge. Records keep their manifest bytes, so the merged result
-/// is byte-identical to a single-process run.
-DsweepResult dsweep_merge_shards(const std::string& kernel, const Json& job,
+/// is byte-identical to an unsharded run.
+DsweepResult dsweep_merge_shards(const std::string& name, const Json& job,
                                  std::uint64_t cells, std::uint64_t base_seed,
                                  const std::vector<std::string>& manifest_paths);
 
 // ---------------------------------------------------------------------------
-// Worker entry points
+// Checkpointed FER sweeps
 // ---------------------------------------------------------------------------
 
-/// Detect the worker re-invocation: returns the inherited socket fd when
-/// argv contains `--worker-fd N` (or `--worker-fd=N`), else -1. Call this
-/// FIRST in main(), before any CLI parsing.
-int dsweep_worker_fd(int argc, const char* const* argv);
-
-/// Worker protocol loop on \p fd; returns the process exit code.
-int dsweep_worker_main(int fd);
-
-/// Detect the remote-worker invocation: returns the "host:port" spec when
-/// argv contains `--connect SPEC` (or `--connect=SPEC`), else "".
-std::string dsweep_worker_connect_arg(int argc, const char* const* argv);
-
-struct WorkerConnectOptions {
-  unsigned max_retries = 10;       ///< consecutive failed dials before giving up
-  unsigned backoff_base_ms = 100;  ///< reconnect delay, doubled per attempt
-  unsigned backoff_cap_ms = 5000;
-  unsigned connect_timeout_ms = 5000;
-};
-
-/// Remote worker: dial the driver at \p hostport, handshake (Hello with
-/// the last-served fingerprint), serve cells, and reconnect with
-/// exponential backoff when the link drops mid-run. The attempt counter
-/// resets after every successful adoption, so the budget bounds
-/// *consecutive* failures, not total reconnects. Returns the process
-/// exit code (0 = run complete, 5 = rejected by the driver).
-int dsweep_worker_connect(const std::string& hostport,
-                          const WorkerConnectOptions& options = {});
-
-// ---------------------------------------------------------------------------
-// FER sweeps on the distributed backend
-// ---------------------------------------------------------------------------
-
-/// One merged FER cell. `result.dram` is not populated on this path (the
-/// wire format carries the derived DRAM metrics instead).
+/// One FER cell as its manifest record carries it. `result.dram` is not
+/// populated on this path (the record carries the derived DRAM metrics
+/// instead).
 struct FerCell {
   Scenario scenario;
   PipelineResult result;
@@ -215,27 +112,21 @@ struct FerDistResult {
   DsweepStats stats;
 };
 
-/// The "fer" kernel's job config for this grid + options.
+/// The "fer" sweep's job config (its fingerprint input) for this grid +
+/// options.
 Json fer_job_config(const SweepGrid& grid, const FerSweepOptions& options);
 
-/// Wire-format conversions for one FER cell record.
+/// Record conversions for one FER cell.
 Json fer_cell_to_json(const Scenario& scenario, const PipelineResult& result);
 FerCell fer_cell_from_json(const Json& record);
 
-/// Wire-format conversions for one intra-frame slice record (the "fer"
-/// kernel's output when the job config carries frame_slices > 1): the
-/// slice's channel counters plus its flat (frame, input_index, flip)
-/// event triplets.
-Json fer_slice_to_json(const Scenario& scenario, const PipelineSliceResult& slice);
-PipelineSliceResult fer_slice_from_json(const Json& record);
-
-/// run_fer_sweep on the distributed backend: same grid semantics, same
-/// per-cell seeds, records merged in single-process order. `dist.threads`
-/// is taken from `options.sweep.threads`.
+/// run_fer_sweep with a checkpoint: same grid semantics, same per-cell
+/// seeds, records in index order. `dist.threads` is taken from
+/// `options.sweep.threads`.
 FerDistResult run_fer_sweep_dist(const SweepGrid& grid, const FerSweepOptions& options,
                                  DsweepOptions dist);
 
-/// dsweep_merge_shards for the "fer" kernel: reassemble shard manifests
+/// dsweep_merge_shards for the "fer" sweep: reassemble shard manifests
 /// of this grid into a full FerDistResult.
 FerDistResult run_fer_merge_shards(const SweepGrid& grid, const FerSweepOptions& options,
                                    const std::vector<std::string>& manifest_paths);

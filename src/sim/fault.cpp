@@ -5,96 +5,21 @@
 
 namespace tbi::sim {
 
-namespace {
-
-using Kind = FaultAction::Kind;
-
-const char* kind_name(Kind k) {
-  switch (k) {
-    case Kind::KillAfterCells: return "kill-after";
-    case Kind::StallAfterCells: return "stall-after";
-    case Kind::CorruptBatch: return "corrupt-batch";
-    case Kind::TruncateBatch: return "truncate-batch";
-    case Kind::DelayBatch: return "delay-batch";
-    case Kind::DropConnAfter: return "drop-conn-after";
-    case Kind::StallConnAfter: return "stall-conn-after";
-    case Kind::CorruptFrame: return "corrupt-frame";
-    case Kind::AbortAfterCells: return "abort-after";
-    case Kind::SpawnFail: return "spawn-fail";
-  }
-  return "?";
-}
-
-bool kind_from_name(const std::string& name, Kind* out) {
-  for (Kind k : {Kind::KillAfterCells, Kind::StallAfterCells, Kind::CorruptBatch,
-                 Kind::TruncateBatch, Kind::DelayBatch, Kind::DropConnAfter,
-                 Kind::StallConnAfter, Kind::CorruptFrame, Kind::AbortAfterCells,
-                 Kind::SpawnFail}) {
-    if (name == kind_name(k)) {
-      *out = k;
-      return true;
-    }
-  }
-  return false;
-}
-
-std::uint64_t parse_u64(const std::string& s, const std::string& what) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::invalid_argument("fault spec: bad " + what + " '" + s + "'");
-  }
-  return std::strtoull(s.c_str(), nullptr, 10);
-}
-
-FaultAction parse_action(const std::string& item) {
-  FaultAction a;
-  std::string body = item;
-  // Optional @SLOT suffix.
-  if (const auto at = body.rfind('@'); at != std::string::npos) {
-    a.slot = static_cast<unsigned>(parse_u64(body.substr(at + 1), "slot"));
-    body = body.substr(0, at);
-  }
-  const auto eq = body.find('=');
-  const std::string name = body.substr(0, eq == std::string::npos ? body.size() : eq);
-  if (!kind_from_name(name, &a.kind)) {
-    throw std::invalid_argument("fault spec: unknown action '" + name + "'");
-  }
-  if (a.kind == Kind::SpawnFail) {
-    if (eq != std::string::npos) {
-      throw std::invalid_argument("fault spec: spawn-fail takes no value");
-    }
-    return a;
-  }
-  if (eq == std::string::npos) {
-    throw std::invalid_argument("fault spec: '" + name + "' needs =COUNT");
-  }
-  std::string value = body.substr(eq + 1);
-  if (a.kind == Kind::DelayBatch) {
-    const auto colon = value.find(':');
-    if (colon == std::string::npos) {
-      throw std::invalid_argument("fault spec: delay-batch needs =COUNT:MS");
-    }
-    a.delay_ms = static_cast<unsigned>(parse_u64(value.substr(colon + 1), "delay"));
-    value = value.substr(0, colon);
-  }
-  a.count = parse_u64(value, "count");
-  if (a.count == 0) {
-    throw std::invalid_argument("fault spec: '" + name + "' count must be >= 1");
-  }
-  return a;
-}
-
-}  // namespace
-
 FaultSpec FaultSpec::parse(const std::string& spec) {
   FaultSpec out;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const auto comma = spec.find(',', pos);
-    const std::string item =
-        spec.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!item.empty()) out.actions.push_back(parse_action(item));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  if (spec.empty()) return out;
+  const std::string action = "abort-after=";
+  if (spec.rfind(action, 0) != 0) {
+    throw std::invalid_argument("fault spec: unknown action '" + spec +
+                                "' (only abort-after=K is supported)");
+  }
+  const std::string count = spec.substr(action.size());
+  if (count.empty() || count.find_first_not_of("0123456789") != std::string::npos) {
+    throw std::invalid_argument("fault spec: bad count '" + count + "'");
+  }
+  out.abort_after = std::strtoull(count.c_str(), nullptr, 10);
+  if (out.abort_after == 0) {
+    throw std::invalid_argument("fault spec: abort-after count must be >= 1");
   }
   return out;
 }
@@ -102,39 +27,6 @@ FaultSpec FaultSpec::parse(const std::string& spec) {
 FaultSpec FaultSpec::from_env() {
   const char* env = std::getenv("TBI_FAULT_INJECT");
   return env != nullptr ? parse(env) : FaultSpec{};
-}
-
-Json FaultSpec::worker_actions_json(unsigned slot) const {
-  Json::Array arr;
-  for (const auto& a : actions) {
-    if (a.kind == Kind::AbortAfterCells || a.kind == Kind::SpawnFail) continue;
-    if (a.slot != slot) continue;
-    Json j;
-    j["kind"] = kind_name(a.kind);
-    j["count"] = a.count;
-    j["delay_ms"] = static_cast<std::uint64_t>(a.delay_ms);
-    arr.push_back(j);
-  }
-  return Json(arr);
-}
-
-std::vector<FaultAction> FaultSpec::worker_actions_from_json(const Json& arr) {
-  std::vector<FaultAction> out;
-  for (const auto& j : arr.as_array()) {
-    FaultAction a;
-    if (!kind_from_name(j.at("kind").as_string(), &a.kind)) continue;
-    a.count = static_cast<std::uint64_t>(j.at("count").as_double());
-    a.delay_ms = static_cast<unsigned>(j.at("delay_ms").as_double());
-    out.push_back(a);
-  }
-  return out;
-}
-
-const FaultAction* FaultSpec::find(Kind kind) const {
-  for (const auto& a : actions) {
-    if (a.kind == kind) return &a;
-  }
-  return nullptr;
 }
 
 }  // namespace tbi::sim

@@ -1,89 +1,29 @@
 /// \file fault.hpp
-/// Deterministic fault injection for the distributed sweep backend.
+/// Deterministic preemption for the checkpointed sweep.
 ///
-/// Recovery paths that only run when hardware misbehaves are recovery
-/// paths that have never run. This layer turns every failure mode the
-/// dsweep parent must survive — a worker crashing mid-grid, a hung
-/// worker that stops heartbeating, a corrupted or truncated record
-/// batch, a preempted parent — into a scriptable, reproducible event
-/// driven by the `TBI_FAULT_INJECT` environment variable (or a parsed
-/// spec in tests).
-///
-/// Spec grammar: comma-separated actions, each `name=COUNT[@SLOT]`
-/// (SLOT defaults to 0; parent-side actions ignore it):
-///
-///   kill-after=K[@s]      worker slot s exits hard after its Kth cell
-///   stall-after=K[@s]     worker hangs (heartbeats stop) after K cells
-///   corrupt-batch=K[@s]   worker flips a byte in its Kth record batch
-///   truncate-batch=K[@s]  worker writes half its Kth batch, then exits
-///   delay-batch=K:MS[@s]  worker sleeps MS ms before its Kth batch
-///   drop-conn-after=K[@s] worker severs its connection after K cells (a
-///                         dropped TCP link / closed socketpair); remote
-///                         workers reconnect with backoff
-///   stall-conn-after=K[@s] worker keeps the connection open but stops
-///                         heartbeating after K cells — a network
-///                         partition as the driver sees it
-///   corrupt-frame=K[@s]   worker flips a bit inside its Kth frame's
-///                         header/payload bytes (corrupt-batch targets
-///                         the payload; this one may hit the header)
-///   abort-after=K         parent stops after K committed cells, as if
-///                         preempted (manifest flushed, exit via the
-///                         interrupted path) — the `--resume` test hook
-///   spawn-fail            parent pretends workers cannot spawn
-///                         (exercises in-process degradation)
-///
-/// Faults are delivered to a worker slot's *first* incarnation only:
-/// respawned replacements run clean, so every injected failure converges
-/// to a recovered run instead of a crash loop.
+/// A resume path that only runs when a machine is preempted is a resume
+/// path that has never run. `TBI_FAULT_INJECT=abort-after=K` (or a parsed
+/// spec in tests) stops a sweep after K committed cells exactly as
+/// SIGINT would: the manifest is flushed and the sweep returns through
+/// its interrupted path, so `--resume` can be exercised on demand.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "common/json.hpp"
 
 namespace tbi::sim {
 
-struct FaultAction {
-  enum class Kind {
-    KillAfterCells,
-    StallAfterCells,
-    CorruptBatch,
-    TruncateBatch,
-    DelayBatch,
-    DropConnAfter,
-    StallConnAfter,
-    CorruptFrame,
-    AbortAfterCells,
-    SpawnFail,
-  };
-  Kind kind = Kind::SpawnFail;
-  std::uint64_t count = 0;  ///< cells/batches before the fault fires
-  unsigned slot = 0;        ///< worker slot (parent actions ignore it)
-  unsigned delay_ms = 0;    ///< DelayBatch only
-};
-
 struct FaultSpec {
-  std::vector<FaultAction> actions;
+  /// Stop after this many cells committed by this run (0 = never).
+  std::uint64_t abort_after = 0;
 
-  bool empty() const { return actions.empty(); }
-
-  /// Parse the spec grammar above; throws std::invalid_argument on
-  /// malformed input (an unreadable fault spec must fail loudly, not
-  /// silently test nothing).
+  /// Parse `abort-after=K` (K >= 1; an empty spec injects nothing).
+  /// Throws std::invalid_argument on anything else: an unreadable fault
+  /// spec must fail loudly, not silently test nothing.
   static FaultSpec parse(const std::string& spec);
 
   /// Parse `TBI_FAULT_INJECT` (empty spec when unset).
   static FaultSpec from_env();
-
-  /// Worker-side actions addressed to \p slot, serialized for the
-  /// job-config frame.
-  Json worker_actions_json(unsigned slot) const;
-  static std::vector<FaultAction> worker_actions_from_json(const Json& arr);
-
-  /// First action of \p kind, or nullptr.
-  const FaultAction* find(FaultAction::Kind kind) const;
 };
 
 }  // namespace tbi::sim

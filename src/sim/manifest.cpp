@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -29,39 +30,55 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-/// Byte length of the journal's valid prefix: whole, newline-terminated
-/// lines that pass the same acceptance rule as load_manifest. Everything
-/// past it is a torn tail from a crash mid-append.
-std::size_t valid_prefix_bytes(const std::string& path) {
+/// A journal's valid prefix. load_manifest and the resume truncation in
+/// ManifestWriter::open both read it, so they apply one acceptance rule:
+/// whole, newline-terminated lines; first a header naming a string
+/// fingerprint, then entries with a record and a cell that is an integer
+/// in [0, 2^53), the integers a Json number (a double) carries exactly.
+/// The first line that fails the rule ends the prefix, like a crash's
+/// torn tail: a cell of 2.5 or 1e300 would otherwise truncate to a real
+/// cell index and a resume would adopt its record for that cell.
+struct Journal {
+  bool found = false;       ///< the file existed and was readable
+  bool has_header = false;
+  std::string fingerprint;  ///< the header's, when has_header
+  std::vector<ManifestEntry> entries;
+  std::size_t valid_bytes = 0;  ///< length of the valid prefix
+  std::size_t file_bytes = 0;
+};
+
+/// Apply the acceptance rule to one non-empty line; false ends the prefix.
+bool accept_line(const std::string& line, Journal& journal) {
+  try {
+    const Json v = Json::parse(line);
+    if (!journal.has_header) {
+      journal.fingerprint = v.at("fingerprint").as_string();
+      journal.has_header = true;
+      return true;
+    }
+    const double cell = v.at("cell").as_double();
+    if (!(cell >= 0 && cell < 0x1p53 && std::floor(cell) == cell)) return false;
+    journal.entries.push_back({static_cast<std::uint64_t>(cell), v.at("record")});
+    return true;
+  } catch (const JsonError&) {
+    return false;
+  }
+}
+
+Journal read_journal(const std::string& path) {
+  Journal journal;
   std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
+  if (!in) return journal;
+  journal.found = true;
   const std::string data((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-  std::size_t good = 0;
-  std::size_t pos = 0;
-  bool header = true;
-  while (pos < data.size()) {
-    const auto nl = data.find('\n', pos);
-    if (nl == std::string::npos) break;  // unterminated tail: torn
-    const std::string line = data.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (!line.empty()) {
-      try {
-        const Json v = Json::parse(line);
-        if (header) {
-          (void)v.at("fingerprint").as_string();
-          header = false;
-        } else {
-          (void)v.at("cell").as_double();
-          (void)v.at("record");
-        }
-      } catch (const JsonError&) {
-        break;
-      }
-    }
-    good = pos;
+  journal.file_bytes = data.size();
+  for (std::size_t pos = 0, nl; (nl = data.find('\n', pos)) != std::string::npos;
+       pos = nl + 1) {
+    if (nl > pos && !accept_line(data.substr(pos, nl - pos), journal)) break;
+    journal.valid_bytes = nl + 1;
   }
-  return good;
+  return journal;
 }
 
 }  // namespace
@@ -107,42 +124,11 @@ void parse_shard_spec(const std::string& spec, unsigned* index, unsigned* count)
 }
 
 ManifestLoad load_manifest(const std::string& path, const std::string& fingerprint) {
+  Journal journal = read_journal(path);
   ManifestLoad out;
-  std::ifstream in(path);
-  if (!in) return out;
-  out.found = true;
-
-  std::string line;
-  bool header = true;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    Json v;
-    try {
-      v = Json::parse(line);
-    } catch (const JsonError&) {
-      // Torn tail (crash mid-append) or bit rot: everything from here on
-      // is untrusted; the cells will be recomputed.
-      break;
-    }
-    if (header) {
-      header = false;
-      try {
-        out.fingerprint_ok = v.at("fingerprint").as_string() == fingerprint;
-      } catch (const JsonError&) {
-        out.fingerprint_ok = false;
-      }
-      if (!out.fingerprint_ok) return out;
-      continue;
-    }
-    try {
-      ManifestEntry e;
-      e.cell = static_cast<std::uint64_t>(v.at("cell").as_double());
-      e.record = v.at("record");
-      out.entries.push_back(std::move(e));
-    } catch (const JsonError&) {
-      break;
-    }
-  }
+  out.found = journal.found;
+  out.fingerprint_ok = journal.has_header && journal.fingerprint == fingerprint;
+  if (out.fingerprint_ok) out.entries = std::move(journal.entries);
   return out;
 }
 
@@ -153,12 +139,9 @@ bool ManifestWriter::open(const std::string& path, const std::string& fingerprin
     // next resume, and above all the shard merge — stops at the first
     // unparseable line and would never see what was written beyond it.
     // Truncate the journal back to its valid prefix first.
-    std::ifstream probe(path, std::ios::binary | std::ios::ate);
-    if (probe) {
-      const auto size = static_cast<std::size_t>(probe.tellg());
-      probe.close();
-      const std::size_t good = valid_prefix_bytes(path);
-      if (good < size) ::truncate(path.c_str(), static_cast<off_t>(good));
+    const Journal journal = read_journal(path);
+    if (journal.valid_bytes < journal.file_bytes) {
+      ::truncate(path.c_str(), static_cast<off_t>(journal.valid_bytes));
     }
   }
   if (!log_.open(path, fresh)) return false;

@@ -1,5 +1,5 @@
 /// \file manifest.hpp
-/// Done-cell checkpoint manifest for distributed sweeps.
+/// Done-cell checkpoint manifest for checkpointed sweeps (sim/dsweep.hpp).
 ///
 /// A sweep that takes hours on a preemptible machine must not lose the
 /// cells it already finished. The manifest is an append-fsync journal
@@ -7,13 +7,14 @@
 /// names the run fingerprint, every following line is one completed cell
 /// with its full record. `--resume` loads the journal, skips the
 /// recorded cells, and merges their records byte-identically with the
-/// freshly computed remainder.
+/// freshly computed remainder; `--merge-shards` reassembles the journals
+/// of a sharded run.
 ///
 /// Durability model: each entry is a single O_APPEND write + fdatasync
 /// (common/fsio.hpp), so a crash tears at most the final line; the
-/// loader stops at the first unparseable line and the cells after the
-/// tear are simply recomputed. The manifest is removed once the final
-/// document is committed.
+/// loader stops at the first line that fails the acceptance rule
+/// (load_manifest) and the cells after it are simply recomputed. The
+/// manifest is removed once the final document is committed.
 #pragma once
 
 #include <cstdint>
@@ -61,11 +62,14 @@ struct ManifestLoad {
   bool found = false;           ///< the file existed and was readable
   bool fingerprint_ok = false;  ///< header matched the expected fingerprint
   /// Valid entry prefix in journal (arrival) order. Entries after a torn
-  /// or corrupt line are dropped.
+  /// or corrupt line, or after a cell that is not an integer in
+  /// [0, 2^53), are dropped.
   std::vector<ManifestEntry> entries;
 };
 
-/// Load \p path and validate it against \p fingerprint.
+/// Load \p path and validate it against \p fingerprint. The acceptance
+/// rule (whole lines, a fingerprint header, integer cells below 2^53) is
+/// the one ManifestWriter::open truncates a resumed journal by.
 ManifestLoad load_manifest(const std::string& path, const std::string& fingerprint);
 
 /// Append-fsync manifest writer.

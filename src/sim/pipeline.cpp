@@ -113,10 +113,9 @@ class WordLayout {
   std::uint64_t words_;
 };
 
-/// The frame loop shared by run_pipeline and combine_pipeline_slices.
-/// \p add_events(f, weights) adds 1 to weights[layout.word_of(k)] for
-/// every corrupted input position k of frame f; then every word is judged
-/// by its error weight alone.
+/// run_pipeline's frame loop. \p add_events(f, weights) adds 1 to
+/// weights[layout.word_of(k)] for every corrupted input position k of
+/// frame f; then every word is judged by its error weight alone.
 ///
 /// That is exact, not a model: RS is linear and the channel's flips do
 /// not depend on the data, so a bounded-distance decoder given
@@ -163,10 +162,10 @@ void count_frames(const PipelineConfig& config, const WordLayout& layout,
       std::max<std::uint64_t>(result.workspace_peak_bytes, weights.capacity());
 }
 
-/// DRAM stage shared by run_pipeline and combine_pipeline_slices: honored
-/// for every DRAM-resident interleaver. "block" is the SRAM stage-1
-/// structure and "none" buffers nothing, so asking for their DRAM phases
-/// is a configuration error, not a silent no-op.
+/// run_pipeline's DRAM stage: honored for every DRAM-resident
+/// interleaver. "block" is the SRAM stage-1 structure and "none" buffers
+/// nothing, so asking for their DRAM phases is a configuration error, not
+/// a silent no-op.
 void run_dram_phase(const PipelineConfig& config, std::uint64_t side,
                     PipelineResult& result) {
   if (!config.run_dram) return;
@@ -355,128 +354,6 @@ bool pipeline_streams(const PipelineConfig& config) {
   // burst-granular, there is no row-aligned layout for it); the classic
   // kinds stream exactly when the side is decoupled from the code word.
   return config.interleaver == "two-stage" || frame_side(config) != config.rs_n;
-}
-
-std::pair<std::uint64_t, std::uint64_t> stream_slice_range(std::uint64_t capacity,
-                                                           unsigned slice,
-                                                           unsigned num_slices) {
-  if (num_slices == 0 || slice >= num_slices) {
-    throw std::invalid_argument("stream_slice_range: slice out of range");
-  }
-  return {capacity * slice / num_slices, capacity * (slice + 1) / num_slices};
-}
-
-PipelineSliceResult run_pipeline_slice(const PipelineConfig& config, unsigned slice,
-                                       unsigned num_slices) {
-  if (num_slices == 0 || slice >= num_slices) {
-    throw std::invalid_argument("run_pipeline_slice: slice out of range");
-  }
-  if (config.frames == 0) {
-    throw std::invalid_argument("pipeline: frames must be > 0");
-  }
-  if (!pipeline_streams(config)) {
-    throw std::invalid_argument(
-        "run_pipeline_slice: intra-frame slicing requires the streaming "
-        "frame path (side != rs_n or the two-stage interleaver)");
-  }
-  if (!config.trace_record.empty() && num_slices > 1) {
-    throw std::invalid_argument(
-        "run_pipeline_slice: trace_record would capture a partial trace — "
-        "record with an unsliced run");
-  }
-  const StreamInterleaver il(config.interleaver, frame_side(config),
-                            config.symbols_per_burst);
-  if (il.capacity_symbols() < config.rs_n) {
-    throw std::invalid_argument("pipeline: side too small for one RS code word");
-  }
-  const auto src = make_source(config);
-  const std::uint64_t capacity = il.capacity_symbols();
-  const auto [lo, hi] = stream_slice_range(capacity, slice, num_slices);
-
-  PipelineSliceResult out;
-  out.slice = slice;
-  out.num_slices = num_slices;
-  out.frames = config.frames;
-  out.hits.reserve(4096);
-
-  const std::uint64_t host_start = perf::now_ns();
-  for (unsigned f = 0; f < config.frames; ++f) {
-    if (src == nullptr) continue;
-    out.channel_symbols += hi - lo;
-    const std::uint64_t frame_base = static_cast<std::uint64_t>(f) * capacity;
-    auto to_hit = [&out, &il, frame_base, f](const source::Corruption& e) {
-      out.hits.push_back({f, il.wire_to_input(e.wire_pos - frame_base), e.flip});
-    };
-    // The random-access events contract (counter-based skip-ahead) makes
-    // the jump from one frame's [lo, hi) to the next exact: the stream
-    // state at frame_base + lo is independent of who consumed the
-    // positions before it.
-    out.channel_symbol_errors += src->events(frame_base + lo, hi - lo, to_hit);
-  }
-  out.host_ns = perf::now_ns() - host_start;
-  out.workspace_peak_bytes = out.hits.capacity() * sizeof(StreamHit) +
-                             (src != nullptr ? src->scratch_bytes() : 0);
-  return out;
-}
-
-PipelineResult combine_pipeline_slices(const PipelineConfig& config,
-                                       const fec::ReedSolomon& rs,
-                                       std::vector<PipelineSliceResult> slices) {
-  if (rs.n() != config.rs_n || rs.k() != config.rs_k) {
-    throw std::invalid_argument("pipeline: codec does not match config");
-  }
-  if (slices.empty()) {
-    throw std::invalid_argument("combine_pipeline_slices: no slices");
-  }
-  std::sort(slices.begin(), slices.end(),
-            [](const PipelineSliceResult& a, const PipelineSliceResult& b) {
-              return a.slice < b.slice;
-            });
-  for (std::size_t s = 0; s < slices.size(); ++s) {
-    if (slices[s].slice != s || slices[s].num_slices != slices.size() ||
-        slices[s].frames != config.frames) {
-      throw std::invalid_argument(
-          "combine_pipeline_slices: slice set does not cover this config "
-          "(need one result per slice index)");
-    }
-  }
-  if (!pipeline_streams(config)) {
-    throw std::invalid_argument(
-        "combine_pipeline_slices: config is not on the streaming path");
-  }
-
-  const std::uint64_t side = frame_side(config);
-  const std::uint64_t capacity =
-      StreamInterleaver(config.interleaver, side, config.symbols_per_burst)
-          .capacity_symbols();
-
-  PipelineResult result;
-  result.frames = config.frames;
-  result.frame_symbols = capacity;
-  for (const auto& s : slices) {
-    result.channel_symbols += s.channel_symbols;
-    result.channel_symbol_errors += s.channel_symbol_errors;
-    result.host_ns += s.host_ns;
-    result.workspace_peak_bytes =
-        std::max(result.workspace_peak_bytes, s.workspace_peak_bytes);
-  }
-
-  // The weight count is order-free, so each slice's hits of frame f (the
-  // slices are frame-major) go straight into the same pass the unsliced
-  // run makes.
-  std::vector<std::size_t> cursor(slices.size(), 0);
-  const WordLayout layout(config, capacity);
-  count_frames(config, layout, result, [&](unsigned f, std::uint8_t* weights) {
-    for (std::size_t s = 0; s < slices.size(); ++s) {
-      const auto& hits = slices[s].hits;
-      for (std::size_t& c = cursor[s]; c < hits.size() && hits[c].frame == f; ++c) {
-        ++weights[layout.word_of(hits[c].input_index)];
-      }
-    }
-  });
-
-  run_dram_phase(config, side, result);
-  return result;
 }
 
 std::vector<FerRecord> run_fer_sweep(const SweepGrid& grid, const FerSweepOptions& options) {

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "channel/channel.hpp"
@@ -172,8 +171,8 @@ bool dram_resident_interleaver(const std::string& kind);
 
 /// The exact per-cell PipelineConfig a FER sweep runs for \p scenario:
 /// \p base with the scenario axes, the per-cell \p seed, and run_dram
-/// narrowed to DRAM-resident interleavers. Shared by the in-process
-/// sweep and the distributed workers so both execute byte-identical
+/// narrowed to DRAM-resident interleavers. Shared by run_fer_sweep and
+/// the checkpointed sweep (sim/dsweep.hpp) so both execute byte-identical
 /// cells. Throws std::invalid_argument for an unknown scenario device.
 PipelineConfig fer_cell_config(const PipelineConfig& base, const Scenario& scenario,
                                std::uint64_t seed);
@@ -188,75 +187,9 @@ PipelineResult run_pipeline(const PipelineConfig& config);
 /// both overloads produce identical results.
 PipelineResult run_pipeline(const PipelineConfig& config, const fec::ReedSolomon& rs);
 
-// ---------------------------------------------------------------------------
-// Intra-frame slicing (streaming path only)
-//
-// A paper-scale streaming frame is dominated by the channel walk over the
-// wire order, and the random-access ErrorSource contract (counter-based
-// skip-ahead) makes any contiguous wire range independently computable.
-// run_pipeline_slice therefore runs ONLY the source pass of every frame
-// over one of num_slices contiguous wire ranges and returns the sparse
-// corruption events already mapped to input positions;
-// combine_pipeline_slices feeds the slices' events of each frame into the
-// same per-word weight count (order-free, so no sort), runs the
-// deterministic DRAM phase, and yields a PipelineResult whose every field
-// except workspace_peak_bytes and host_ns is byte-identical to
-// run_pipeline on the same config. The dsweep "fer" kernel uses this to
-// spread one frame across sweep workers.
-// ---------------------------------------------------------------------------
-
-/// One corruption event from a slice, mapped to the input (code-word
-/// stream) position. frame-major, wire order within a frame's range.
-struct StreamHit {
-  std::uint64_t frame;
-  std::uint64_t input_index;
-  std::uint8_t flip;
-};
-
-/// Channel-pass output of one slice. The hits vector is the record
-/// payload (it rides the dsweep wire), not per-frame workspace, so slice
-/// runs carry no steady_allocations counter of their own — the merged
-/// counter comes from the combine weight count, the same hot loop the
-/// unsliced path measures.
-struct PipelineSliceResult {
-  unsigned slice = 0;
-  unsigned num_slices = 1;
-  std::uint64_t frames = 0;
-  std::uint64_t channel_symbols = 0;
-  std::uint64_t channel_symbol_errors = 0;
-  std::uint64_t workspace_peak_bytes = 0;
-  std::uint64_t host_ns = 0;
-  std::vector<StreamHit> hits;
-};
-
 /// True when \p config takes the streaming frame path (side decoupled
-/// from rs_n, or the "two-stage" interleaver) — the precondition for
-/// run_pipeline_slice.
+/// from rs_n, or the "two-stage" interleaver).
 bool pipeline_streams(const PipelineConfig& config);
-
-/// The contiguous wire range [lo, hi) slice \p slice of \p num_slices
-/// covers in a capacity-symbol frame. Ranges partition [0, capacity) and
-/// differ in size by at most one symbol.
-std::pair<std::uint64_t, std::uint64_t> stream_slice_range(std::uint64_t capacity,
-                                                           unsigned slice,
-                                                           unsigned num_slices);
-
-/// Run the source pass of every frame over this slice's wire range.
-/// Throws std::invalid_argument when the config is not on the streaming
-/// path, when slice >= num_slices, or when trace_record is set (a slice
-/// would record a partial trace).
-PipelineSliceResult run_pipeline_slice(const PipelineConfig& config, unsigned slice,
-                                       unsigned num_slices);
-
-/// Merge one slice result per slice index (any order; they are sorted by
-/// slice) into the full PipelineResult: per-frame weight count + DRAM
-/// phase. All FER/counter fields are byte-identical to the unsliced
-/// run_pipeline; workspace_peak_bytes becomes the max over the slice
-/// peaks and the combine workspace, and host_ns sums the slice and
-/// combine times.
-PipelineResult combine_pipeline_slices(const PipelineConfig& config,
-                                       const fec::ReedSolomon& rs,
-                                       std::vector<PipelineSliceResult> slices);
 
 // ---------------------------------------------------------------------------
 // FER sweeps on the scenario grid
@@ -270,13 +203,6 @@ struct FerSweepOptions {
   /// and run_dram is narrowed to the cells whose interleaver is
   /// DRAM-resident.
   PipelineConfig base;
-  /// Distributed backend (run_fer_sweep_dist): split every streaming
-  /// cell's frames into this many intra-frame channel slices, each its
-  /// own dsweep cell, merged by combine_pipeline_slices. 1 = classic
-  /// one-cell-per-scenario sweeps (no slice keys in the job config).
-  /// Row-aligned cells ignore the split (slice 0 computes the whole
-  /// cell). The in-process run_fer_sweep ignores this.
-  unsigned frame_slices = 1;
 };
 
 struct FerRecord {

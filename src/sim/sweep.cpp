@@ -138,29 +138,6 @@ std::uint64_t SweepGrid::size() const {
          symbols_per_bursts.size() * links.size();
 }
 
-Scenario SweepGrid::cell(std::uint64_t index) const {
-  if (index >= size()) {
-    throw std::out_of_range("SweepGrid::cell: index " + std::to_string(index) +
-                            " out of " + std::to_string(size()));
-  }
-  // expand() is row-major with links innermost, so the index peels off
-  // axis digits from the inside out.
-  const auto digit = [&index](std::uint64_t radix) {
-    const std::uint64_t d = index % radix;
-    index /= radix;
-    return d;
-  };
-  Scenario s;
-  s.links = links[digit(links.size())];
-  s.symbols_per_burst = symbols_per_bursts[digit(symbols_per_bursts.size())];
-  s.rs_k = rs_ks[digit(rs_ks.size())];
-  s.channel = channels[digit(channels.size())];
-  s.interleaver = interleavers[digit(interleavers.size())];
-  s.mapping_spec = mapping_specs[digit(mapping_specs.size())];
-  s.device = devices[digit(devices.size())];
-  return s;
-}
-
 std::vector<Scenario> SweepGrid::expand() const {
   std::vector<Scenario> cells;
   cells.reserve(size());

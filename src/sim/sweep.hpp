@@ -159,10 +159,6 @@ struct SweepGrid {
 
   std::uint64_t size() const;
   std::vector<Scenario> expand() const;
-  /// The cell at \p index of the expand() enumeration, computed O(1) by
-  /// mixed-radix decomposition — sweep workers address cells by index
-  /// without materializing a million-cell grid per lookup.
-  Scenario cell(std::uint64_t index) const;
 };
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 /// \file test_dsweep.cpp
-/// Fault-tolerant sweep backend tests. The worker processes these tests
-/// spawn are re-invocations of the test binary itself (tests/main.cpp
-/// dispatches --worker-fd and registers the test kernels), so every
-/// recovery path runs against real fork/exec workers, not mocks.
+/// Checkpointed sweep tests: per-cell seeds, preemption (the cancel flag
+/// and the abort-after fault) with resume, sharding and merge, and the
+/// FER sweep on top of it.
 #include "sim/dsweep.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,18 +24,31 @@ constexpr std::uint64_t kSeed = 7;
 Json echo_job() {
   Json job;
   job["tag"] = "t";
-  // Stretch each cell to ~2 ms so count-triggered faults always fire
-  // before a sibling drains the whole grid.
-  job["sleep_us"] = 2000;
   return job;
 }
 
-/// Clean single-process reference for the echo job.
-std::vector<std::string> echo_reference() {
+/// Cheap deterministic cell: echoes its index and seed without touching
+/// the simulator.
+Json echo_cell(std::uint64_t index, std::uint64_t seed) {
+  Json r;
+  r["index"] = index;
+  r["seed"] = std::to_string(seed);
+  return r;
+}
+
+DsweepResult run_echo(const DsweepOptions& opt, std::uint64_t base_seed = kSeed) {
+  return dsweep_run("test-echo", echo_job(), kCells, base_seed, opt, echo_cell);
+}
+
+DsweepOptions two_threads() {
   DsweepOptions opt;
-  opt.workers = 1;
   opt.threads = 2;
-  const auto res = dsweep_run("test-echo", echo_job(), kCells, kSeed, opt);
+  return opt;
+}
+
+/// Clean, unsharded reference for the echo sweep.
+std::vector<std::string> echo_reference() {
+  const auto res = run_echo(two_threads());
   std::vector<std::string> dumps;
   for (const auto& r : res.records) dumps.push_back(r.dump(0));
   return dumps;
@@ -50,12 +63,12 @@ void expect_matches_reference(const DsweepResult& res) {
   }
 }
 
-DsweepOptions fast_recovery_options(unsigned workers) {
-  DsweepOptions opt;
-  opt.workers = workers;
-  opt.threads = 2;
-  opt.backoff_base_ms = 1;  // keep injected-crash tests fast
-  return opt;
+std::set<std::uint64_t> done_cells(const DsweepResult& res) {
+  std::set<std::uint64_t> done;
+  for (std::uint64_t i = 0; i < res.done.size(); ++i) {
+    if (res.done[i]) done.insert(i);
+  }
+  return done;
 }
 
 std::string temp_manifest(const char* tag) {
@@ -65,72 +78,17 @@ std::string temp_manifest(const char* tag) {
 
 TEST(Dsweep, InProcessRecordsCarryPerCellSeeds) {
   DsweepOptions opt;
-  opt.workers = 1;
   opt.threads = 4;
-  const auto res = dsweep_run("test-echo", echo_job(), kCells, kSeed, opt);
+  const auto res = run_echo(opt);
   ASSERT_EQ(res.records.size(), kCells);
   EXPECT_FALSE(res.stats.interrupted);
-  EXPECT_FALSE(res.stats.degraded_inprocess);
   for (std::uint64_t i = 0; i < kCells; ++i) {
     ASSERT_TRUE(res.done[i]);
     EXPECT_EQ(res.records[i].at("index").as_double(), static_cast<double>(i));
     EXPECT_EQ(res.records[i].at("seed").as_string(),
               std::to_string(job_seed(kSeed, i)));
   }
-}
-
-TEST(Dsweep, MultiProcessMatchesInProcessByteForByte) {
-  const auto res =
-      dsweep_run("test-echo", echo_job(), kCells, kSeed, fast_recovery_options(3));
-  EXPECT_EQ(res.stats.workers, 3u);
-  EXPECT_EQ(res.stats.worker_restarts, 0u);
-  expect_matches_reference(res);
-}
-
-TEST(Dsweep, KilledWorkerIsRespawnedAndResultUnchanged) {
-  auto opt = fast_recovery_options(3);
-  opt.faults = FaultSpec::parse("kill-after=2@0");
-  const auto res = dsweep_run("test-echo", echo_job(), kCells, kSeed, opt);
-  EXPECT_GE(res.stats.worker_restarts, 1u);
-  EXPECT_GE(res.stats.cells_reassigned, 1u);
-  EXPECT_FALSE(res.stats.interrupted);
-  expect_matches_reference(res);
-}
-
-TEST(Dsweep, HungWorkerHitsHeartbeatTimeoutAndResultUnchanged) {
-  auto opt = fast_recovery_options(2);
-  opt.heartbeat_interval_ms = 25;
-  opt.heartbeat_timeout_ms = 300;
-  opt.faults = FaultSpec::parse("stall-after=1@0");
-  const auto res = dsweep_run("test-echo", echo_job(), kCells, kSeed, opt);
-  EXPECT_GE(res.stats.heartbeat_timeouts, 1u);
-  EXPECT_GE(res.stats.worker_restarts, 1u);
-  expect_matches_reference(res);
-}
-
-TEST(Dsweep, CorruptBatchIsRejectedNeverMerged) {
-  auto opt = fast_recovery_options(2);
-  opt.faults = FaultSpec::parse("corrupt-batch=2@0");
-  const auto res = dsweep_run("test-echo", echo_job(), kCells, kSeed, opt);
-  EXPECT_GE(res.stats.batches_rejected, 1u);
-  EXPECT_GE(res.stats.worker_restarts, 1u);
-  expect_matches_reference(res);
-}
-
-TEST(Dsweep, TruncatedBatchIsDiscardedAndRecomputed) {
-  auto opt = fast_recovery_options(2);
-  opt.faults = FaultSpec::parse("truncate-batch=2@0");
-  const auto res = dsweep_run("test-echo", echo_job(), kCells, kSeed, opt);
-  EXPECT_GE(res.stats.worker_restarts, 1u);
-  expect_matches_reference(res);
-}
-
-TEST(Dsweep, SpawnFailureDegradesToInProcess) {
-  auto opt = fast_recovery_options(4);
-  opt.faults = FaultSpec::parse("spawn-fail");
-  const auto res = dsweep_run("test-echo", echo_job(), kCells, kSeed, opt);
-  EXPECT_TRUE(res.stats.degraded_inprocess);
-  EXPECT_EQ(res.stats.workers, 0u);
+  // Any thread count yields the same records.
   expect_matches_reference(res);
 }
 
@@ -138,22 +96,63 @@ TEST(Dsweep, AbortIsCheckpointedAndResumeCompletesIdentically) {
   const std::string manifest = temp_manifest("resume");
   std::remove(manifest.c_str());
 
-  auto opt = fast_recovery_options(2);
+  auto opt = two_threads();
   opt.manifest_path = manifest;
   opt.faults = FaultSpec::parse("abort-after=3");
-  const auto partial = dsweep_run("test-echo", echo_job(), kCells, kSeed, opt);
+  const auto partial = run_echo(opt);
   EXPECT_TRUE(partial.stats.interrupted);
-  std::uint64_t done = 0;
-  for (const bool d : partial.done) done += d ? 1 : 0;
+  const std::uint64_t done = done_cells(partial).size();
   EXPECT_GE(done, 3u);
   EXPECT_LT(done, kCells);
 
-  auto resume = fast_recovery_options(2);
+  auto resume = two_threads();
   resume.manifest_path = manifest;
   resume.resume = true;
-  const auto full = dsweep_run("test-echo", echo_job(), kCells, kSeed, resume);
+  const auto full = run_echo(resume);
   EXPECT_FALSE(full.stats.interrupted);
   EXPECT_EQ(full.stats.resumed_cells, done);
+  expect_matches_reference(full);
+  std::remove(manifest.c_str());
+}
+
+TEST(Dsweep, CancelFlagStopsTheSweepAndResumeCompletesIdentically) {
+  // bench_fer's SIGINT/SIGTERM handler raises DsweepOptions::cancel; here
+  // the progress callback raises it after K commits, mid-sweep.
+  constexpr std::uint64_t K = 5;
+  const std::string manifest = temp_manifest("cancel");
+  std::remove(manifest.c_str());
+
+  volatile std::sig_atomic_t cancel = 0;
+  auto opt = two_threads();
+  opt.manifest_path = manifest;
+  opt.cancel = &cancel;
+  opt.progress = [&cancel](const SweepProgress& p) {
+    if (p.completed == K) cancel = 1;
+  };
+  const auto partial = run_echo(opt);
+  EXPECT_TRUE(partial.stats.interrupted);
+  const auto done = done_cells(partial);
+  EXPECT_GE(done.size(), K);
+  EXPECT_LT(done.size(), kCells);
+
+  // The manifest holds exactly the committed cells, each once, with the
+  // records the sweep returned.
+  const auto load =
+      load_manifest(manifest, sweep_fingerprint("test-echo", echo_job(), kCells, kSeed));
+  ASSERT_TRUE(load.fingerprint_ok);
+  std::set<std::uint64_t> journaled;
+  for (const auto& e : load.entries) {
+    EXPECT_TRUE(journaled.insert(e.cell).second) << "cell " << e.cell << " twice";
+    EXPECT_EQ(e.record.dump(0), partial.records[e.cell].dump(0)) << "cell " << e.cell;
+  }
+  EXPECT_EQ(journaled, done);
+
+  auto resume = two_threads();
+  resume.manifest_path = manifest;
+  resume.resume = true;
+  const auto full = run_echo(resume);
+  EXPECT_FALSE(full.stats.interrupted);
+  EXPECT_EQ(full.stats.resumed_cells, done.size());
   expect_matches_reference(full);
   std::remove(manifest.c_str());
 }
@@ -162,63 +161,69 @@ TEST(Dsweep, ResumeRejectsManifestFromDifferentRun) {
   const std::string manifest = temp_manifest("mismatch");
   std::remove(manifest.c_str());
 
-  auto opt = fast_recovery_options(1);
+  DsweepOptions opt;
+  opt.threads = 1;
   opt.manifest_path = manifest;
   opt.faults = FaultSpec::parse("abort-after=2");
-  (void)dsweep_run("test-echo", echo_job(), kCells, kSeed, opt);
+  (void)run_echo(opt);
 
-  auto resume = fast_recovery_options(1);
+  DsweepOptions resume;
+  resume.threads = 1;
   resume.manifest_path = manifest;
   resume.resume = true;
   // Different base seed => different fingerprint: silently mixing the old
   // records would corrupt the sweep, so this must throw.
-  EXPECT_THROW(dsweep_run("test-echo", echo_job(), kCells, kSeed + 1, resume),
-               std::runtime_error);
+  EXPECT_THROW(run_echo(resume, kSeed + 1), std::runtime_error);
   std::remove(manifest.c_str());
 }
 
-TEST(Dsweep, NonPositiveWorkerTimeoutIsRejected) {
-  DsweepOptions opt;
-  opt.heartbeat_timeout_ms = 0;
-  EXPECT_THROW(dsweep_run("test-echo", echo_job(), 4, kSeed, opt),
-               std::invalid_argument);
-}
-
-TEST(Dsweep, UnknownKernelThrows) {
-  DsweepOptions opt;
-  EXPECT_THROW(dsweep_run("no-such-kernel", Json(), 1, 1, opt),
-               std::invalid_argument);
-}
-
 TEST(Dsweep, ZeroCellsReturnsEmptyWithoutSpawningAnything) {
-  auto opt = fast_recovery_options(4);
-  const auto res = dsweep_run("test-echo", echo_job(), 0, kSeed, opt);
+  const auto res = dsweep_run("test-echo", echo_job(), 0, kSeed, two_threads(),
+                              [](std::uint64_t, std::uint64_t) -> Json {
+                                ADD_FAILURE() << "no cell should run";
+                                return Json();
+                              });
   EXPECT_TRUE(res.records.empty());
   EXPECT_TRUE(res.done.empty());
-  EXPECT_EQ(res.stats.workers, 0u);
-}
-
-TEST(Dsweep, DeterministicKernelFailurePropagatesFromWorkers) {
-  Json job;
-  job["fail_at"] = 1;
-  auto opt = fast_recovery_options(2);
-  EXPECT_THROW(dsweep_run("test-fail-at", job, 4, kSeed, opt),
-               std::invalid_argument);
+  EXPECT_FALSE(res.stats.interrupted);
 }
 
 TEST(Dsweep, DeterministicKernelFailurePropagatesInProcess) {
-  Json job;
-  job["fail_at"] = 1;
-  DsweepOptions opt;
-  opt.workers = 1;
-  opt.threads = 2;
-  EXPECT_THROW(dsweep_run("test-fail-at", job, 4, kSeed, opt),
+  EXPECT_THROW(dsweep_run("test-fail-at", Json(), 4, kSeed, two_threads(),
+                          [](std::uint64_t index, std::uint64_t) {
+                            if (index == 1) {
+                              throw std::invalid_argument("poison cell");
+                            }
+                            Json r;
+                            r["index"] = index;
+                            return r;
+                          }),
                std::invalid_argument);
+}
+
+TEST(FaultSpec, AcceptsOnlyAbortAfter) {
+  EXPECT_EQ(FaultSpec::parse("").abort_after, 0u);
+  EXPECT_EQ(FaultSpec::parse("abort-after=10").abort_after, 10u);
+  for (const char* bad :
+       {"abort-after", "abort-after=", "abort-after=0", "abort-after=x",
+        "abort-after=-1", "abort-after=3@0", "kill-after=3", "spawn-fail",
+        "abort-after=3,kill-after=1"}) {
+    EXPECT_THROW(FaultSpec::parse(bad), std::invalid_argument) << "spec '" << bad << "'";
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Sharded sweeps: any I/N partition must merge back byte-identically.
 // ---------------------------------------------------------------------------
+
+DsweepOptions shard_options(const std::string& manifest, unsigned index,
+                            unsigned count) {
+  auto opt = two_threads();
+  opt.manifest_path = manifest;
+  opt.shard_index = index;
+  opt.shard_count = count;
+  return opt;
+}
 
 TEST(DsweepShard, RangesTileTheGridExactly) {
   for (const std::uint64_t cells : {std::uint64_t(1), std::uint64_t(7),
@@ -261,13 +266,7 @@ TEST(DsweepShard, AnyPartitionMergesByteIdenticalToUnsharded) {
       std::remove(m.c_str());
       manifests.push_back(m);
 
-      DsweepOptions opt;
-      opt.workers = 1;
-      opt.threads = 2;
-      opt.manifest_path = m;
-      opt.shard_index = i;
-      opt.shard_count = n;
-      const auto res = dsweep_run("test-echo", echo_job(), kCells, kSeed, opt);
+      const auto res = run_echo(shard_options(m, i, n));
       EXPECT_FALSE(res.stats.interrupted);
       // A shard computes exactly its contiguous range, nothing else.
       const auto range = shard_range(kCells, i, n);
@@ -291,12 +290,9 @@ TEST(DsweepShard, TornTailShardResumesAndMergesIdentically) {
   std::remove(m1.c_str());
 
   // Shard 0 is preempted mid-run...
-  auto opt0 = fast_recovery_options(1);
-  opt0.manifest_path = m0;
-  opt0.shard_index = 0;
-  opt0.shard_count = 2;
+  auto opt0 = shard_options(m0, 0, 2);
   opt0.faults = FaultSpec::parse("abort-after=2");
-  const auto partial = dsweep_run("test-echo", echo_job(), kCells, kSeed, opt0);
+  const auto partial = run_echo(opt0);
   EXPECT_TRUE(partial.stats.interrupted);
 
   // ...and the crash tears the journal's final line.
@@ -307,20 +303,13 @@ TEST(DsweepShard, TornTailShardResumesAndMergesIdentically) {
     std::fclose(f);
   }
 
-  auto resume0 = fast_recovery_options(1);
-  resume0.manifest_path = m0;
-  resume0.shard_index = 0;
-  resume0.shard_count = 2;
+  auto resume0 = shard_options(m0, 0, 2);
   resume0.resume = true;
-  const auto full0 = dsweep_run("test-echo", echo_job(), kCells, kSeed, resume0);
+  const auto full0 = run_echo(resume0);
   EXPECT_FALSE(full0.stats.interrupted);
   EXPECT_GE(full0.stats.resumed_cells, 2u);
 
-  auto opt1 = fast_recovery_options(1);
-  opt1.manifest_path = m1;
-  opt1.shard_index = 1;
-  opt1.shard_count = 2;
-  const auto full1 = dsweep_run("test-echo", echo_job(), kCells, kSeed, opt1);
+  const auto full1 = run_echo(shard_options(m1, 1, 2));
   EXPECT_FALSE(full1.stats.interrupted);
 
   const auto merged =
@@ -336,17 +325,10 @@ TEST(DsweepShard, MergeRejectsForeignManifest) {
   std::remove(m0.c_str());
   std::remove(m1.c_str());
 
-  auto opt = fast_recovery_options(1);
-  opt.manifest_path = m0;
-  opt.shard_index = 0;
-  opt.shard_count = 2;
-  (void)dsweep_run("test-echo", echo_job(), kCells, kSeed, opt);
-
+  (void)run_echo(shard_options(m0, 0, 2));
   // Shard 1 computed under a different base seed: merging it would mix
   // two different runs, exactly like resuming from a foreign manifest.
-  opt.manifest_path = m1;
-  opt.shard_index = 1;
-  (void)dsweep_run("test-echo", echo_job(), kCells, kSeed + 1, opt);
+  (void)run_echo(shard_options(m1, 1, 2), kSeed + 1);
 
   EXPECT_THROW(
       dsweep_merge_shards("test-echo", echo_job(), kCells, kSeed, {m0, m1}),
@@ -359,14 +341,10 @@ TEST(DsweepShard, MergeRequiresFullCoverage) {
   const std::string m0 = temp_manifest("coverage0");
   std::remove(m0.c_str());
 
-  auto opt = fast_recovery_options(1);
-  opt.manifest_path = m0;
-  opt.shard_index = 0;
-  opt.shard_count = 2;
-  (void)dsweep_run("test-echo", echo_job(), kCells, kSeed, opt);
+  (void)run_echo(shard_options(m0, 0, 2));
 
-  // Half the grid is missing: an unfinished fleet must be an error, not
-  // a silently truncated result.
+  // Half the grid is missing: an unfinished set of shards must be an
+  // error, not a silently truncated result.
   EXPECT_THROW(dsweep_merge_shards("test-echo", echo_job(), kCells, kSeed, {m0}),
                std::runtime_error);
   EXPECT_THROW(dsweep_merge_shards("test-echo", echo_job(), kCells, kSeed,
@@ -376,13 +354,13 @@ TEST(DsweepShard, MergeRequiresFullCoverage) {
 }
 
 // ---------------------------------------------------------------------------
-// FER integration: the distributed path must reproduce run_fer_sweep.
+// FER sweeps: the checkpointed path must reproduce run_fer_sweep.
 // ---------------------------------------------------------------------------
 
 TEST(DsweepFer, DistributedSweepMatchesInProcessSweep) {
   SweepGrid grid;
   grid.devices = {"LPDDR5-8533"};
-  grid.interleavers = {"none", "block"};
+  grid.interleavers = {"none", "block", "two-stage"};
   grid.channels = {"bsc", "gilbert-elliott"};
   grid.rs_ks = {223, 191};
 
@@ -391,14 +369,10 @@ TEST(DsweepFer, DistributedSweepMatchesInProcessSweep) {
   options.sweep.base_seed = 11;
   options.base.frames = 2;
   options.base.side = 64;
-  options.base.run_dram = false;
+  options.base.symbols_per_burst = 8;
 
   const auto reference = run_fer_sweep(grid, options);
-
-  DsweepOptions dist;
-  dist.workers = 3;
-  dist.backoff_base_ms = 1;
-  const auto res = run_fer_sweep_dist(grid, options, dist);
+  const auto res = run_fer_sweep_dist(grid, options, DsweepOptions{});
 
   ASSERT_EQ(res.cells.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -417,6 +391,10 @@ TEST(DsweepFer, DistributedSweepMatchesInProcessSweep) {
     EXPECT_EQ(a.result.steady_allocations, b.result.steady_allocations);
     EXPECT_EQ(a.result.channel_symbols, b.result.channel_symbols);
     EXPECT_EQ(a.result.dram_ran, b.result.dram_ran);
+    if (a.result.dram_ran) {
+      EXPECT_EQ(a.result.dram.total_bursts(), b.dram_bursts);
+      EXPECT_EQ(a.result.dram_throughput_gbps, b.result.dram_throughput_gbps);
+    }
   }
 }
 
@@ -428,6 +406,17 @@ TEST(DsweepFer, JobConfigFingerprintIsStable) {
   const Json b = fer_job_config(grid, options);
   EXPECT_EQ(sweep_fingerprint("fer", a, grid.size(), 1),
             sweep_fingerprint("fer", b, grid.size(), 1));
+
+  // Manifests already on disk must stay resumable: this fixed job's
+  // fingerprint is the one earlier releases wrote into their headers.
+  grid.interleavers = {"none", "two-stage"};
+  grid.channels = {"bsc", "leo"};
+  grid.rs_ks = {223, 191};
+  options.base.frames = 3;
+  options.base.side = 64;
+  options.base.symbols_per_burst = 8;
+  EXPECT_EQ(sweep_fingerprint("fer", fer_job_config(grid, options), grid.size(), 1),
+            "72ee81f509230282");
 }
 
 TEST(DsweepFer, CellRecordRoundTripsThroughWireJson) {
@@ -452,9 +441,9 @@ TEST(DsweepFer, CellRecordRoundTripsThroughWireJson) {
   r.channel_symbols = 8320;
   r.dram_ran = false;
 
-  const Json wire = fer_cell_to_json(s, r);
-  // Round trip through dump/parse exactly as the socket does.
-  const FerCell back = fer_cell_from_json(Json::parse(wire.dump(0)));
+  const Json record = fer_cell_to_json(s, r);
+  // Round trip through dump/parse exactly as the manifest does.
+  const FerCell back = fer_cell_from_json(Json::parse(record.dump(0)));
   EXPECT_EQ(back.scenario.label(), s.label());
   EXPECT_EQ(back.result.code_words, r.code_words);
   EXPECT_EQ(back.result.word_errors, r.word_errors);
@@ -465,117 +454,11 @@ TEST(DsweepFer, CellRecordRoundTripsThroughWireJson) {
   EXPECT_FALSE(back.result.dram_ran);
 }
 
-TEST(DsweepFer, SliceRecordRoundTripsThroughWireJson) {
-  Scenario s;
-  s.device = "LPDDR5-8533";
-  s.interleaver = "two-stage";
-  s.channel = "gilbert-elliott";
-  s.rs_k = 223;
-  s.symbols_per_burst = 16;
-  PipelineSliceResult r;
-  r.slice = 2;
-  r.num_slices = 4;
-  r.frames = 3;
-  r.channel_symbols = 1'000'000;
-  r.channel_symbol_errors = 2;
-  r.workspace_peak_bytes = 70000;
-  r.host_ns = 424242;
-  r.hits = {{0, 5, 0x80}, {2, 12'502'499, 0xFF}};
-
-  const Json wire = fer_slice_to_json(s, r);
-  const PipelineSliceResult back = fer_slice_from_json(Json::parse(wire.dump(0)));
-  EXPECT_EQ(back.slice, r.slice);
-  EXPECT_EQ(back.num_slices, r.num_slices);
-  EXPECT_EQ(back.frames, r.frames);
-  EXPECT_EQ(back.channel_symbols, r.channel_symbols);
-  EXPECT_EQ(back.channel_symbol_errors, r.channel_symbol_errors);
-  EXPECT_EQ(back.workspace_peak_bytes, r.workspace_peak_bytes);
-  EXPECT_EQ(back.host_ns, r.host_ns);
-  ASSERT_EQ(back.hits.size(), r.hits.size());
-  for (std::size_t i = 0; i < r.hits.size(); ++i) {
-    EXPECT_EQ(back.hits[i].frame, r.hits[i].frame);
-    EXPECT_EQ(back.hits[i].input_index, r.hits[i].input_index);
-    EXPECT_EQ(back.hits[i].flip, r.hits[i].flip);
-  }
-
-  // A torn hit array (not a multiple of the triplet width) must be
-  // rejected, not silently truncated.
-  Json torn = Json::parse(wire.dump(0));
-  Json::Array hits = torn.at("slice").at("hits").as_array();
-  hits.pop_back();
-  torn["slice"]["hits"] = Json(hits);
-  EXPECT_THROW(fer_slice_from_json(torn), std::invalid_argument);
-}
-
-TEST(DsweepFer, JobConfigOmitsSliceKeysWhenUnsliced) {
-  // frame_slices == 1 adds no slice keys: the config feeds the run
-  // fingerprint, which for an unsliced run must not depend on slicing.
-  SweepGrid grid;
-  grid.devices = {"LPDDR5-8533"};
-  FerSweepOptions options;
-  const Json unsliced = fer_job_config(grid, options);
-  EXPECT_FALSE(unsliced.contains("frame_slices"));
-  EXPECT_FALSE(unsliced.contains("base_seed"));
-  options.frame_slices = 4;
-  const Json sliced = fer_job_config(grid, options);
-  ASSERT_TRUE(sliced.contains("frame_slices"));
-  EXPECT_EQ(sliced.at("frame_slices").as_double(), 4.0);
-  // Json numbers are doubles; the 64-bit seed rides as a string.
-  EXPECT_EQ(sliced.at("base_seed").as_string(),
-            std::to_string(options.sweep.base_seed));
-}
-
-TEST(DsweepFer, ChunkKeyOfOlderJobConfigsIsIgnored) {
-  // Older drivers wrote a "stream_chunk_symbols" key into the base
-  // config; the knob is gone, so the key is no longer written, and a job
-  // config that still carries it runs exactly like one that does not.
-  SweepGrid grid;
-  grid.devices = {"LPDDR5-8533"};
-  grid.interleavers = {"none", "two-stage"};
-  grid.channels = {"gilbert-elliott"};
-  grid.rs_ks = {223};
-  FerSweepOptions options;
-  options.sweep.threads = 1;
-  options.sweep.base_seed = 5;
-  options.base.frames = 2;
-  options.base.side = 64;
-  options.base.symbols_per_burst = 8;
-  options.base.run_dram = false;
-  // Dense fades (about 20 per cell), so every cell has errors to compare
-  // whatever the seed: at the default 2% duty cycle and 400-symbol fades
-  // most seeds leave the 4 k-symbol "none" cell clean.
-  options.base.fade_fraction = 0.2;
-  options.base.mean_burst_symbols = 50;
-
-  Json job = fer_job_config(grid, options);
-  EXPECT_FALSE(job.at("base").contains("stream_chunk_symbols"));
-  job["base"]["stream_chunk_symbols"] = 4096;
-
-  dsweep_register_builtin_kernels();
-  DsweepOptions opt;
-  opt.workers = 1;
-  opt.threads = 1;
-  const auto res = dsweep_run("fer", job, grid.size(), options.sweep.base_seed, opt);
-  const auto reference = run_fer_sweep(grid, options);
-  ASSERT_EQ(res.records.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    ASSERT_TRUE(res.done[i]);
-    const FerCell cell = fer_cell_from_json(res.records[i]);
-    const PipelineResult& a = reference[i].result;
-    EXPECT_GT(a.channel_symbol_errors, 0u) << i;
-    EXPECT_EQ(cell.result.channel_symbol_errors, a.channel_symbol_errors) << i;
-    EXPECT_EQ(cell.result.word_errors, a.word_errors) << i;
-    EXPECT_EQ(cell.result.corrected_symbols, a.corrected_symbols) << i;
-    EXPECT_EQ(cell.result.code_words, a.code_words) << i;
-  }
-}
-
 TEST(DsweepFer, ManifestWithoutChannelDrawStampIsRefused) {
   // The job config carries the channel models' draw revision, so records
   // drawn by other channel code never enter a run: a manifest written
   // for the unstamped job (every manifest from before the stamp) is a
-  // different run to --resume and --merge-shards, and the fer kernel
-  // refuses to compute cells of an unstamped job.
+  // different run to --resume and --merge-shards.
   SweepGrid grid;
   grid.devices = {"LPDDR5-8533"};
   grid.interleavers = {"none"};
@@ -616,88 +499,6 @@ TEST(DsweepFer, ManifestWithoutChannelDrawStampIsRefused) {
   EXPECT_THROW(run_fer_sweep_dist(grid, options, dist), std::runtime_error);
   EXPECT_THROW(run_fer_merge_shards(grid, options, {path}), std::runtime_error);
   std::remove(path.c_str());
-
-  DsweepOptions opt;
-  opt.workers = 1;
-  opt.threads = 1;
-  EXPECT_THROW(dsweep_run("fer", unstamped, cells, options.sweep.base_seed, opt),
-               std::invalid_argument);
-  Json older = job;
-  older["channel_draws"] = static_cast<std::uint64_t>(channel::kDrawRevision - 1);
-  EXPECT_THROW(dsweep_run("fer", older, cells, options.sweep.base_seed, opt),
-               std::invalid_argument);
-}
-
-TEST(DsweepFer, PaperScaleFrameSplitsAcrossWorkersByteIdentical) {
-  // The tentpole's distribution payoff: one side-5000 streaming frame
-  // (25 M symbols) split into 4 intra-frame slices, run on 1, 2 and 4
-  // worker processes, must merge to the same record bytes regardless of
-  // worker count, and must match the in-process unsliced sweep on every
-  // field the slice API pins (everything but workspace_peak_bytes and
-  // host_ns).
-  SweepGrid grid;
-  grid.devices = {"LPDDR5-8533"};
-  grid.interleavers = {"two-stage"};
-  grid.channels = {"gilbert-elliott"};
-  grid.rs_ks = {223};
-
-  FerSweepOptions options;
-  options.sweep.threads = 2;
-  options.sweep.base_seed = 29;
-  options.base.frames = 1;
-  options.base.side = 5000;
-  options.base.symbols_per_burst = 2;
-  options.base.fade_fraction = 0.001;
-  options.base.mean_burst_symbols = 2000;
-  options.base.error_rate_bad = 0.8;
-  options.base.run_dram = false;
-
-  const auto reference = run_fer_sweep(grid, options);
-  ASSERT_EQ(reference.size(), 1u);
-  const auto& ref = reference[0].result;
-  ASSERT_GT(ref.channel_symbol_errors, 1000u);
-
-  options.frame_slices = 4;
-  std::vector<FerDistResult> runs;
-  for (const unsigned workers : {1u, 2u, 4u}) {
-    DsweepOptions dist;
-    dist.workers = workers;
-    dist.backoff_base_ms = 1;
-    runs.push_back(run_fer_sweep_dist(grid, options, dist));
-  }
-
-  for (std::size_t w = 0; w < runs.size(); ++w) {
-    ASSERT_EQ(runs[w].cells.size(), 1u);
-    ASSERT_TRUE(runs[w].done[0]);
-    const auto& got = runs[w].cells[0].result;
-    EXPECT_EQ(got.frames, ref.frames) << "run " << w;
-    EXPECT_EQ(got.code_words, ref.code_words) << "run " << w;
-    EXPECT_EQ(got.word_errors, ref.word_errors) << "run " << w;
-    EXPECT_EQ(got.frame_errors, ref.frame_errors) << "run " << w;
-    EXPECT_EQ(got.channel_symbol_errors, ref.channel_symbol_errors) << "run " << w;
-    EXPECT_EQ(got.corrected_symbols, ref.corrected_symbols) << "run " << w;
-    EXPECT_EQ(got.frame_symbols, ref.frame_symbols) << "run " << w;
-    EXPECT_EQ(got.channel_symbols, ref.channel_symbols) << "run " << w;
-    EXPECT_EQ(got.steady_allocations, ref.steady_allocations) << "run " << w;
-    EXPECT_EQ(got.dram_ran, ref.dram_ran) << "run " << w;
-    // PR 5 streaming bound: the sliced path may hold its own hit
-    // buffers, but never anything near the materialized triangle.
-    EXPECT_GT(got.workspace_peak_bytes, 0u) << "run " << w;
-    EXPECT_LT(got.workspace_peak_bytes, got.frame_symbols / 8) << "run " << w;
-  }
-
-  // Across worker counts the merged record is byte-identical including
-  // the workspace peak — only wall time may differ.
-  for (std::size_t w = 1; w < runs.size(); ++w) {
-    const auto& a = runs[0].cells[0].result;
-    const auto& b = runs[w].cells[0].result;
-    EXPECT_EQ(a.word_errors, b.word_errors);
-    EXPECT_EQ(a.frame_errors, b.frame_errors);
-    EXPECT_EQ(a.channel_symbol_errors, b.channel_symbol_errors);
-    EXPECT_EQ(a.corrected_symbols, b.corrected_symbols);
-    EXPECT_EQ(a.workspace_peak_bytes, b.workspace_peak_bytes);
-    EXPECT_EQ(a.steady_allocations, b.steady_allocations);
-  }
 }
 
 }  // namespace

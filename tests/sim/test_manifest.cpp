@@ -119,5 +119,51 @@ TEST_F(ManifestTest, AppendModeKeepsExistingEntries) {
   EXPECT_EQ(load.entries[1].cell, 1u);
 }
 
+TEST_F(ManifestTest, CellThatIsNotAnExactIndexEndsTheValidPrefix) {
+  // Json numbers are doubles. A cell of 2.5 or 1e300 must not truncate
+  // to a real index (2, or whatever the cast yields) and hand its record
+  // to that cell on resume: like a torn line, it ends the trusted prefix,
+  // for the loader and for the resume truncation alike.
+  for (const char* bad : {"2.5", "1e300", "-1", "9007199254740992", "\"3\"", "null"}) {
+    {
+      ManifestWriter w;
+      ASSERT_TRUE(w.open(path_, "fp1", /*fresh=*/true));
+      ASSERT_TRUE(w.append(0, record(0)));
+      w.close();
+      std::ofstream out(path_, std::ios::app);
+      out << "{\"cell\":" << bad << ",\"record\":{\"value\":99}}\n";
+      out << "{\"cell\":1,\"record\":{\"value\":10}}\n";
+    }
+    auto load = load_manifest(path_, "fp1");
+    ASSERT_TRUE(load.fingerprint_ok) << bad;
+    ASSERT_EQ(load.entries.size(), 1u) << bad;
+    EXPECT_EQ(load.entries[0].cell, 0u) << bad;
+
+    // Resuming truncates the journal by the same rule, so a cell appended
+    // now is not hidden behind the rejected line.
+    {
+      ManifestWriter w;
+      ASSERT_TRUE(w.open(path_, "fp1", /*fresh=*/false));
+      ASSERT_TRUE(w.append(5, record(5)));
+      w.close();
+    }
+    load = load_manifest(path_, "fp1");
+    ASSERT_EQ(load.entries.size(), 2u) << bad;
+    EXPECT_EQ(load.entries[0].cell, 0u) << bad;
+    EXPECT_EQ(load.entries[1].cell, 5u) << bad;
+  }
+
+  // The largest exact index is still a cell.
+  {
+    ManifestWriter w;
+    ASSERT_TRUE(w.open(path_, "fp1", /*fresh=*/true));
+    ASSERT_TRUE(w.append(9007199254740991ull, record(1)));
+    w.close();
+  }
+  const auto load = load_manifest(path_, "fp1");
+  ASSERT_EQ(load.entries.size(), 1u);
+  EXPECT_EQ(load.entries[0].cell, 9007199254740991ull);
+}
+
 }  // namespace
 }  // namespace tbi::sim

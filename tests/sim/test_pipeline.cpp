@@ -751,93 +751,6 @@ TEST(MakeChannel, FactoryCoversAllKinds) {
 }
 
 // ---------------------------------------------------------------------------
-// Intra-frame slicing
-// ---------------------------------------------------------------------------
-
-TEST(PipelineSlices, SliceRangesPartitionCapacity) {
-  for (const std::uint64_t capacity : {0ull, 1ull, 7ull, 820ull, 25'005'000ull}) {
-    for (const unsigned S : {1u, 2u, 3u, 4u, 7u, 16u}) {
-      std::uint64_t covered = 0;
-      std::uint64_t min_size = capacity + 1, max_size = 0;
-      for (unsigned s = 0; s < S; ++s) {
-        const auto [lo, hi] = stream_slice_range(capacity, s, S);
-        ASSERT_EQ(lo, covered) << "capacity=" << capacity << " S=" << S;
-        ASSERT_LE(hi, capacity);
-        covered = hi;
-        min_size = std::min(min_size, hi - lo);
-        max_size = std::max(max_size, hi - lo);
-      }
-      EXPECT_EQ(covered, capacity) << "capacity=" << capacity << " S=" << S;
-      EXPECT_LE(max_size - min_size, 1u) << "capacity=" << capacity << " S=" << S;
-    }
-  }
-}
-
-TEST(PipelineSlices, CombineMatchesUnslicedRun) {
-  // Any slice count must reassemble to the unsliced result on every
-  // field except the two the API documents as run-shaped
-  // (workspace_peak_bytes, host_ns). Multi-link + two-stage is the
-  // hardest case: wire position and input position differ everywhere.
-  PipelineConfig c;
-  c.interleaver = "two-stage";
-  c.side = 200;
-  c.symbols_per_burst = 16;
-  c.channel = "gilbert-elliott";
-  c.fade_fraction = 0.01;
-  c.mean_burst_symbols = 400;
-  c.error_rate_bad = 0.9;
-  c.frames = 3;
-  c.seed = 42;
-  c.links = 2;
-  c.run_dram = false;
-  ASSERT_TRUE(pipeline_streams(c));
-  const fec::ReedSolomon rs(c.rs_n, c.rs_k);
-  const auto whole = run_pipeline(c, rs);
-  ASSERT_GT(whole.channel_symbol_errors, 0u);
-
-  for (const unsigned S : {1u, 2u, 4u, 7u}) {
-    std::vector<PipelineSliceResult> slices;
-    std::uint64_t slice_errors = 0;
-    for (unsigned s = 0; s < S; ++s) {
-      slices.push_back(run_pipeline_slice(c, s, S));
-      slice_errors += slices.back().channel_symbol_errors;
-    }
-    EXPECT_EQ(slice_errors, whole.channel_symbol_errors) << "S=" << S;
-    const auto merged = combine_pipeline_slices(c, rs, std::move(slices));
-    EXPECT_EQ(merged.frames, whole.frames) << "S=" << S;
-    EXPECT_EQ(merged.code_words, whole.code_words) << "S=" << S;
-    EXPECT_EQ(merged.word_errors, whole.word_errors) << "S=" << S;
-    EXPECT_EQ(merged.frame_errors, whole.frame_errors) << "S=" << S;
-    EXPECT_EQ(merged.channel_symbol_errors, whole.channel_symbol_errors) << "S=" << S;
-    EXPECT_EQ(merged.corrected_symbols, whole.corrected_symbols) << "S=" << S;
-    EXPECT_EQ(merged.frame_symbols, whole.frame_symbols) << "S=" << S;
-    EXPECT_EQ(merged.channel_symbols, whole.channel_symbols) << "S=" << S;
-    EXPECT_EQ(merged.steady_allocations, whole.steady_allocations) << "S=" << S;
-    EXPECT_EQ(merged.steady_frames, whole.steady_frames) << "S=" << S;
-    EXPECT_EQ(merged.dram_ran, whole.dram_ran) << "S=" << S;
-  }
-}
-
-TEST(PipelineSlices, RejectsNonStreamingAndInvalidArguments) {
-  PipelineConfig rows;  // side == rs_n, "none": row-aligned layout
-  rows.frames = 1;
-  rows.run_dram = false;
-  ASSERT_FALSE(pipeline_streams(rows));
-  EXPECT_THROW(run_pipeline_slice(rows, 0, 2), std::invalid_argument);
-
-  PipelineConfig c;
-  c.interleaver = "two-stage";
-  c.side = 40;
-  c.symbols_per_burst = 8;
-  c.frames = 1;
-  c.run_dram = false;
-  ASSERT_TRUE(pipeline_streams(c));
-  EXPECT_THROW(run_pipeline_slice(c, 2, 2), std::invalid_argument);
-  c.trace_record = "/tmp/tbi-slice-trace.bin";  // a slice would tear the trace
-  EXPECT_THROW(run_pipeline_slice(c, 0, 2), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
 // SIMD backend identity
 // ---------------------------------------------------------------------------
 

@@ -303,24 +303,6 @@ TEST(SweepMap, MoreThreadsThanJobsCompletesAndStaysOrdered) {
   EXPECT_EQ(results[2], 3);
 }
 
-TEST(SweepGrid, CellMatchesExpandAtEveryIndex) {
-  SweepGrid grid;
-  grid.devices = {"DDR4-3200", "LPDDR4-4266"};
-  grid.mapping_specs = {"row-major", "optimized"};
-  grid.interleavers = {"none", "triangular", "two-stage"};
-  grid.channels = {"bsc", "leo"};
-  grid.rs_ks = {239, 223, 191};
-  grid.symbols_per_bursts = {0, 64};
-
-  const auto cells = grid.expand();
-  ASSERT_EQ(cells.size(), grid.size());
-  for (std::uint64_t i = 0; i < grid.size(); ++i) {
-    const Scenario direct = grid.cell(i);
-    EXPECT_EQ(direct.label(), cells[i].label()) << "index " << i;
-    EXPECT_EQ(direct.symbols_per_burst, cells[i].symbols_per_burst);
-  }
-}
-
 TEST(SweepGrid, LinksAxisIsInnermostAndLabeled) {
   SweepGrid grid;
   grid.devices = {"DDR4-3200"};
@@ -336,10 +318,6 @@ TEST(SweepGrid, LinksAxisIsInnermostAndLabeled) {
   EXPECT_EQ(cells[1].links, 4u);
   EXPECT_EQ(cells[0].interleaver, cells[1].interleaver);
   EXPECT_EQ(cells[2].interleaver, "triangular");
-  for (std::uint64_t i = 0; i < grid.size(); ++i) {
-    EXPECT_EQ(grid.cell(i).label(), cells[i].label()) << i;
-    EXPECT_EQ(grid.cell(i).links, cells[i].links) << i;
-  }
   // links == 0 means "inherit the template" and stays out of the label,
   // so pre-links grids keep their exact labels; explicit links are named.
   EXPECT_EQ(cells[0].label().find("links"), std::string::npos);
@@ -348,12 +326,6 @@ TEST(SweepGrid, LinksAxisIsInnermostAndLabeled) {
   for (const auto& cell : cells) {
     EXPECT_TRUE(labels.insert(cell.label()).second) << cell.label();
   }
-}
-
-TEST(SweepGrid, CellThrowsPastTheEnd) {
-  SweepGrid grid;
-  grid.devices = {"DDR4-3200"};
-  EXPECT_THROW(grid.cell(grid.size()), std::out_of_range);
 }
 
 }  // namespace
