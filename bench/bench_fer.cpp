@@ -41,7 +41,6 @@
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "dram/standards.hpp"
-#include "fec/gf256_simd.hpp"
 #include "perf/counters.hpp"
 #include "sim/dsweep.hpp"
 #include "sim/manifest.hpp"
@@ -116,7 +115,9 @@ int main(int argc, char** argv) {
   if (!read_count(cli, "frames", 40, 1, &options.base.frames) ||
       !read_count(cli, "links", 1, 1, &links) ||
       !read_count(cli, "side", 0, 0, &options.base.side) ||
-      !read_count(cli, "spb", 64, 1, &options.base.symbols_per_burst)) {
+      !read_count(cli, "spb", 64, 1, &options.base.symbols_per_burst) ||
+      !read_count(cli, "threads", 0, 0, &options.sweep.threads) ||
+      !read_count(cli, "seed", 1, 0, &options.sweep.base_seed)) {
     return 1;
   }
 
@@ -131,8 +132,6 @@ int main(int argc, char** argv) {
   // seeds and labels of single-link sweeps unchanged.
   if (links > 1) grid.links = {links};
 
-  options.sweep.threads = static_cast<unsigned>(cli.get_int("threads", 0));
-  options.sweep.base_seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   options.base.fade_fraction = cli.get_double("fade-prob", 0.004);
   options.base.mean_burst_symbols = cli.get_double("burst-symbols", 300);
   options.base.error_probability = 2e-3;
@@ -216,10 +215,6 @@ int main(int argc, char** argv) {
     config["seed"] = options.sweep.base_seed;
     if (!stable) {
       config["threads"] = static_cast<std::uint64_t>(options.sweep.threads);
-      // Which GF(2^8) kernel dispatch picked (TBI_SIMD override included)
-      // — lets bench_compare trend lines name the backend they measured.
-      config["simd_backend"] =
-          tbi::fec::gf256_backend_name(tbi::fec::gf256_active_backend());
     }
     config["fade_prob"] = options.base.fade_fraction;
     config["burst_symbols"] = options.base.mean_burst_symbols;

@@ -1,5 +1,7 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 namespace tbi {
@@ -60,14 +62,39 @@ std::string CliParser::get(const std::string& name, const std::string& fallback)
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// Exit 1 with an error: line unless strtoll/strtod, which left \p end
+/// and errno behind, read all of a non-empty \p value without overflow.
+void require_number(const std::string& name, const std::string& value,
+                    const char* end) {
+  if (value.empty() || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "error: --%s expects a number, got '%s'\n", name.c_str(),
+                 value.c_str());
+    std::exit(1);
+  }
+}
+
+}  // namespace
+
 std::int64_t CliParser::get_int(const std::string& name, std::int64_t fallback) const {
   auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 0);
+  if (it == values_.end()) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const std::int64_t v = std::strtoll(it->second.c_str(), &end, 0);
+  require_number(name, it->second, end);
+  return v;
 }
 
 double CliParser::get_double(const std::string& name, double fallback) const {
   auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(it->second.c_str(), &end);
+  require_number(name, it->second, end);
+  return v;
 }
 
 std::string CliParser::usage() const {

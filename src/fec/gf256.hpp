@@ -5,14 +5,15 @@
 /// Log/antilog tables are computed at compile time (constexpr), so every
 /// operation is a guard-free inline table lookup: mul() indexes the
 /// 512-entry doubled antilog table directly with log(a)+log(b) — no
-/// `% 255` and no static-init check on the hot path. This matters: the
-/// RS codec performs billions of multiplies in a paper-scale FER sweep,
-/// and the previous function-local-static accessors alone cost ~35% of
-/// bench_fer's runtime.
+/// `% 255` and no static-init check on the hot path.
+///
+/// gf256_muladd is the codec's one constant-multiplier kernel (DESIGN.md
+/// §5): encode's long division and the syndrome pass both reduce to it.
 #pragma once
 
 #include <array>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 
 namespace tbi::fec {
@@ -53,7 +54,7 @@ class GF256 {
   }
   static std::uint8_t sub(std::uint8_t a, std::uint8_t b) { return add(a, b); }
 
-  static std::uint8_t mul(std::uint8_t a, std::uint8_t b) {
+  static constexpr std::uint8_t mul(std::uint8_t a, std::uint8_t b) {
     if (a == 0 || b == 0) return 0;
     // log(a) + log(b) <= 508 < 512: the doubled table absorbs the wrap.
     return kExp[kLog[a] + kLog[b]];
@@ -81,5 +82,12 @@ class GF256 {
   static constexpr std::array<std::uint8_t, 512> kExp = detail::gf256_make_exp();
   static constexpr std::array<std::uint16_t, 256> kLog = detail::gf256_make_log();
 };
+
+/// dst[i] ^= m * src[i] over GF(2^8)/0x11D for i in [0, len): one row of
+/// a constexpr 64 KiB product table per call, so each byte costs one
+/// lookup and one xor. src and dst must not overlap; any alignment and
+/// any length.
+void gf256_muladd(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t m,
+                  std::size_t len);
 
 }  // namespace tbi::fec

@@ -2,25 +2,25 @@
 /// Systematic Reed-Solomon codec RS(n, k) over GF(2^8), n <= 255.
 ///
 /// Stands in for the proprietary satcom FEC of the paper's system
-/// (DESIGN.md §5): the end-to-end examples encode a frame, pass it through
-/// the two-stage triangular interleaver and a bursty optical channel, and
-/// show that the interleaver converts channel bursts that would swamp any
-/// single code word into correctable per-code-word error counts.
+/// (DESIGN.md §5). The FER pipeline never runs it: it judges each code
+/// word by its error weight, a rule that holds for exactly this kind of
+/// bounded-distance decoder. The codec's users are the tests, which check
+/// that rule and the interleaver's burst spreading word by word, and
+/// perfbench's traced replay, which re-decodes every touched word of a
+/// FER cell.
 ///
 /// Decoder: syndromes -> Berlekamp-Massey -> Chien search -> Forney,
 /// correcting up to t = (n-k)/2 symbol errors per code word.
 ///
-/// Hot-path design: encode and the syndrome pass both reduce to the
-/// vectorized constant-multiplier kernel of gf256_simd.hpp. Encode is an
-/// in-place long division whose feedback step XOR-accumulates one
-/// reversed-generator row per data symbol; syndromes XOR-accumulate one
-/// precomputed power row per nonzero received symbol
-/// (S_i = sum_j w_j * alpha^{i(n-1-j)}), so both inner loops run in
-/// 16/32/64-byte SIMD strips (DESIGN.md §7) and stay byte-identical to
-/// the scalar backend. The span overloads of encode()/decode() write into
-/// caller-owned buffers and an RsScratch workspace, so a steady-state
-/// pipeline performs zero heap allocations per code word; the vector
-/// overloads remain as convenience wrappers with identical results.
+/// Encode and the syndrome pass both reduce to gf256_muladd (DESIGN.md
+/// §5). Encode is an in-place long division whose feedback step
+/// XOR-accumulates one reversed-generator row per data symbol; syndromes
+/// XOR-accumulate one precomputed power row per nonzero received symbol
+/// (S_i = sum_j w_j * alpha^{i(n-1-j)}). The span overloads of
+/// encode()/decode() write into caller-owned buffers and an RsScratch
+/// workspace, so a steady-state caller performs zero heap allocations
+/// per code word; the vector overloads remain as convenience wrappers
+/// with identical results.
 #pragma once
 
 #include <array>
@@ -104,13 +104,9 @@ class ReedSolomon {
   /// XOR-accumulates feedback * grev_ over the next parity dividend
   /// coefficients with one gf256_muladd.
   std::vector<std::uint8_t> grev_;
-  /// Per-position syndrome power rows, 16-byte-strided so every row is a
-  /// whole number of SIMD strips: pow_rows_[j*row_stride_ + i] =
-  /// alpha^{(i+1)(n-1-j)}. Lanes in [parity, row_stride_) hold valid
-  /// powers too; their accumulator lanes are deterministic garbage that
-  /// syndromes() never reads.
+  /// Per-position syndrome power rows, one parity-long row per position:
+  /// pow_rows_[j*parity + i] = alpha^{(i+1)(n-1-j)}.
   std::vector<std::uint8_t> pow_rows_;
-  unsigned row_stride_ = 0;
 };
 
 }  // namespace tbi::fec

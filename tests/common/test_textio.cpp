@@ -2,7 +2,6 @@
 
 #include "common/cli.hpp"
 #include "common/csv.hpp"
-#include "common/log.hpp"
 #include "common/table.hpp"
 
 namespace tbi {
@@ -67,6 +66,35 @@ TEST(Cli, EqualsSyntaxAndNumbers) {
   EXPECT_EQ(cli.get_int("missing", -7), -7);
 }
 
+TEST(Cli, NonNumericValueExitsWithAnErrorLine) {
+  // Parse --NAME=VALUE and read it back as an integer or a double; a value
+  // the getter accepts returns normally, which fails the death test.
+  auto read = [](const char* name, const char* value, bool integer) {
+    CliParser cli("prog", "test");
+    cli.add_option(name, "v", "a number");
+    const std::string arg = std::string("--") + name + "=" + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    if (!cli.parse(2, argv)) return;
+    if (integer) {
+      cli.get_int(name, 0);
+    } else {
+      cli.get_double(name, 0);
+    }
+  };
+  using ::testing::ExitedWithCode;
+  EXPECT_EXIT(read("n", "abc", true), ExitedWithCode(1),
+              "error: --n expects a number, got 'abc'");
+  EXPECT_EXIT(read("n", "12x", true), ExitedWithCode(1),
+              "error: --n expects a number, got '12x'");
+  EXPECT_EXIT(read("n", "1e3", true), ExitedWithCode(1),
+              "error: --n expects a number, got '1e3'");
+  EXPECT_EXIT(read("n", "", true), ExitedWithCode(1), "error: --n expects a number");
+  EXPECT_EXIT(read("n", "99999999999999999999", true), ExitedWithCode(1),
+              "error: --n expects a number");
+  EXPECT_EXIT(read("x", "0.5x", false), ExitedWithCode(1),
+              "error: --x expects a number, got '0.5x'");
+}
+
 TEST(Cli, RejectsUnknownOption) {
   CliParser cli("prog", "test");
   const char* argv[] = {"prog", "--nope"};
@@ -89,17 +117,6 @@ TEST(Cli, UsageListsOptions) {
   EXPECT_NE(u.find("--alpha <x>"), std::string::npos);
   EXPECT_NE(u.find("--beta"), std::string::npos);
   EXPECT_NE(u.find("summary text"), std::string::npos);
-}
-
-TEST(Log, LevelGate) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::Error);
-  EXPECT_EQ(log_level(), LogLevel::Error);
-  // Emitting below the threshold must be a no-op (no crash, no output check
-  // needed — this exercises the code path).
-  log_debug("hidden");
-  log_error("visible");
-  set_log_level(before);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
+#include "fec/gf256_simd.hpp"
+
 namespace tbi::fec {
 namespace {
 
@@ -102,6 +107,72 @@ TEST(GF256, DivInvertsMulExhaustively) {
                                         static_cast<std::uint8_t>(b));
       ASSERT_EQ(GF256::div(p, static_cast<std::uint8_t>(b)), a)
           << "a=" << a << " b=" << b;
+    }
+  }
+}
+
+/// One gf256_muladd call checked against the carry-less reference on
+/// pattern buffers with guard bytes. The whole buffer is compared, so a
+/// byte written outside [doff, doff + len) fails as surely as a wrong
+/// product.
+void check_muladd(const std::vector<std::uint8_t>& src,
+                  const std::vector<std::uint8_t>& dst0, std::size_t soff,
+                  std::size_t doff, unsigned m, std::size_t len) {
+  std::vector<std::uint8_t> dst = dst0;
+  std::vector<std::uint8_t> want = dst0;
+  for (std::size_t i = 0; i < len; ++i) {
+    want[doff + i] ^= carryless_reference_mul(static_cast<std::uint8_t>(m),
+                                              src[soff + i]);
+  }
+  gf256_muladd(dst.data() + doff, src.data() + soff, static_cast<std::uint8_t>(m),
+               len);
+  ASSERT_EQ(dst, want) << "m=" << m << " len=" << len << " soff=" << soff
+                       << " doff=" << doff;
+}
+
+TEST(Gf256SimdOracle, EveryMultiplierEveryLengthEveryBackend) {
+  // gf256_simd.hpp names one backend, and gf256_muladd is its kernel.
+  EXPECT_STREQ(gf256_backend_name(gf256_active_backend()), "scalar");
+
+  // Every multiplier, lengths 0..64 and one full code word. Both offsets
+  // rotate with the sweep, so aligned and misaligned src/dst pairs ride
+  // through every multiplier and length.
+  std::vector<std::size_t> lens;
+  for (std::size_t l = 0; l <= 64; ++l) lens.push_back(l);
+  lens.push_back(255);
+  constexpr std::size_t kPad = 16;  // guard bytes below and above
+  const std::size_t size = 2 * kPad + 8 + 255;
+  std::mt19937 rng(0xC0DEu);
+  std::vector<std::uint8_t> src(size), dst0(size);
+  for (auto& b : src) b = static_cast<std::uint8_t>(rng());
+  for (auto& b : dst0) b = static_cast<std::uint8_t>(rng());
+
+  for (unsigned m = 0; m < 256; ++m) {
+    for (std::size_t li = 0; li < lens.size(); ++li) {
+      const std::size_t soff = kPad + ((m + li) & 7);
+      const std::size_t doff = kPad + ((m + 5 * li) & 7);
+      check_muladd(src, dst0, soff, doff, m, lens[li]);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(Gf256SimdOracle, EverySrcDstMisalignmentPair) {
+  // Fixed multiplier and an odd length, the complete 32x32 src/dst
+  // offset grid.
+  constexpr unsigned kM = 0x57;
+  constexpr std::size_t kLen = 97;
+  constexpr std::size_t kPad = 16;
+  const std::size_t size = 2 * kPad + 32 + kLen;
+  std::mt19937 rng(0xA11Du);
+  std::vector<std::uint8_t> src(size), dst0(size);
+  for (auto& b : src) b = static_cast<std::uint8_t>(rng());
+  for (auto& b : dst0) b = static_cast<std::uint8_t>(rng());
+
+  for (std::size_t soff = 0; soff < 32; ++soff) {
+    for (std::size_t doff = 0; doff < 32; ++doff) {
+      check_muladd(src, dst0, kPad + soff, kPad + doff, kM, kLen);
+      if (HasFatalFailure()) return;
     }
   }
 }

@@ -53,7 +53,6 @@ TEST(ClassifyMetric, FollowsNamingConventions) {
   EXPECT_EQ(classify_metric("workspace_peak_bytes"), MetricKind::Size);
   EXPECT_EQ(classify_metric("threads"), MetricKind::Ignored);
   EXPECT_EQ(classify_metric("process_allocations"), MetricKind::Ignored);
-  EXPECT_EQ(classify_metric("simd_backend"), MetricKind::Ignored);
 }
 
 TEST(CompareBench, IdenticalDocumentsPass) {
@@ -203,22 +202,6 @@ TEST(CompareBench, IgnoredKeysNeverFail) {
   cfg.erase("threads");
   candidate["config"] = Json(cfg);
   EXPECT_TRUE(compare_bench(baseline, candidate).ok());
-}
-
-TEST(CompareBench, SimdBackendKeyIsNeverStructuralDrift) {
-  // bench_fer stamps config.simd_backend with whichever GF(2^8) kernel
-  // dispatch picked. All backends are byte-identical, so a different
-  // backend, a pre-SIMD baseline without the key, or a scalar-forced
-  // candidate missing it must all compare clean.
-  const Json baseline = fixture_doc();
-  Json candidate = fixture_doc();
-  candidate["config"]["simd_backend"] = "gfni";  // key only in candidate
-  EXPECT_TRUE(compare_bench(baseline, candidate).ok());
-  EXPECT_TRUE(compare_bench(candidate, baseline).ok());  // only in baseline
-
-  Json other = fixture_doc();
-  other["config"]["simd_backend"] = "scalar";  // differing values
-  EXPECT_TRUE(compare_bench(candidate, other).ok());
 }
 
 TEST(CompareBench, StringAndBoolChangesFail) {

@@ -8,7 +8,6 @@
 #include <functional>
 #include <stdexcept>
 
-#include "fec/gf256_simd.hpp"
 #include "fec/reed_solomon.hpp"
 #include "source/trace.hpp"
 
@@ -678,31 +677,43 @@ TEST(PipelineMultiLink, StreamingPathSupportsLinks) {
 }
 
 TEST(MakeSource, ValidatesConfig) {
-  PipelineConfig c;
-  c.run_dram = false;
-  c.links = 0;
-  EXPECT_THROW(make_source(c), std::invalid_argument);
-  c = PipelineConfig{};
-  c.trace_replay = "whatever.txt";  // replay needs channel == "trace"
-  EXPECT_THROW(make_source(c), std::invalid_argument);
-  c = PipelineConfig{};
-  c.channel = "trace";  // trace channel needs a replay file
-  EXPECT_THROW(make_source(c), std::invalid_argument);
-  c = PipelineConfig{};
-  c.channel = "trace";
-  c.trace_replay = ::testing::TempDir() + "does_not_exist.trace";
-  EXPECT_THROW(make_source(c), std::runtime_error);
-  c = PipelineConfig{};
-  c.channel = "none";
-  EXPECT_EQ(make_source(c), nullptr);
-  c.trace_record = "anything.txt";  // nothing to record on a clean channel
-  EXPECT_THROW(make_source(c), std::invalid_argument);
-  c = PipelineConfig{};
-  c.channel = "gilbert-elliott";
-  c.links = 4;
-  const auto src = make_source(c);
-  ASSERT_NE(src, nullptr);
-  EXPECT_STREQ(src->name(), "multi-link");
+  {
+    PipelineConfig c;
+    c.run_dram = false;
+    c.links = 0;
+    EXPECT_THROW(make_source(c), std::invalid_argument);
+  }
+  {
+    PipelineConfig c;
+    c.trace_replay = "whatever.txt";  // replay needs channel == "trace"
+    EXPECT_THROW(make_source(c), std::invalid_argument);
+  }
+  {
+    PipelineConfig c;
+    c.channel = "trace";  // trace channel needs a replay file
+    EXPECT_THROW(make_source(c), std::invalid_argument);
+  }
+  {
+    PipelineConfig c;
+    c.channel = "trace";
+    c.trace_replay = ::testing::TempDir() + "does_not_exist.trace";
+    EXPECT_THROW(make_source(c), std::runtime_error);
+  }
+  {
+    PipelineConfig c;
+    c.channel = "none";
+    EXPECT_EQ(make_source(c), nullptr);
+    c.trace_record = "anything.txt";  // nothing to record on a clean channel
+    EXPECT_THROW(make_source(c), std::invalid_argument);
+  }
+  {
+    PipelineConfig c;
+    c.channel = "gilbert-elliott";
+    c.links = 4;
+    const auto src = make_source(c);
+    ASSERT_NE(src, nullptr);
+    EXPECT_STREQ(src->name(), "multi-link");
+  }
 }
 
 TEST(FerSweep, LinksAxisExpandsAndStaysDeterministic) {
@@ -748,51 +759,6 @@ TEST(MakeChannel, FactoryCoversAllKinds) {
   EXPECT_STREQ(make_channel(c)->name(), "leo-fading");
   c.channel = "bogus";
   EXPECT_THROW(make_channel(c), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// SIMD backend identity
-// ---------------------------------------------------------------------------
-
-TEST(FerSweep, ScalarBackendMatchesDefaultDispatchByteForByte) {
-  // The vectorized codec must never move a single sweep counter: pin the
-  // kernel to the scalar oracle, run a small grid, re-run on whatever
-  // CPUID dispatch picked, and demand equality on every result field but
-  // wall time. (Under TBI_SIMD=scalar both runs are scalar and the test
-  // is a tautology — CI also runs the suite with dispatch enabled.)
-  SweepGrid grid;
-  grid.interleavers = {"two-stage", "block"};
-  grid.channels = {"gilbert-elliott"};
-  grid.rs_ks = {223, 191};
-  FerSweepOptions o;
-  o.sweep.threads = 2;
-  o.sweep.base_seed = 17;
-  o.base.frames = 2;
-  o.base.side = 64;
-  o.base.symbols_per_burst = 16;
-  o.base.run_dram = false;
-
-  fec::gf256_force_backend(fec::GfBackend::Scalar);
-  const auto scalar = run_fer_sweep(grid, o);
-  fec::gf256_reset_backend();
-  const auto dispatched = run_fer_sweep(grid, o);
-
-  ASSERT_EQ(scalar.size(), dispatched.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    const auto& a = scalar[i].result;
-    const auto& b = dispatched[i].result;
-    const std::string label = scalar[i].scenario.label();
-    EXPECT_EQ(a.frames, b.frames) << label;
-    EXPECT_EQ(a.code_words, b.code_words) << label;
-    EXPECT_EQ(a.word_errors, b.word_errors) << label;
-    EXPECT_EQ(a.frame_errors, b.frame_errors) << label;
-    EXPECT_EQ(a.channel_symbol_errors, b.channel_symbol_errors) << label;
-    EXPECT_EQ(a.corrected_symbols, b.corrected_symbols) << label;
-    EXPECT_EQ(a.frame_symbols, b.frame_symbols) << label;
-    EXPECT_EQ(a.channel_symbols, b.channel_symbols) << label;
-    EXPECT_EQ(a.workspace_peak_bytes, b.workspace_peak_bytes) << label;
-    EXPECT_EQ(a.steady_allocations, b.steady_allocations) << label;
-  }
 }
 
 }  // namespace
