@@ -137,7 +137,8 @@ class Channel {
 /// so a checkpoint written under another revision is refused rather than
 /// mixed into a run.
 /// 1: one Bernoulli per symbol. 2: BSC and Gilbert-Elliott draw gaps.
-inline constexpr unsigned kDrawRevision = 2;
+/// 3: LEO draws its power samples by ziggurat, not Marsaglia's polar method.
+inline constexpr unsigned kDrawRevision = 3;
 
 /// Wire position \p gap symbols past \p pos, saturating at Rng::kNever
 /// (the gap of a p = 0 event never ends).

@@ -59,40 +59,21 @@ LeoFadingChannel::LeoFadingChannel(LeoChannelParams params) : params_(params) {
 
 std::uint64_t LeoFadingChannel::advance(std::uint64_t start, std::uint64_t span,
                                         Rng& rng, EventSink sink) {
-  // The walk runs on local copies of the generator, the AR(1) state and
-  // the Gaussian spare (see GilbertElliottChannel::advance): the sink is
-  // an opaque call, and the members would otherwise be stored and
-  // reloaded around it and around every power sample.
+  // The walk runs on local copies of the generator and the AR(1) state
+  // (see GilbertElliottChannel::advance): the sink is an opaque call, and
+  // the members would otherwise be stored and reloaded around it and
+  // around every power sample.
   Rng r = rng;
   double state = state_;
   bool started = started_;
   bool faded = faded_;
   unsigned phase = sample_phase_;
-  bool has_spare = has_spare_;
-  double spare = spare_;
   const double rho = rho_;
   const double sigma = std::sqrt(1.0 - rho * rho);
   const double threshold = threshold_;
   const double error_rate = params_.fade_depth_error_rate;
   const unsigned bits = params_.symbol_bits;
   const unsigned symbols_per_sample = params_.symbols_per_sample;
-  // Marsaglia polar method with spare caching.
-  auto gaussian = [&r, &has_spare, &spare]() {
-    if (has_spare) {
-      has_spare = false;
-      return spare;
-    }
-    double u, v, s;
-    do {
-      u = 2.0 * r.uniform_double() - 1.0;
-      v = 2.0 * r.uniform_double() - 1.0;
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double m = std::sqrt(-2.0 * std::log(s) / s);
-    spare = v * m;
-    has_spare = true;
-    return u * m;
-  };
 
   std::uint64_t corrupted = 0;
   std::uint64_t k = 0;
@@ -102,9 +83,17 @@ std::uint64_t LeoFadingChannel::advance(std::uint64_t start, std::uint64_t span,
       // so the very first sample comes from N(0,1) — not from the
       // zero-variance median, which under-fades the first coherence time
       // of every stream.
-      state = started ? rho * state + sigma * gaussian() : gaussian();
+      state = started ? rho * state + sigma * r.normal() : r.normal();
       started = true;
       faded = state < threshold;
+      // Cross clean windows that end before the span does with nothing
+      // but their power samples: the same draws the outer loop would
+      // make, one window per pass.
+      while (!faded && span - k > symbols_per_sample) {
+        k += symbols_per_sample;
+        state = rho * state + sigma * r.normal();
+        faded = state < threshold;
+      }
     }
     const std::uint64_t take =
         std::min(span - k, static_cast<std::uint64_t>(symbols_per_sample - phase));
@@ -127,8 +116,6 @@ std::uint64_t LeoFadingChannel::advance(std::uint64_t start, std::uint64_t span,
   started_ = started;
   faded_ = faded;
   sample_phase_ = phase;
-  has_spare_ = has_spare;
-  spare_ = spare;
   return corrupted;
 }
 

@@ -63,8 +63,6 @@ class LeoFadingChannel final : public Channel {
   /// the identical corruption pattern (the streaming pipeline relies on
   /// this).
   unsigned sample_phase_ = 0;
-  bool has_spare_ = false;
-  double spare_ = 0.0;
 };
 
 }  // namespace tbi::channel

@@ -18,6 +18,37 @@ constexpr std::uint64_t round_up(std::uint64_t a, std::uint64_t b) {
   return div_ceil(a, b) * b;
 }
 
+/// A divisor fixed at construction: n / d and n % d without a division
+/// instruction, exact for every 64-bit n (Granlund & Montgomery, "Division
+/// by Invariant Integers using Multiplication", PLDI 1994, Fig. 4.1). With
+/// l = ceil(log2 d) and m = floor(2^64 (2^l - d) / d) + 1, which is below
+/// 2^64, the quotient is (t + ((n - t) >> min(l, 1))) >> max(l - 1, 0) for
+/// t = high 64 bits of m * n. One multiply, and d = 1 and the powers of
+/// two take the same path (m = 1, t = 0).
+class Divisor {
+ public:
+  /// Throws std::invalid_argument for \p d == 0.
+  explicit Divisor(std::uint64_t d);
+
+  std::uint64_t value() const { return d_; }
+
+  friend std::uint64_t operator/(std::uint64_t n, const Divisor& d) {
+    const auto t = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(d.magic_) * n) >> 64);
+    return (t + ((n - t) >> d.shift1_)) >> d.shift2_;
+  }
+
+  friend std::uint64_t operator%(std::uint64_t n, const Divisor& d) {
+    return n - (n / d) * d.d_;
+  }
+
+ private:
+  std::uint64_t d_;
+  std::uint64_t magic_;
+  unsigned shift1_;
+  unsigned shift2_;
+};
+
 /// n-th triangular number: number of elements of an upper-left triangular
 /// array of side n (row i holds n - i elements, i = 0..n-1).
 constexpr std::uint64_t triangular_number(std::uint64_t n) { return n * (n + 1) / 2; }

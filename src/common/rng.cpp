@@ -1,6 +1,7 @@
 #include "common/rng.hpp"
 
 #include <cassert>
+#include <numbers>
 
 namespace tbi {
 namespace {
@@ -14,6 +15,27 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 }
 
 }  // namespace
+
+namespace detail {
+
+NormalZiggurat::NormalZiggurat() {
+  const auto f_of = [](double z) { return std::exp(-0.5 * z * z); };
+  constexpr double r = kTailStart;
+  // The common layer area: the base box [0, r) x [0, f(r)) plus the tail,
+  // integral of f from r to infinity = sqrt(pi / 2) erfc(r / sqrt(2)).
+  const double v = r * f_of(r) + std::sqrt(std::numbers::pi / 2) *
+                                     std::erfc(r / std::numbers::sqrt2);
+  x[0] = v / f_of(r);
+  x[1] = r;
+  // Each layer of area v: x[i] (f(x[i + 1]) - f(x[i])) = v. r is the root
+  // that makes the last of these reach f = 1 at x[256] = 0.
+  for (int i = 1; i < 255; ++i) x[i + 1] = std::sqrt(-2.0 * std::log(v / x[i] + f_of(x[i])));
+  x[256] = 0.0;
+  for (int i = 0; i <= 256; ++i) f[i] = f_of(x[i]);
+  for (int i = 0; i < 256; ++i) inner[i] = x[i + 1] / x[i];
+}
+
+}  // namespace detail
 
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t x = seed;

@@ -13,6 +13,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/mathutil.hpp"
+
 namespace tbi::interleaver {
 
 class BlockInterleaver {
@@ -20,9 +22,9 @@ class BlockInterleaver {
   /// \p rows x \p cols storage array; capacity() symbols per block.
   BlockInterleaver(std::uint64_t rows, std::uint64_t cols);
 
-  std::uint64_t rows() const { return rows_; }
-  std::uint64_t cols() const { return cols_; }
-  std::uint64_t capacity() const { return rows_ * cols_; }
+  std::uint64_t rows() const { return rows_.value(); }
+  std::uint64_t cols() const { return cols_.value(); }
+  std::uint64_t capacity() const { return rows() * cols(); }
 
   /// Output position of input symbol \p k (row-major in, column-major out).
   std::uint64_t permute(std::uint64_t k) const;
@@ -41,8 +43,9 @@ class BlockInterleaver {
                          std::span<std::uint8_t> out) const;
 
  private:
-  std::uint64_t rows_;
-  std::uint64_t cols_;
+  /// Both dimensions divide every permute() and inverse() argument.
+  Divisor rows_;
+  Divisor cols_;
 };
 
 }  // namespace tbi::interleaver

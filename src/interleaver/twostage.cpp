@@ -7,48 +7,44 @@ namespace tbi::interleaver {
 TwoStageInterleaver::TwoStageInterleaver(std::uint64_t side_bursts,
                                          std::uint64_t symbols_per_burst)
     : stage2_(side_bursts),
+      // Rejects symbols_per_burst == 0 before anything divides by it.
       stage1_(symbols_per_burst, symbols_per_burst),
-      spb_(symbols_per_burst) {
-  if (symbols_per_burst == 0) {
-    throw std::invalid_argument("TwoStageInterleaver: symbols_per_burst must be > 0");
-  }
-}
+      spb_(symbols_per_burst),
+      super_block_symbols_(symbols_per_burst * symbols_per_burst),
+      full_super_blocks_(stage2_.capacity() / symbols_per_burst),
+      capacity_symbols_(stage2_.capacity() * symbols_per_burst) {}
 
 std::uint64_t TwoStageInterleaver::permute(std::uint64_t k) const {
-  if (k >= capacity_symbols()) throw std::out_of_range("TwoStageInterleaver::permute");
-  const std::uint64_t sb_symbols = spb_ * spb_;
-  const std::uint64_t full_super_blocks = capacity_bursts() / spb_;
-  const std::uint64_t sb = k / sb_symbols;
+  if (k >= capacity_symbols_) throw std::out_of_range("TwoStageInterleaver::permute");
+  const std::uint64_t sb = k / super_block_symbols_;
 
   // Stage 1: transpose within the super-block so each burst collects one
   // symbol of every code-word chunk. The (rare) partial tail keeps its
   // natural order (frames are sized to full super-blocks in practice).
   std::uint64_t m = k;
-  if (sb < full_super_blocks) {
-    m = sb * sb_symbols + stage1_.permute(k % sb_symbols);
+  if (sb < full_super_blocks_) {
+    m = sb * super_block_symbols_.value() + stage1_.permute(k % super_block_symbols_);
   }
 
   // Stage 2: triangular permutation of whole bursts.
   const std::uint64_t burst = m / spb_;
   const std::uint64_t offset = m % spb_;
-  return stage2_.permute(burst) * spb_ + offset;
+  return stage2_.permute(burst) * spb_.value() + offset;
 }
 
 std::uint64_t TwoStageInterleaver::inverse(std::uint64_t q) const {
-  if (q >= capacity_symbols()) throw std::out_of_range("TwoStageInterleaver::inverse");
-  const std::uint64_t sb_symbols = spb_ * spb_;
-  const std::uint64_t full_super_blocks = capacity_bursts() / spb_;
+  if (q >= capacity_symbols_) throw std::out_of_range("TwoStageInterleaver::inverse");
 
   // Undo stage 2 first: the triangular permutation of whole bursts is an
   // involution, so applying it again recovers the intermediate burst.
   const std::uint64_t burst = stage2_.permute(q / spb_);
-  const std::uint64_t m = burst * spb_ + q % spb_;
+  const std::uint64_t m = burst * spb_.value() + q % spb_;
 
   // Undo stage 1: the square transpose inside a full super-block (the
   // partial tail was passed through unpermuted).
-  const std::uint64_t sb = m / sb_symbols;
-  if (sb < full_super_blocks) {
-    return sb * sb_symbols + stage1_.inverse(m % sb_symbols);
+  const std::uint64_t sb = m / super_block_symbols_;
+  if (sb < full_super_blocks_) {
+    return sb * super_block_symbols_.value() + stage1_.inverse(m % super_block_symbols_);
   }
   return m;
 }

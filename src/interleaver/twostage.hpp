@@ -28,9 +28,9 @@ class TwoStageInterleaver {
   TwoStageInterleaver(std::uint64_t side_bursts, std::uint64_t symbols_per_burst);
 
   std::uint64_t side_bursts() const { return stage2_.side(); }
-  std::uint64_t symbols_per_burst() const { return spb_; }
+  std::uint64_t symbols_per_burst() const { return spb_.value(); }
   std::uint64_t capacity_bursts() const { return stage2_.capacity(); }
-  std::uint64_t capacity_symbols() const { return stage2_.capacity() * spb_; }
+  std::uint64_t capacity_symbols() const { return capacity_symbols_; }
 
   /// End-to-end output position of input symbol \p k.
   std::uint64_t permute(std::uint64_t k) const;
@@ -38,8 +38,9 @@ class TwoStageInterleaver {
   /// Inverse of permute(): input position of output symbol \p q. Both
   /// stages are involutions (square transpose, triangular permutation),
   /// but their composition is not, so the inverse applies them in reverse
-  /// order. O(1), so a streaming consumer can map sparse channel events
-  /// back to code-word positions without materializing the frame.
+  /// order. O(1) with no division instruction, so a streaming consumer
+  /// can map sparse channel events back to code-word positions without
+  /// materializing the frame.
   std::uint64_t inverse(std::uint64_t q) const;
 
   std::vector<std::uint8_t> interleave(const std::vector<std::uint8_t>& in) const;
@@ -53,7 +54,10 @@ class TwoStageInterleaver {
  private:
   TriangularInterleaver stage2_;
   BlockInterleaver stage1_;  ///< spb x spb block per super-block
-  std::uint64_t spb_;
+  Divisor spb_;
+  Divisor super_block_symbols_;  ///< spb^2
+  std::uint64_t full_super_blocks_;
+  std::uint64_t capacity_symbols_;
 };
 
 }  // namespace tbi::interleaver

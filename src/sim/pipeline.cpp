@@ -109,7 +109,7 @@ class WordLayout {
  private:
   bool rows_;
   std::uint64_t side_;
-  std::uint64_t n_;
+  Divisor n_;
   std::uint64_t words_;
 };
 

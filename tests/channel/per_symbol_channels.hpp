@@ -1,14 +1,19 @@
 /// \file per_symbol_channels.hpp
-/// Test-only oracles for the gap-sampled channels: the BSC and
+/// Test-only oracles for the production channels' samplers: the BSC and
 /// Gilbert-Elliott walks that draw one Bernoulli per wire symbol (the
-/// chain's transition plus the error draw, for Gilbert-Elliott). They
-/// define the models the production channels sample: the same
-/// distribution of events from different draws, which the distribution
-/// tests check over many seeds.
+/// chain's transition plus the error draw, for Gilbert-Elliott), and the
+/// LEO walk that draws its power samples by Marsaglia's polar method
+/// instead of the ziggurat. They define the models the production
+/// channels sample: the same distribution of events from different draws,
+/// which the distribution tests check over many seeds.
 #pragma once
+
+#include <algorithm>
+#include <cmath>
 
 #include "channel/channel.hpp"
 #include "channel/gilbert_elliott.hpp"
+#include "channel/leo.hpp"
 
 namespace tbi::channel {
 
@@ -71,6 +76,75 @@ class PerSymbolGilbertElliottChannel final : public Channel {
  private:
   GilbertElliottParams params_;
   bool bad_ = false;
+};
+
+/// LeoFadingChannel's walk (draw revision 2) with polar-method Gaussians,
+/// two per accepted pair, the second kept as a spare for the next sample.
+class PolarLeoChannel final : public Channel {
+ public:
+  explicit PolarLeoChannel(LeoChannelParams params) : params_(params) {
+    const LeoFadingChannel model(params);
+    rho_ = model.rho();
+    threshold_ = model.threshold();
+  }
+
+  const char* name() const override { return "leo-fading-polar"; }
+
+ protected:
+  std::uint64_t advance(std::uint64_t start, std::uint64_t span, Rng& rng,
+                        EventSink sink) override {
+    const double sigma = std::sqrt(1.0 - rho_ * rho_);
+    auto gaussian = [this, &rng]() {
+      if (has_spare_) {
+        has_spare_ = false;
+        return spare_;
+      }
+      double u, v, s;
+      do {
+        u = 2.0 * rng.uniform_double() - 1.0;
+        v = 2.0 * rng.uniform_double() - 1.0;
+        s = u * u + v * v;
+      } while (s >= 1.0 || s == 0.0);
+      const double m = std::sqrt(-2.0 * std::log(s) / s);
+      spare_ = v * m;
+      has_spare_ = true;
+      return u * m;
+    };
+    std::uint64_t corrupted = 0;
+    std::uint64_t k = 0;
+    while (k < span) {
+      if (phase_ == 0) {
+        state_ = started_ ? rho_ * state_ + sigma * gaussian() : gaussian();
+        started_ = true;
+        faded_ = state_ < threshold_;
+      }
+      const std::uint64_t take = std::min<std::uint64_t>(
+          span - k, params_.symbols_per_sample - phase_);
+      if (faded_) {
+        for (std::uint64_t i = k; i < k + take; ++i) {
+          if (rng.bernoulli(params_.fade_depth_error_rate)) {
+            sink({start + i, corrupt_flip(params_.symbol_bits, rng)});
+            ++corrupted;
+          }
+        }
+      }
+      phase_ += static_cast<unsigned>(take);
+      if (phase_ == params_.symbols_per_sample) phase_ = 0;
+      k += take;
+    }
+    return corrupted;
+  }
+
+ private:
+  LeoChannelParams params_;
+  double rho_;
+  double threshold_;
+  double state_ = 0.0;
+  bool started_ = false;
+  bool faded_ = false;
+  unsigned phase_ = 0;
+  bool has_spare_ = false;
+  double spare_ = 0.0;
 };
 
 }  // namespace tbi::channel

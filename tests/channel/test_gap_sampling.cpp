@@ -1,11 +1,13 @@
-/// Distribution gate for the gap-sampled channels. The BSC and
+/// Distribution gate for the channels' samplers. The BSC and
 /// Gilbert-Elliott models draw the distance to their next event instead
-/// of one Bernoulli per symbol, so they emit different events than the
-/// per-symbol walks in per_symbol_channels.hpp for the same seed. These
-/// tests check, over many seeds, that both draw the same distribution:
-/// error gaps and counts (BSC), good sojourns, fade lengths, mean burst
-/// length and duty cycle (Gilbert-Elliott), and the FER pipeline's word
-/// and frame errors on a small grid.
+/// of one Bernoulli per symbol, and LEO draws its power samples by
+/// ziggurat instead of Marsaglia's polar method, so they emit different
+/// events than the oracles in per_symbol_channels.hpp for the same seed.
+/// These tests check, over many seeds, that both draw the same
+/// distribution: error gaps and counts (BSC), good sojourns, fade
+/// lengths, mean burst length and duty cycle (Gilbert-Elliott), fade
+/// lengths and duty cycle (LEO), and the FER pipeline's word and frame
+/// errors on a small grid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +22,7 @@
 
 #include "channel/bsc.hpp"
 #include "channel/gilbert_elliott.hpp"
+#include "channel/leo.hpp"
 #include "per_symbol_channels.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/sweep.hpp"
@@ -267,11 +270,74 @@ TEST(GapSampling, NoisyGilbertElliottErrorGapsMatchPerSymbolOracle) {
   EXPECT_LT(seed_z(errors[0], errors[1]), kMaxZ);
 }
 
+TEST(GapSampling, LeoFadesAndDutyMatchPolarOracle) {
+  // fade_depth_error_rate = 1 corrupts every faded symbol, so the fades
+  // are the error runs: whole power-sample windows, counted here in
+  // samples. A run cut by the stream end has no known length.
+  struct Case {
+    double fade_probability;
+    double samples_per_coherence;
+    unsigned symbols_per_sample;
+    std::uint64_t symbols;
+  };
+  // Short fades at a 5% duty cycle, and the bench's geometry (0.4% duty,
+  // 18-symbol windows, a 300-symbol coherence), where the fade threshold
+  // sits 2.65 standard deviations down.
+  for (const Case c : {Case{0.05, 10, 8, 400'000}, Case{0.004, 300.0 / 18, 18, 1'200'000}}) {
+    LeoChannelParams params;
+    params.symbol_rate_hz = 1.0;
+    params.coherence_time_s = c.samples_per_coherence * c.symbols_per_sample;
+    params.fade_probability = c.fade_probability;
+    params.fade_depth_error_rate = 1.0;
+    params.symbol_bits = 8;
+    params.symbols_per_sample = c.symbols_per_sample;
+    const Factory ziggurat = [params] { return std::make_unique<LeoFadingChannel>(params); };
+    const Factory oracle = [params] { return std::make_unique<PolarLeoChannel>(params); };
+    std::vector<std::uint64_t> fades[2];
+    std::vector<double> duty[2], fade_length[2];
+    for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+      for (int o = 0; o < 2; ++o) {
+        const auto pos = error_positions(o ? oracle : ziggurat, c.symbols, seed);
+        std::uint64_t fade_samples = 0, fades_seen = 0;
+        for (std::size_t i = 0; i < pos.size();) {
+          std::size_t j = i;
+          while (j + 1 < pos.size() && pos[j + 1] == pos[j] + 1) ++j;
+          if (pos[j] + 1 < c.symbols) {
+            const std::uint64_t samples = (pos[j] - pos[i] + 1) / c.symbols_per_sample;
+            fades[o].push_back(samples);
+            fade_samples += samples;
+            ++fades_seen;
+          }
+          i = j + 1;
+        }
+        duty[o].push_back(static_cast<double>(pos.size()) / static_cast<double>(c.symbols));
+        fade_length[o].push_back(static_cast<double>(fade_samples) /
+                                 static_cast<double>(std::max<std::uint64_t>(fades_seen, 1)));
+      }
+    }
+    ASSERT_GT(fades[1].size(), 500u) << c.fade_probability;
+    const auto edges = quantile_edges(fades[1], 16);
+    Histogram hist_ziggurat(edges), hist_oracle(edges);
+    for (const std::uint64_t f : fades[0]) hist_ziggurat.add(f);
+    for (const std::uint64_t f : fades[1]) hist_oracle.add(f);
+    EXPECT_LT(two_sample_chi2(hist_ziggurat, hist_oracle),
+              chi2_bound(hist_ziggurat.counts.size()))
+        << c.fade_probability;
+    EXPECT_LT(seed_z(duty[0], duty[1]), kMaxZ) << c.fade_probability;
+    EXPECT_LT(seed_z(fade_length[0], fade_length[1]), kMaxZ) << c.fade_probability;
+    // And both sit on the model's stationary duty cycle.
+    for (int o = 0; o < 2; ++o) {
+      const double se = std::sqrt(variance(duty[o]) / 48.0);
+      EXPECT_NEAR(mean(duty[o]), c.fade_probability, 6.0 * se) << c.fade_probability;
+    }
+  }
+}
+
 TEST(GapSampling, PipelineWordAndFrameErrorsMatchPerSymbolOracle) {
   // The FER pipeline on a small grid: the production channels against the
-  // per-symbol oracles, whose events reach the same pipeline as a
-  // recorded burst trace. Word and frame error counts must agree inside
-  // their binomial intervals (widened by the per-seed spread).
+  // oracles, whose events reach the same pipeline as a recorded burst
+  // trace. Word and frame error counts must agree inside their binomial
+  // intervals (widened by the per-seed spread).
   sim::PipelineConfig c;
   c.rs_k = 223;
   c.frames = 10;
@@ -279,17 +345,32 @@ TEST(GapSampling, PipelineWordAndFrameErrorsMatchPerSymbolOracle) {
   c.error_probability = 0.05;  // a few percent of full rows fail at t = 16
   const std::uint64_t wire = 10 * 32'640;  // frames x T(255)
   const std::string trace = ::testing::TempDir() + "gap_sampling_oracle.trace";
-  for (const std::string channel : {"bsc", "gilbert-elliott"}) {
-    const Factory oracle = [c, channel]() -> std::unique_ptr<Channel> {
-      if (channel == "bsc") {
-        return std::make_unique<PerSymbolSymmetricChannel>(c.error_probability, 8);
+  for (const std::string channel : {"bsc", "gilbert-elliott", "leo"}) {
+    sim::PipelineConfig base = c;
+    base.channel = channel;
+    if (channel == "leo") {
+      // LEO's AR(1) fades ramp in and out, so at Gilbert-Elliott's fade
+      // profile the triangular cell loses no word. Longer, more frequent
+      // fades make both cells lose some, and neither lose every frame.
+      base.mean_burst_symbols = 2000;
+      base.fade_fraction = 0.05;
+    }
+    const Factory oracle = [base]() -> std::unique_ptr<Channel> {
+      if (base.channel == "bsc") {
+        return std::make_unique<PerSymbolSymmetricChannel>(base.error_probability, 8);
+      }
+      if (base.channel == "leo") {
+        const auto model = sim::make_channel(base);
+        return std::make_unique<PolarLeoChannel>(
+            static_cast<const LeoFadingChannel&>(*model).params());
       }
       return std::make_unique<PerSymbolGilbertElliottChannel>(
-          GilbertElliottParams::from_burst_profile(c.mean_burst_symbols, c.fade_fraction,
-                                                   c.error_rate_bad, 8));
+          GilbertElliottParams::from_burst_profile(base.mean_burst_symbols,
+                                                   base.fade_fraction,
+                                                   base.error_rate_bad, 8));
     };
-    // Per interleaver: word and frame errors per seed, gap-sampled [0]
-    // and per-symbol [1].
+    // Per interleaver: word and frame errors per seed, production [0]
+    // and oracle [1].
     const std::vector<std::string> interleavers = {"none", "triangular"};
     std::vector<std::vector<double>> words[2], frames[2];
     for (int o = 0; o < 2; ++o) {
@@ -304,20 +385,19 @@ TEST(GapSampling, PipelineWordAndFrameErrorsMatchPerSymbolOracle) {
         src.events(0, wire, [&writer](const Corruption& e) { writer.record(e); });
       }
       for (std::size_t i = 0; i < interleavers.size(); ++i) {
-        sim::PipelineConfig live = c;
-        live.channel = channel;
+        sim::PipelineConfig live = base;
         live.interleaver = interleavers[i];
         live.seed = seed;
         sim::PipelineConfig replay = live;
         replay.channel = "trace";
         replay.trace_replay = trace;
-        const auto gap = sim::run_pipeline(live);
-        const auto per_symbol = sim::run_pipeline(replay);
-        ASSERT_EQ(gap.channel_symbols, wire);
-        words[0][i].push_back(static_cast<double>(gap.word_errors));
-        words[1][i].push_back(static_cast<double>(per_symbol.word_errors));
-        frames[0][i].push_back(static_cast<double>(gap.frame_errors));
-        frames[1][i].push_back(static_cast<double>(per_symbol.frame_errors));
+        const auto production = sim::run_pipeline(live);
+        const auto replayed = sim::run_pipeline(replay);
+        ASSERT_EQ(production.channel_symbols, wire);
+        words[0][i].push_back(static_cast<double>(production.word_errors));
+        words[1][i].push_back(static_cast<double>(replayed.word_errors));
+        frames[0][i].push_back(static_cast<double>(production.frame_errors));
+        frames[1][i].push_back(static_cast<double>(replayed.frame_errors));
       }
     }
     for (std::size_t i = 0; i < interleavers.size(); ++i) {

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
+
+#include "channel/leo.hpp"
 
 namespace tbi {
 namespace {
+
+/// Standard normal CDF.
+double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
 TEST(Rng, DeterministicForSeed) {
   Rng a(42), b(42);
@@ -115,6 +122,60 @@ TEST(Rng, GeometricMatchesItsDistributionAcrossScales) {
                 6.0 * std::sqrt(p * (1.0 - p) / kTrials) + 1e-9)
         << p;
   }
+}
+
+TEST(Rng, NormalFillsEqualProbabilityBinsEvenly) {
+  // Pearson's chi-square over 128 bins of equal probability under N(0, 1):
+  // draw z lands in bin floor(128 Phi(z)).
+  constexpr int kBins = 128;
+  constexpr int kDraws = 1 << 21;
+  Rng rng(29);
+  std::vector<double> counts(kBins, 0.0);
+  for (int i = 0; i < kDraws; ++i) {
+    const double p = normal_cdf(rng.normal());
+    counts[std::min(kBins - 1, static_cast<int>(p * kBins))] += 1;
+  }
+  const double expected = static_cast<double>(kDraws) / kBins;
+  double chi2 = 0;
+  for (const double c : counts) chi2 += (c - expected) * (c - expected) / expected;
+  // df = 127: its mean plus six standard deviations.
+  const double df = kBins - 1;
+  EXPECT_LT(chi2, df + 6.0 * std::sqrt(2.0 * df));
+}
+
+TEST(Rng, NormalMomentsFadeThresholdAndTail) {
+  // Mean, variance and four tail probabilities, each within six standard
+  // errors: below the LEO fade threshold at the bench's 0.4% fade
+  // fraction, past the ziggurat's tail start r on either side (the base
+  // layer's tail path and its sign), and past r + 1/2 (the tail's shape).
+  constexpr int kDraws = 1 << 22;
+  channel::LeoChannelParams leo;
+  leo.fade_probability = 0.004;
+  const double threshold = channel::LeoFadingChannel(leo).threshold();
+  constexpr double r = detail::NormalZiggurat::kTailStart;
+  Rng rng(31);
+  double sum = 0, sum_sq = 0;
+  int faded = 0, above_r = 0, below_minus_r = 0, past_r_half = 0;
+  for (int i = 0; i < kDraws; ++i) {
+    const double z = rng.normal();
+    sum += z;
+    sum_sq += z * z;
+    faded += z < threshold;
+    above_r += z > r;
+    below_minus_r += z < -r;
+    past_r_half += std::abs(z) > r + 0.5;
+  }
+  const double n = kDraws;
+  const double mean = sum / n;
+  EXPECT_NEAR(mean, 0.0, 6.0 / std::sqrt(n));
+  EXPECT_NEAR(sum_sq / n - mean * mean, 1.0, 6.0 * std::sqrt(2.0 / n));
+  for (const auto& [count, p] : {std::pair{faded, normal_cdf(threshold)},
+                                 std::pair{above_r, normal_cdf(-r)},
+                                 std::pair{below_minus_r, normal_cdf(-r)},
+                                 std::pair{past_r_half, 2.0 * normal_cdf(-r - 0.5)}}) {
+    EXPECT_NEAR(count / n, p, 6.0 * std::sqrt(p * (1.0 - p) / n)) << p;
+  }
+  EXPECT_NEAR(normal_cdf(threshold), 0.004, 1e-6);
 }
 
 }  // namespace

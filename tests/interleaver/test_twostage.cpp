@@ -5,6 +5,8 @@
 #include <numeric>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -127,11 +129,16 @@ TEST(TwoStage, RandomizedPermuteMatchesMaterializedComposition) {
   // spb x spb SRAM transpose applied per full super-block, then the
   // triangular permutation of whole bursts. Both component interleavers
   // are independently tested, so this pins the composition order and the
-  // partial-tail pass-through.
+  // partial-tail pass-through. spb is drawn from 2..13; spb 1 (no stage 1)
+  // and the paper's 170 three-bit symbols per 512-bit burst are fixed
+  // extra geometries.
   Rng rng(0xC0FFEE);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> geometries = {{40, 1}, {60, 170}};
   for (int iter = 0; iter < 6; ++iter) {
     const std::uint64_t side = 16 + rng.uniform(100);
-    const std::uint64_t spb = 2 + rng.uniform(12);
+    geometries.push_back({side, 2 + rng.uniform(12)});
+  }
+  for (const auto& [side, spb] : geometries) {
     const TwoStageInterleaver t(side, spb);
     const BlockInterleaver stage1(spb, spb);
     const TriangularInterleaver stage2(side);
