@@ -41,6 +41,7 @@
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "dram/standards.hpp"
+#include "perf/bench_compare.hpp"
 #include "perf/counters.hpp"
 #include "sim/dsweep.hpp"
 #include "sim/manifest.hpp"
@@ -158,7 +159,7 @@ int main(int argc, char** argv) {
   }
   dist.cancel = &g_cancel;
   if (cli.has("progress")) {
-    dist.progress = [](const tbi::sim::SweepProgress& p) {
+    options.sweep.progress = [](const tbi::sim::SweepProgress& p) {
       std::fprintf(stderr, "\r%llu/%llu scenarios",
                    static_cast<unsigned long long>(p.completed),
                    static_cast<unsigned long long>(p.total));
@@ -169,7 +170,7 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
 
-  tbi::sim::FerDistResult sweep;
+  tbi::sim::DsweepResult sweep;
   const auto wall_start = std::chrono::steady_clock::now();
   try {
     if (cli.has("merge-shards")) {
@@ -230,47 +231,13 @@ int main(int argc, char** argv) {
     if (interrupted) {
       doc["interrupted"] = true;  // partial document: completed cells only
     }
+    // Records are the journal's rows; --stable-json drops their host
+    // timing, the keys bench_compare only band-checks.
     tbi::Json::Array rows;
-    for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
+    for (std::size_t i = 0; i < sweep.records.size(); ++i) {
       if (!sweep.done[i]) continue;
-      const auto& r = sweep.cells[i];
-      tbi::Json row;
-      row["interleaver"] = r.scenario.interleaver;
-      row["channel"] = r.scenario.channel;
-      row["rs_k"] = static_cast<std::uint64_t>(r.scenario.rs_k);
-      if (r.scenario.links != 0) {
-        row["links"] = static_cast<std::uint64_t>(r.scenario.links);
-      }
-      row["frame_symbols"] = r.result.frame_symbols;
-      row["code_words"] = r.result.code_words;
-      row["word_errors"] = r.result.word_errors;
-      row["frame_errors"] = r.result.frame_errors;
-      row["channel_symbol_errors"] = r.result.channel_symbol_errors;
-      row["corrected_symbols"] = r.result.corrected_symbols;
-      row["wer"] = r.result.word_error_rate();
-      row["fer"] = r.result.frame_error_rate();
-      // Perf counters (src/perf/counters.hpp): exact fields pin the
-      // zero-allocation hot-path invariant, *_ns / *_per_second fields are
-      // host timing and only band-checked by bench_compare.
-      row["workspace_peak_bytes"] = r.result.workspace_peak_bytes;
-      row["steady_allocations"] = r.result.steady_allocations;
-      row["steady_frames"] = r.result.steady_frames;
-      row["allocations_per_frame"] = r.result.allocations_per_frame();
-      if (!stable) {
-        row["host_ns"] = r.result.host_ns;
-      }
-      row["channel_symbols"] = r.result.channel_symbols;
-      if (!stable) {
-        row["channel_symbols_per_second"] = r.result.channel_symbols_per_second();
-      }
-      if (r.result.dram_ran) {
-        row["dram_throughput_gbps"] = r.result.dram_throughput_gbps;
-        row["dram_bursts"] = r.dram_bursts;
-        if (!stable) {
-          row["dram_sched_ns_per_pick"] = r.dram_sched_ns_per_pick;
-        }
-      }
-      rows.push_back(row);
+      rows.push_back(stable ? tbi::perf::without_host_timing(sweep.records[i])
+                            : sweep.records[i]);
     }
     doc["records"] = rows;
     if (!stable) {
@@ -294,20 +261,21 @@ int main(int argc, char** argv) {
                    std::to_string(options.base.frames) + " frames per scenario)");
   t.set_header({"Interleaver", "Channel", "Code", "Word Errors", "WER", "FER",
                 "DRAM Gbit/s"});
-  for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
+  for (std::size_t i = 0; i < sweep.records.size(); ++i) {
     if (!sweep.done[i]) continue;
-    const auto& r = sweep.cells[i];
+    const tbi::Json& r = sweep.records[i];
     char code[24], wer[24], fer[24], gbps[24];
-    std::snprintf(code, sizeof code, "RS(255,%u)", r.scenario.rs_k);
-    std::snprintf(wer, sizeof wer, "%.5f", r.result.word_error_rate());
-    std::snprintf(fer, sizeof fer, "%.3f", r.result.frame_error_rate());
-    if (r.result.dram_ran) {
-      std::snprintf(gbps, sizeof gbps, "%.1f", r.result.dram_throughput_gbps);
+    std::snprintf(code, sizeof code, "RS(255,%lld)",
+                  static_cast<long long>(r.at("rs_k").as_int()));
+    std::snprintf(wer, sizeof wer, "%.5f", r.at("wer").as_double());
+    std::snprintf(fer, sizeof fer, "%.3f", r.at("fer").as_double());
+    if (r.contains("dram_throughput_gbps")) {
+      std::snprintf(gbps, sizeof gbps, "%.1f", r.at("dram_throughput_gbps").as_double());
     } else {
       std::snprintf(gbps, sizeof gbps, "-");
     }
-    t.add_row({r.scenario.interleaver, r.scenario.channel, code,
-               std::to_string(r.result.word_errors), wer, fer, gbps});
+    t.add_row({r.at("interleaver").as_string(), r.at("channel").as_string(), code,
+               std::to_string(r.at("word_errors").as_int()), wer, fer, gbps});
   }
   std::fputs(cli.has("markdown") ? t.render_markdown().c_str() : t.render().c_str(),
              stdout);
@@ -315,7 +283,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "interrupted: %llu/%llu scenarios completed (checkpointed%s)\n",
                  static_cast<unsigned long long>(completed),
-                 static_cast<unsigned long long>(sweep.cells.size()),
+                 static_cast<unsigned long long>(sweep.records.size()),
                  cli.has("json") ? "; rerun with --resume to finish" : "");
     return 130;
   }

@@ -33,11 +33,19 @@
 ///   }
 /// }
 ///
+/// Each FER result row is bench_fer's `--stable-json` row plus the
+/// cell's `scenario` label. Every count in a config (frames, seeds, axis
+/// entries, ...) must be a non-negative integer that fits its field; any
+/// other value, like every other failure, prints an `error:` line and
+/// exits 1.
+///
 /// Usage: experiment_runner --config FILE [--output FILE] [--resume]
 ///        experiment_runner --print-default-config
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -45,6 +53,7 @@
 #include "common/json.hpp"
 #include "dram/standards.hpp"
 #include "interleaver/streams.hpp"
+#include "perf/bench_compare.hpp"
 #include "sim/dsweep.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/runner.hpp"
@@ -67,13 +76,46 @@ volatile std::sig_atomic_t g_cancel = 0;
 
 void handle_signal(int) { g_cancel = 1; }
 
-/// One run of a bandwidth batch: deterministic DRAM phases only. \p job
-/// mirrors the config file: {"symbols", "max_bursts", "queue_depth",
-/// "runs": [...]}; \p index selects the run.
-tbi::Json bandwidth_run(const tbi::Json& job, std::uint64_t index) {
-  const tbi::Json& run_cfg = job.at("runs").as_array()[static_cast<std::size_t>(index)];
-  const auto symbols = static_cast<std::uint64_t>(job.get_or("symbols", 12'500'000.0));
+/// \p value of config key \p key as a count of type T, at least \p min.
+/// A non-number, or a negative, fractional, non-finite or too large
+/// value, throws std::invalid_argument naming the key; an unchecked cast
+/// would turn "frames": -1 into 4,294,967,295 frames.
+template <typename T>
+T to_count(const tbi::Json& value, const std::string& key, T min) {
+  // For an unsigned T the counts are exactly [0, 2^digits), a bound a
+  // double holds without rounding.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double v = value.is_number() ? value.as_double() : std::nan("");
+  if (!(v >= static_cast<double>(min) && v < limit && v == std::floor(v))) {
+    throw std::invalid_argument(key + " must be an integer in [" + std::to_string(min) +
+                                ", " + std::to_string(std::numeric_limits<T>::max()) +
+                                "]");
+  }
+  return static_cast<T>(v);
+}
 
+/// Count \p key of config object \p obj; \p fallback when absent.
+template <typename T>
+T read_count(const tbi::Json& obj, const char* key, T fallback, T min = 0) {
+  return obj.contains(key) ? to_count<T>(obj.at(key), key, min) : fallback;
+}
+
+/// Array \p key of \p obj, every entry a count; \p fallback when absent.
+template <typename T>
+std::vector<T> read_counts(const tbi::Json& obj, const char* key,
+                           std::vector<T> fallback) {
+  if (!obj.contains(key)) return fallback;
+  std::vector<T> out;
+  for (const auto& v : obj.at(key).as_array()) {
+    out.push_back(
+        to_count<T>(v, std::string(key) + "[" + std::to_string(out.size()) + "]", 0));
+  }
+  return out;
+}
+
+/// One run of a bandwidth batch: deterministic DRAM phases only.
+tbi::Json bandwidth_run(const tbi::Json& run_cfg, std::uint64_t symbols,
+                        std::uint64_t max_bursts, unsigned queue_depth) {
   const std::string device_name = run_cfg.at("device").as_string();
   const auto* device = tbi::dram::find_config(device_name);
   if (device == nullptr) {
@@ -83,8 +125,8 @@ tbi::Json bandwidth_run(const tbi::Json& job, std::uint64_t index) {
   rc.device = *device;
   rc.mapping_spec = run_cfg.get_or("mapping", std::string("optimized"));
   rc.side = tbi::interleaver::burst_triangle_side(symbols, 3, device->burst_bytes);
-  rc.max_bursts_per_phase = static_cast<std::uint64_t>(job.get_or("max_bursts", 0.0));
-  rc.controller.queue_depth = static_cast<unsigned>(job.get_or("queue_depth", 64.0));
+  rc.max_bursts_per_phase = max_bursts;
+  rc.controller.queue_depth = queue_depth;
   if (run_cfg.get_or("refresh", std::string("default")) == "disabled") {
     rc.controller.use_device_default_refresh = false;
     rc.controller.refresh_mode = tbi::dram::RefreshMode::Disabled;
@@ -133,63 +175,34 @@ tbi::Json run_fer_experiment(const tbi::Json& fer, const tbi::sim::DsweepOptions
   grid.mapping_specs = string_axis("mapping_specs", {"optimized"});
   grid.interleavers = string_axis("interleavers", {"triangular"});
   grid.channels = string_axis("channels", {"gilbert-elliott"});
-  if (fer.contains("rs_ks")) {
-    grid.rs_ks.clear();
-    for (const auto& v : fer.at("rs_ks").as_array()) {
-      grid.rs_ks.push_back(static_cast<unsigned>(v.as_double()));
-    }
-  }
-  if (fer.contains("symbols_per_bursts")) {
-    grid.symbols_per_bursts.clear();
-    for (const auto& v : fer.at("symbols_per_bursts").as_array()) {
-      grid.symbols_per_bursts.push_back(static_cast<std::uint64_t>(v.as_double()));
-    }
-  }
-  if (fer.contains("links")) {
-    grid.links.clear();
-    for (const auto& v : fer.at("links").as_array()) {
-      grid.links.push_back(static_cast<unsigned>(v.as_double()));
-    }
-  }
+  grid.rs_ks = read_counts(fer, "rs_ks", grid.rs_ks);
+  grid.symbols_per_bursts =
+      read_counts(fer, "symbols_per_bursts", grid.symbols_per_bursts);
+  grid.links = read_counts(fer, "links", grid.links);
 
   tbi::sim::FerSweepOptions options;
-  options.sweep.threads = static_cast<unsigned>(fer.get_or("threads", 0.0));
-  options.sweep.base_seed = static_cast<std::uint64_t>(fer.get_or("seed", 1.0));
-  options.base.frames = static_cast<unsigned>(fer.get_or("frames", 8.0));
-  options.base.side = static_cast<std::uint64_t>(fer.get_or("side", 0.0));
-  options.base.symbols_per_burst =
-      static_cast<std::uint64_t>(fer.get_or("spb", 64.0));
+  options.sweep.threads = read_count(fer, "threads", 0u);
+  options.sweep.base_seed = read_count<std::uint64_t>(fer, "seed", 1);
+  options.base.frames = read_count(fer, "frames", 8u, 1u);
+  options.base.side = read_count<std::uint64_t>(fer, "side", 0);
+  options.base.symbols_per_burst = read_count<std::uint64_t>(fer, "spb", 64, 1);
   options.base.fade_fraction = fer.get_or("fade_prob", 0.004);
   options.base.mean_burst_symbols = fer.get_or("burst_symbols", 300.0);
   options.base.error_probability = fer.get_or("error_probability", 2e-3);
   options.base.error_rate_bad = fer.get_or("error_rate_bad", 0.95);
   options.base.link_phase_symbols =
-      static_cast<std::uint64_t>(fer.get_or("link_phase_symbols", 0.0));
+      read_count<std::uint64_t>(fer, "link_phase_symbols", 0);
 
   const auto sweep = tbi::sim::run_fer_sweep_dist(grid, options, dist);
   interrupted = sweep.stats.interrupted;
 
+  const auto cells = grid.expand();
   tbi::Json results;
   tbi::Json rows;
-  for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
+  for (std::size_t i = 0; i < cells.size(); ++i) {
     if (!sweep.done[i]) continue;
-    const auto& cell = sweep.cells[i];
-    tbi::Json row;
-    row["scenario"] = cell.scenario.label();
-    if (cell.scenario.links != 0) {
-      row["links"] = static_cast<std::uint64_t>(cell.scenario.links);
-    }
-    row["frame_symbols"] = cell.result.frame_symbols;
-    row["code_words"] = cell.result.code_words;
-    row["word_errors"] = cell.result.word_errors;
-    row["frame_errors"] = cell.result.frame_errors;
-    row["channel_symbol_errors"] = cell.result.channel_symbol_errors;
-    row["wer"] = cell.result.word_error_rate();
-    row["fer"] = cell.result.frame_error_rate();
-    if (cell.result.dram_ran) {
-      row["dram_throughput_gbps"] = cell.result.dram_throughput_gbps;
-      row["dram_bursts"] = cell.dram_bursts;
-    }
+    tbi::Json row = tbi::perf::without_host_timing(sweep.records[i]);
+    row["scenario"] = cells[i].label();
     rows.push_back(row);
   }
   results["fer"] = rows;
@@ -227,7 +240,8 @@ int main(int argc, char** argv) {
   if (cli.has("config")) {
     std::ifstream f(cli.get("config", ""));
     if (!f) {
-      std::fprintf(stderr, "cannot open config file\n");
+      std::fprintf(stderr, "error: cannot open config file '%s'\n",
+                   cli.get("config", "").c_str());
       return 1;
     }
     std::ostringstream ss;
@@ -255,23 +269,27 @@ int main(int argc, char** argv) {
     if (config.contains("fer")) {
       results = run_fer_experiment(config.at("fer"), dist, interrupted);
     } else {
+      const auto symbols = read_count<std::uint64_t>(config, "symbols", 12'500'000, 1);
+      const auto max_bursts = read_count<std::uint64_t>(config, "max_bursts", 0);
+      const auto queue_depth = read_count(config, "queue_depth", 64u, 1u);
+      const tbi::Json::Array& runs = config.at("runs").as_array();
       // Canonical job config for the "bandwidth" sweep: built from parsed
       // values, never from the raw file text, so whitespace/key-order
       // changes in the config file don't invalidate a resume manifest.
       tbi::Json job;
-      job["symbols"] =
-          static_cast<std::uint64_t>(config.get_or("symbols", 12'500'000.0));
-      job["max_bursts"] =
-          static_cast<std::uint64_t>(config.get_or("max_bursts", 0.0));
-      job["queue_depth"] =
-          static_cast<std::uint64_t>(config.get_or("queue_depth", 64.0));
-      job["runs"] = config.at("runs");
-      const auto cells =
-          static_cast<std::uint64_t>(config.at("runs").as_array().size());
+      job["symbols"] = symbols;
+      job["max_bursts"] = max_bursts;
+      job["queue_depth"] = static_cast<std::uint64_t>(queue_depth);
+      job["runs"] = runs;
+      const auto cells = static_cast<std::uint64_t>(runs.size());
 
+      // The runs draw nothing; base seed 0 only enters the fingerprint.
+      tbi::sim::SweepOptions sweep;
+      sweep.base_seed = 0;
       const auto run = tbi::sim::dsweep_run(
-          "bandwidth", job, cells, 0, dist, [&job](std::uint64_t index, std::uint64_t) {
-            return bandwidth_run(job, index);
+          "bandwidth", job, cells, sweep, dist, [&](std::uint64_t index, std::uint64_t) {
+            return bandwidth_run(runs[static_cast<std::size_t>(index)], symbols,
+                                 max_bursts, queue_depth);
           });
       interrupted = run.stats.interrupted;
 
@@ -280,11 +298,11 @@ int main(int argc, char** argv) {
         if (run.done[i]) runs_out.push_back(run.records[i]);
       }
       results["runs"] = runs_out;
-      results["symbols"] = job.at("symbols");
+      results["symbols"] = symbols;
       if (interrupted) results["interrupted"] = true;
     }
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "experiment failed: %s\n", e.what());
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace tbi::perf {
 
@@ -210,6 +211,17 @@ MetricKind classify_metric(const std::string& key) {
   // one-sided growth band.
   if (ends_with(key, "_peak_bytes")) return MetricKind::Size;
   return MetricKind::Exact;
+}
+
+Json without_host_timing(const Json& record) {
+  Json::Object kept;
+  for (const auto& [key, value] : record.as_object()) {
+    const MetricKind kind = classify_metric(key);
+    if (kind != MetricKind::TimeUp && kind != MetricKind::TimeDown) {
+      kept.emplace(key, value);
+    }
+  }
+  return Json(std::move(kept));
 }
 
 std::string CompareReport::render() const {

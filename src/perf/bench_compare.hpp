@@ -34,6 +34,11 @@ enum class MetricKind {
 /// Classify a JSON object key by the naming conventions above.
 MetricKind classify_metric(const std::string& key);
 
+/// \p record (an object) without its host-timing members, the keys
+/// classify_metric puts in TimeUp or TimeDown: what remains is identical
+/// for every run of a deterministic cell (`--stable-json` rows).
+Json without_host_timing(const Json& record);
+
 struct CompareOptions {
   /// One-sided band for TimeUp/TimeDown metrics, percent of baseline.
   double time_tol_pct = 50.0;

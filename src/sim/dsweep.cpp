@@ -16,7 +16,7 @@ Json DsweepStats::to_json() const {
 }
 
 DsweepResult dsweep_run(const std::string& name, const Json& job, std::uint64_t cells,
-                        std::uint64_t base_seed, const DsweepOptions& options,
+                        const SweepOptions& sweep, const DsweepOptions& options,
                         const DsweepCell& fn) {
   // Validates the shard spec (throws on index >= count / count == 0).
   const ShardRange range = shard_range(cells, options.shard_index, options.shard_count);
@@ -25,7 +25,7 @@ DsweepResult dsweep_run(const std::string& name, const Json& job, std::uint64_t 
   result.records.resize(cells);
   result.done.assign(cells, false);
 
-  const std::string fingerprint = sweep_fingerprint(name, job, cells, base_seed);
+  const std::string fingerprint = sweep_fingerprint(name, job, cells, sweep.base_seed);
   ManifestWriter manifest;
   std::uint64_t done_count = 0;
   if (!options.manifest_path.empty()) {
@@ -35,8 +35,8 @@ DsweepResult dsweep_run(const std::string& name, const Json& job, std::uint64_t 
       if (load.found && !load.fingerprint_ok) {
         throw std::runtime_error(
             "dsweep: manifest '" + options.manifest_path +
-            "' was written by a different run (grid/seed/config changed); "
-            "delete it or drop --resume");
+            "' was written by a different run (grid, seed, config or record "
+            "shape changed); delete it or drop --resume");
       }
       if (load.found) {
         fresh = false;
@@ -57,8 +57,8 @@ DsweepResult dsweep_run(const std::string& name, const Json& job, std::uint64_t 
     // is printed) but never blocks the sweep itself.
     manifest.open(options.manifest_path, fingerprint, fresh, options.shard_index,
                   options.shard_count);
-    if (options.progress && done_count > 0) {
-      options.progress({done_count, range.size()});
+    if (sweep.progress && done_count > 0) {
+      sweep.progress({done_count, range.size()});
     }
   }
 
@@ -75,22 +75,23 @@ DsweepResult dsweep_run(const std::string& name, const Json& job, std::uint64_t 
     if (options.cancel != nullptr && *options.cancel != 0) stop = true;
     return stop;
   };
-  SweepOptions sweep;
-  sweep.threads = options.threads;
-  // sweep_map's own seeds key on the position in `todo`; a cell's seed
-  // keys on its grid index, whatever was resumed or sharded away.
-  auto computed = sweep_map(todo.size(), sweep, [&](std::uint64_t j, std::uint64_t) {
+  // sweep_map gets the thread count only: its seeds key on the position
+  // in `todo`, a cell's seed keys on its grid index (whatever was resumed
+  // or sharded away), and progress counts commits, which happen here.
+  SweepOptions pool;
+  pool.threads = sweep.threads;
+  auto computed = sweep_map(todo.size(), pool, [&](std::uint64_t j, std::uint64_t) {
     const std::uint64_t cell = todo[j];
     {
       std::lock_guard<std::mutex> lock(mutex);
       if (stopping()) return Json();
     }
-    Json record = fn(cell, job_seed(base_seed, cell));
+    Json record = fn(cell, job_seed(sweep.base_seed, cell));
     std::lock_guard<std::mutex> lock(mutex);
     result.done[cell] = true;
     ++done_count;
     if (manifest.is_open()) manifest.append(cell, record);
-    if (options.progress) options.progress({done_count, range.size()});
+    if (sweep.progress) sweep.progress({done_count, range.size()});
     if (done_count - result.stats.resumed_cells == options.faults.abort_after) {
       stop = true;  // injected preemption
     }
@@ -120,7 +121,7 @@ DsweepResult dsweep_merge_shards(const std::string& name, const Json& job,
     if (!load.fingerprint_ok) {
       throw std::runtime_error("dsweep: shard manifest '" + path +
                                "' was written by a different run "
-                               "(grid/seed/config changed)");
+                               "(grid, seed, config or record shape changed)");
     }
     for (const auto& e : load.entries) {
       if (e.cell < cells && !result.done[e.cell]) {
@@ -159,17 +160,6 @@ Json number_array(const std::vector<T>& v) {
   Json::Array arr;
   for (const T x : v) arr.push_back(Json(static_cast<std::uint64_t>(x)));
   return Json(std::move(arr));
-}
-
-FerDistResult fer_dist_from_dsweep(DsweepResult res) {
-  FerDistResult out;
-  out.done = std::move(res.done);
-  out.stats = res.stats;
-  out.cells.resize(res.records.size());
-  for (std::size_t i = 0; i < res.records.size(); ++i) {
-    if (out.done[i]) out.cells[i] = fer_cell_from_json(res.records[i]);
-  }
-  return out;
 }
 
 }  // namespace
@@ -218,99 +208,58 @@ Json fer_job_config(const SweepGrid& grid, const FerSweepOptions& options) {
   return job;
 }
 
-Json fer_cell_to_json(const Scenario& scenario, const PipelineResult& result) {
-  Json sc;
-  sc["device"] = scenario.device;
-  sc["mapping_spec"] = scenario.mapping_spec;
-  sc["interleaver"] = scenario.interleaver;
-  sc["channel"] = scenario.channel;
-  sc["rs_k"] = static_cast<std::uint64_t>(scenario.rs_k);
-  sc["symbols_per_burst"] = scenario.symbols_per_burst;
-  sc["links"] = static_cast<std::uint64_t>(scenario.links);
-
-  Json r;
-  r["frames"] = result.frames;
-  r["code_words"] = result.code_words;
-  r["word_errors"] = result.word_errors;
-  r["frame_errors"] = result.frame_errors;
-  r["channel_symbol_errors"] = result.channel_symbol_errors;
-  r["corrected_symbols"] = result.corrected_symbols;
-  r["frame_symbols"] = result.frame_symbols;
-  r["workspace_peak_bytes"] = result.workspace_peak_bytes;
-  r["host_ns"] = result.host_ns;
-  r["steady_allocations"] = result.steady_allocations;
-  r["steady_frames"] = result.steady_frames;
-  r["channel_symbols"] = result.channel_symbols;
-  r["dram_ran"] = result.dram_ran;
+Json fer_record(const Scenario& scenario, const PipelineResult& result) {
+  Json row;
+  row["interleaver"] = scenario.interleaver;
+  row["channel"] = scenario.channel;
+  row["rs_k"] = static_cast<std::uint64_t>(scenario.rs_k);
+  if (scenario.links != 0) {
+    row["links"] = static_cast<std::uint64_t>(scenario.links);
+  }
+  row["frame_symbols"] = result.frame_symbols;
+  row["code_words"] = result.code_words;
+  row["word_errors"] = result.word_errors;
+  row["frame_errors"] = result.frame_errors;
+  row["channel_symbol_errors"] = result.channel_symbol_errors;
+  row["corrected_symbols"] = result.corrected_symbols;
+  row["wer"] = result.word_error_rate();
+  row["fer"] = result.frame_error_rate();
+  // Perf counters (src/perf/counters.hpp): exact fields pin the
+  // zero-allocation hot-path invariant, *_ns / *_per_second fields are
+  // host timing and only band-checked by bench_compare.
+  row["workspace_peak_bytes"] = result.workspace_peak_bytes;
+  row["steady_allocations"] = result.steady_allocations;
+  row["steady_frames"] = result.steady_frames;
+  row["allocations_per_frame"] = result.allocations_per_frame();
+  row["host_ns"] = result.host_ns;
+  row["channel_symbols"] = result.channel_symbols;
+  row["channel_symbols_per_second"] = result.channel_symbols_per_second();
   if (result.dram_ran) {
-    r["dram_throughput_gbps"] = result.dram_throughput_gbps;
-    r["dram_bursts"] = result.dram.total_bursts();
-    r["dram_sched_ns_per_pick"] = result.dram.sched_ns_per_pick();
+    row["dram_throughput_gbps"] = result.dram_throughput_gbps;
+    row["dram_bursts"] = result.dram.total_bursts();
+    row["dram_sched_ns_per_pick"] = result.dram.sched_ns_per_pick();
   }
-
-  Json j;
-  j["scenario"] = sc;
-  j["result"] = r;
-  return j;
+  return row;
 }
 
-FerCell fer_cell_from_json(const Json& record) {
-  const Json& sc = record.at("scenario");
-  const Json& r = record.at("result");
-  FerCell cell;
-  cell.scenario.device = sc.at("device").as_string();
-  cell.scenario.mapping_spec = sc.at("mapping_spec").as_string();
-  cell.scenario.interleaver = sc.at("interleaver").as_string();
-  cell.scenario.channel = sc.at("channel").as_string();
-  cell.scenario.rs_k = static_cast<unsigned>(sc.at("rs_k").as_double());
-  cell.scenario.symbols_per_burst =
-      static_cast<std::uint64_t>(sc.at("symbols_per_burst").as_double());
-  cell.scenario.links = static_cast<unsigned>(sc.get_or("links", 0.0));
-
-  const auto u64 = [&r](const char* key) {
-    return static_cast<std::uint64_t>(r.at(key).as_double());
-  };
-  cell.result.frames = u64("frames");
-  cell.result.code_words = u64("code_words");
-  cell.result.word_errors = u64("word_errors");
-  cell.result.frame_errors = u64("frame_errors");
-  cell.result.channel_symbol_errors = u64("channel_symbol_errors");
-  cell.result.corrected_symbols = u64("corrected_symbols");
-  cell.result.frame_symbols = u64("frame_symbols");
-  cell.result.workspace_peak_bytes = u64("workspace_peak_bytes");
-  cell.result.host_ns = u64("host_ns");
-  cell.result.steady_allocations = u64("steady_allocations");
-  cell.result.steady_frames = u64("steady_frames");
-  cell.result.channel_symbols = u64("channel_symbols");
-  cell.result.dram_ran = r.at("dram_ran").as_bool();
-  if (cell.result.dram_ran) {
-    cell.result.dram_throughput_gbps = r.at("dram_throughput_gbps").as_double();
-    cell.dram_bursts = u64("dram_bursts");
-    cell.dram_sched_ns_per_pick = r.at("dram_sched_ns_per_pick").as_double();
-  }
-  return cell;
-}
-
-FerDistResult run_fer_sweep_dist(const SweepGrid& grid, const FerSweepOptions& options,
-                                 DsweepOptions dist) {
-  dist.threads = options.sweep.threads;
+DsweepResult run_fer_sweep_dist(const SweepGrid& grid, const FerSweepOptions& options,
+                                const DsweepOptions& dist) {
   const auto cells = grid.expand();
+  check_fer_cells(cells, options.base);
   // The cell body of run_fer_sweep (fer_cell_config is shared), so both
   // paths produce byte-identical records.
-  return fer_dist_from_dsweep(dsweep_run(
-      "fer", fer_job_config(grid, options), cells.size(), options.sweep.base_seed, dist,
-      [&](std::uint64_t index, std::uint64_t seed) {
-        const Scenario& scenario = cells[index];
-        return fer_cell_to_json(
-            scenario, run_pipeline(fer_cell_config(options.base, scenario, seed)));
-      }));
+  return dsweep_run(kFerSweep, fer_job_config(grid, options), cells.size(), options.sweep,
+                    dist, [&](std::uint64_t index, std::uint64_t seed) {
+                      const Scenario& scenario = cells[index];
+                      return fer_record(scenario, run_pipeline(fer_cell_config(
+                                                      options.base, scenario, seed)));
+                    });
 }
 
-FerDistResult run_fer_merge_shards(const SweepGrid& grid, const FerSweepOptions& options,
-                                   const std::vector<std::string>& manifest_paths) {
-  return fer_dist_from_dsweep(dsweep_merge_shards("fer", fer_job_config(grid, options),
-                                                  grid.size(), options.sweep.base_seed,
-                                                  manifest_paths));
+DsweepResult run_fer_merge_shards(const SweepGrid& grid, const FerSweepOptions& options,
+                                  const std::vector<std::string>& manifest_paths) {
+  return dsweep_merge_shards(kFerSweep, fer_job_config(grid, options), grid.size(),
+                             options.sweep.base_seed, manifest_paths);
 }
 
 }  // namespace tbi::sim

@@ -1,10 +1,11 @@
 /// \file dsweep.hpp
 /// Checkpointed sweeps: `sweep_map` threads plus a manifest.
 ///
-/// `dsweep_run` keeps `sweep_map`'s contract — every cell's seed is
-/// `job_seed(base_seed, index)` and records are collected *by index*, so
-/// the result is byte-identical for any thread count — and adds what a
-/// long sweep on a preemptible machine needs:
+/// `dsweep_run` runs on the caller's SweepOptions and keeps `sweep_map`'s
+/// contract — every cell's seed is `job_seed(base_seed, index)` and
+/// records are collected *by index*, so the result is byte-identical for
+/// any thread count — and adds what a long sweep on a preemptible machine
+/// needs:
 ///
 ///  * a checkpoint journal (sim/manifest.hpp): every committed cell is
 ///    appended and fsynced, fingerprinted by (name, job, cells, seed);
@@ -40,9 +41,10 @@ namespace tbi::sim {
 /// Runs concurrently on the sweep's threads.
 using DsweepCell = std::function<Json(std::uint64_t index, std::uint64_t seed)>;
 
+/// The checkpoint's options. Threads, the base seed and progress are the
+/// sweep's own (SweepOptions).
 struct DsweepOptions {
-  unsigned threads = 0;  ///< sweep threads (0 = all cores)
-  bool resume = false;   ///< load the manifest and skip recorded cells
+  bool resume = false;  ///< load the manifest and skip recorded cells
   /// Checkpoint journal path (conventionally `<json-sink>.manifest`);
   /// empty disables checkpointing and resume.
   std::string manifest_path;
@@ -56,7 +58,6 @@ struct DsweepOptions {
   /// before each cell starts; a set flag stops the sweep and returns the
   /// committed cells with stats.interrupted set.
   const volatile std::sig_atomic_t* cancel = nullptr;
-  std::function<void(const SweepProgress&)> progress;  ///< optional, serialized
 };
 
 struct DsweepStats {
@@ -74,12 +75,15 @@ struct DsweepResult {
   DsweepStats stats;
 };
 
-/// Run the outstanding cells of this shard through sweep_map, committing
-/// each to the manifest as it finishes. Rethrows the first exception a
-/// cell throws; throws std::runtime_error when a resume manifest does not
-/// match this run's fingerprint.
+/// Run the outstanding cells of this shard through sweep_map on
+/// `sweep.threads`, seeding from `sweep.base_seed` and committing each
+/// cell to the manifest as it finishes. `sweep.progress` is called after
+/// each commit (and once for the cells a resume adopted), serialized,
+/// with the shard's cell count as the total. Rethrows the first exception
+/// a cell throws; throws std::runtime_error when a resume manifest does
+/// not match this run's fingerprint.
 DsweepResult dsweep_run(const std::string& name, const Json& job, std::uint64_t cells,
-                        std::uint64_t base_seed, const DsweepOptions& options,
+                        const SweepOptions& sweep, const DsweepOptions& options,
                         const DsweepCell& fn);
 
 /// Reassemble a sharded sweep from its per-shard manifests. Every
@@ -96,39 +100,29 @@ DsweepResult dsweep_merge_shards(const std::string& name, const Json& job,
 // Checkpointed FER sweeps
 // ---------------------------------------------------------------------------
 
-/// One FER cell as its manifest record carries it. `result.dram` is not
-/// populated on this path (the record carries the derived DRAM metrics
-/// instead).
-struct FerCell {
-  Scenario scenario;
-  PipelineResult result;
-  std::uint64_t dram_bursts = 0;
-  double dram_sched_ns_per_pick = 0;
-};
+/// The name the FER sweep is fingerprinted under. It stands for the
+/// journal's record shape as well: a journal of another shape (the nested
+/// `{scenario, result}` records once written under "fer") is another run
+/// to `--resume` and `--merge-shards`.
+inline constexpr const char* kFerSweep = "fer-record";
 
-struct FerDistResult {
-  std::vector<FerCell> cells;  ///< index-ordered; valid where done[i]
-  std::vector<bool> done;
-  DsweepStats stats;
-};
-
-/// The "fer" sweep's job config (its fingerprint input) for this grid +
+/// The FER sweep's job config (its fingerprint input) for this grid +
 /// options.
 Json fer_job_config(const SweepGrid& grid, const FerSweepOptions& options);
 
-/// Record conversions for one FER cell.
-Json fer_cell_to_json(const Scenario& scenario, const PipelineResult& result);
-FerCell fer_cell_from_json(const Json& record);
+/// The one FER record: bench_fer's output row for one cell, host timing
+/// included. The checkpoint journal stores it as is; the front ends drop
+/// the host timing (perf::without_host_timing) for stable output.
+Json fer_record(const Scenario& scenario, const PipelineResult& result);
 
-/// run_fer_sweep with a checkpoint: same grid semantics, same per-cell
-/// seeds, records in index order. `dist.threads` is taken from
-/// `options.sweep.threads`.
-FerDistResult run_fer_sweep_dist(const SweepGrid& grid, const FerSweepOptions& options,
-                                 DsweepOptions dist);
+/// run_fer_sweep with a checkpoint: same grid check, grid semantics and
+/// per-cell seeds (options.sweep), one fer_record per cell in index order.
+DsweepResult run_fer_sweep_dist(const SweepGrid& grid, const FerSweepOptions& options,
+                                const DsweepOptions& dist);
 
-/// dsweep_merge_shards for the "fer" sweep: reassemble shard manifests
-/// of this grid into a full FerDistResult.
-FerDistResult run_fer_merge_shards(const SweepGrid& grid, const FerSweepOptions& options,
-                                   const std::vector<std::string>& manifest_paths);
+/// dsweep_merge_shards for the FER sweep: reassemble shard manifests of
+/// this grid into the full run's records.
+DsweepResult run_fer_merge_shards(const SweepGrid& grid, const FerSweepOptions& options,
+                                  const std::vector<std::string>& manifest_paths);
 
 }  // namespace tbi::sim

@@ -356,15 +356,22 @@ bool pipeline_streams(const PipelineConfig& config) {
   return config.interleaver == "two-stage" || frame_side(config) != config.rs_n;
 }
 
-std::vector<FerRecord> run_fer_sweep(const SweepGrid& grid, const FerSweepOptions& options) {
-  const auto cells = grid.expand();
-
+void check_fer_cells(const std::vector<Scenario>& cells, const PipelineConfig& base) {
   for (const auto& cell : cells) {
-    if (options.base.rs_n > 255 || cell.rs_k == 0 || cell.rs_k >= options.base.rs_n ||
-        (options.base.rs_n - cell.rs_k) % 2 != 0) {
-      throw std::invalid_argument("run_fer_sweep: invalid RS(n, k)");
+    if (base.rs_n > 255 || cell.rs_k == 0 || cell.rs_k >= base.rs_n ||
+        (base.rs_n - cell.rs_k) % 2 != 0) {
+      throw std::invalid_argument("fer sweep: invalid RS(" + std::to_string(base.rs_n) +
+                                  ", " + std::to_string(cell.rs_k) + ")");
+    }
+    if (!cell.device.empty() && dram::find_config(cell.device) == nullptr) {
+      throw std::invalid_argument("fer sweep: unknown device '" + cell.device + "'");
     }
   }
+}
+
+std::vector<FerRecord> run_fer_sweep(const SweepGrid& grid, const FerSweepOptions& options) {
+  const auto cells = grid.expand();
+  check_fer_cells(cells, options.base);
 
   return sweep_map(cells.size(), options.sweep,
                    [&](std::uint64_t index, std::uint64_t seed) {

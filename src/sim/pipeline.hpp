@@ -177,6 +177,13 @@ bool dram_resident_interleaver(const std::string& kind);
 PipelineConfig fer_cell_config(const PipelineConfig& base, const Scenario& scenario,
                                std::uint64_t seed);
 
+/// Reject a FER grid before any of its cells runs: every cell must name
+/// a valid RS(base.rs_n, k) code and, when it names one, a known device.
+/// run_fer_sweep and the checkpointed sweep (sim/dsweep.hpp) both call it
+/// first, the latter before its journal opens. Throws
+/// std::invalid_argument.
+void check_fer_cells(const std::vector<Scenario>& cells, const PipelineConfig& base);
+
 /// Simulate \p config.frames triangular blocks end to end and, when
 /// configured, the DRAM phases of the DRAM-resident interleaver
 /// ("triangular" or "two-stage").

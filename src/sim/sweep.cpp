@@ -203,28 +203,4 @@ std::vector<BandwidthRecord> run_bandwidth_sweep(const SweepGrid& grid,
   });
 }
 
-SweepSummary summarize(const std::vector<BandwidthRecord>& records) {
-  SweepSummary summary;
-  summary.records = records.size();
-  if (records.empty()) return summary;
-
-  double sum = 0;
-  summary.min_utilization = 2.0;
-  summary.max_utilization = -1.0;
-  for (const auto& r : records) {
-    const double u = r.run.min_utilization();
-    sum += u;
-    if (u < summary.min_utilization) {
-      summary.min_utilization = u;
-      summary.worst_scenario = r.scenario.label();
-    }
-    if (u > summary.max_utilization) {
-      summary.max_utilization = u;
-      summary.best_scenario = r.scenario.label();
-    }
-  }
-  summary.mean_utilization = sum / static_cast<double>(records.size());
-  return summary;
-}
-
 }  // namespace tbi::sim

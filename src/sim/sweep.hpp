@@ -187,16 +187,4 @@ struct BandwidthRecord {
 std::vector<BandwidthRecord> run_bandwidth_sweep(const SweepGrid& grid,
                                                  const BandwidthSweepOptions& options);
 
-/// Aggregate view over a finished sweep.
-struct SweepSummary {
-  std::uint64_t records = 0;
-  double min_utilization = 0;   ///< worst min(write,read) across records
-  double max_utilization = 0;   ///< best min(write,read) across records
-  double mean_utilization = 0;  ///< mean of min(write,read)
-  std::string worst_scenario;
-  std::string best_scenario;
-};
-
-SweepSummary summarize(const std::vector<BandwidthRecord>& records);
-
 }  // namespace tbi::sim

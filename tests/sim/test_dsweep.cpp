@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "perf/bench_compare.hpp"
 #include "sim/manifest.hpp"
 #include "sim/pipeline.hpp"
 
@@ -36,19 +37,21 @@ Json echo_cell(std::uint64_t index, std::uint64_t seed) {
   return r;
 }
 
-DsweepResult run_echo(const DsweepOptions& opt, std::uint64_t base_seed = kSeed) {
-  return dsweep_run("test-echo", echo_job(), kCells, base_seed, opt, echo_cell);
+SweepOptions echo_sweep(unsigned threads = 2, std::uint64_t base_seed = kSeed) {
+  SweepOptions sweep;
+  sweep.threads = threads;
+  sweep.base_seed = base_seed;
+  return sweep;
 }
 
-DsweepOptions two_threads() {
-  DsweepOptions opt;
-  opt.threads = 2;
-  return opt;
+DsweepResult run_echo(const DsweepOptions& opt,
+                      const SweepOptions& sweep = echo_sweep()) {
+  return dsweep_run("test-echo", echo_job(), kCells, sweep, opt, echo_cell);
 }
 
 /// Clean, unsharded reference for the echo sweep.
 std::vector<std::string> echo_reference() {
-  const auto res = run_echo(two_threads());
+  const auto res = run_echo(DsweepOptions{});
   std::vector<std::string> dumps;
   for (const auto& r : res.records) dumps.push_back(r.dump(0));
   return dumps;
@@ -77,9 +80,7 @@ std::string temp_manifest(const char* tag) {
 }
 
 TEST(Dsweep, InProcessRecordsCarryPerCellSeeds) {
-  DsweepOptions opt;
-  opt.threads = 4;
-  const auto res = run_echo(opt);
+  const auto res = run_echo(DsweepOptions{}, echo_sweep(4));
   ASSERT_EQ(res.records.size(), kCells);
   EXPECT_FALSE(res.stats.interrupted);
   for (std::uint64_t i = 0; i < kCells; ++i) {
@@ -96,7 +97,7 @@ TEST(Dsweep, AbortIsCheckpointedAndResumeCompletesIdentically) {
   const std::string manifest = temp_manifest("resume");
   std::remove(manifest.c_str());
 
-  auto opt = two_threads();
+  DsweepOptions opt;
   opt.manifest_path = manifest;
   opt.faults = FaultSpec::parse("abort-after=3");
   const auto partial = run_echo(opt);
@@ -105,7 +106,7 @@ TEST(Dsweep, AbortIsCheckpointedAndResumeCompletesIdentically) {
   EXPECT_GE(done, 3u);
   EXPECT_LT(done, kCells);
 
-  auto resume = two_threads();
+  DsweepOptions resume;
   resume.manifest_path = manifest;
   resume.resume = true;
   const auto full = run_echo(resume);
@@ -123,13 +124,14 @@ TEST(Dsweep, CancelFlagStopsTheSweepAndResumeCompletesIdentically) {
   std::remove(manifest.c_str());
 
   volatile std::sig_atomic_t cancel = 0;
-  auto opt = two_threads();
+  DsweepOptions opt;
   opt.manifest_path = manifest;
   opt.cancel = &cancel;
-  opt.progress = [&cancel](const SweepProgress& p) {
+  auto sweep = echo_sweep();
+  sweep.progress = [&cancel](const SweepProgress& p) {
     if (p.completed == K) cancel = 1;
   };
-  const auto partial = run_echo(opt);
+  const auto partial = run_echo(opt, sweep);
   EXPECT_TRUE(partial.stats.interrupted);
   const auto done = done_cells(partial);
   EXPECT_GE(done.size(), K);
@@ -147,7 +149,7 @@ TEST(Dsweep, CancelFlagStopsTheSweepAndResumeCompletesIdentically) {
   }
   EXPECT_EQ(journaled, done);
 
-  auto resume = two_threads();
+  DsweepOptions resume;
   resume.manifest_path = manifest;
   resume.resume = true;
   const auto full = run_echo(resume);
@@ -162,23 +164,21 @@ TEST(Dsweep, ResumeRejectsManifestFromDifferentRun) {
   std::remove(manifest.c_str());
 
   DsweepOptions opt;
-  opt.threads = 1;
   opt.manifest_path = manifest;
   opt.faults = FaultSpec::parse("abort-after=2");
-  (void)run_echo(opt);
+  (void)run_echo(opt, echo_sweep(1));
 
   DsweepOptions resume;
-  resume.threads = 1;
   resume.manifest_path = manifest;
   resume.resume = true;
   // Different base seed => different fingerprint: silently mixing the old
   // records would corrupt the sweep, so this must throw.
-  EXPECT_THROW(run_echo(resume, kSeed + 1), std::runtime_error);
+  EXPECT_THROW(run_echo(resume, echo_sweep(1, kSeed + 1)), std::runtime_error);
   std::remove(manifest.c_str());
 }
 
 TEST(Dsweep, ZeroCellsReturnsEmptyWithoutSpawningAnything) {
-  const auto res = dsweep_run("test-echo", echo_job(), 0, kSeed, two_threads(),
+  const auto res = dsweep_run("test-echo", echo_job(), 0, echo_sweep(), DsweepOptions{},
                               [](std::uint64_t, std::uint64_t) -> Json {
                                 ADD_FAILURE() << "no cell should run";
                                 return Json();
@@ -189,7 +189,7 @@ TEST(Dsweep, ZeroCellsReturnsEmptyWithoutSpawningAnything) {
 }
 
 TEST(Dsweep, DeterministicKernelFailurePropagatesInProcess) {
-  EXPECT_THROW(dsweep_run("test-fail-at", Json(), 4, kSeed, two_threads(),
+  EXPECT_THROW(dsweep_run("test-fail-at", Json(), 4, echo_sweep(), DsweepOptions{},
                           [](std::uint64_t index, std::uint64_t) {
                             if (index == 1) {
                               throw std::invalid_argument("poison cell");
@@ -218,7 +218,7 @@ TEST(FaultSpec, AcceptsOnlyAbortAfter) {
 
 DsweepOptions shard_options(const std::string& manifest, unsigned index,
                             unsigned count) {
-  auto opt = two_threads();
+  DsweepOptions opt;
   opt.manifest_path = manifest;
   opt.shard_index = index;
   opt.shard_count = count;
@@ -328,7 +328,7 @@ TEST(DsweepShard, MergeRejectsForeignManifest) {
   (void)run_echo(shard_options(m0, 0, 2));
   // Shard 1 computed under a different base seed: merging it would mix
   // two different runs, exactly like resuming from a foreign manifest.
-  (void)run_echo(shard_options(m1, 1, 2), kSeed + 1);
+  (void)run_echo(shard_options(m1, 1, 2), echo_sweep(2, kSeed + 1));
 
   EXPECT_THROW(
       dsweep_merge_shards("test-echo", echo_job(), kCells, kSeed, {m0, m1}),
@@ -372,30 +372,57 @@ TEST(DsweepFer, DistributedSweepMatchesInProcessSweep) {
   options.base.symbols_per_burst = 8;
 
   const auto reference = run_fer_sweep(grid, options);
-  const auto res = run_fer_sweep_dist(grid, options, DsweepOptions{});
 
-  ASSERT_EQ(res.cells.size(), reference.size());
+  // Some records come back through the journal: the run is aborted after
+  // 3 commits and resumed.
+  const std::string manifest = temp_manifest("fer_match");
+  std::remove(manifest.c_str());
+  DsweepOptions dist;
+  dist.manifest_path = manifest;
+  dist.faults = FaultSpec::parse("abort-after=3");
+  EXPECT_TRUE(run_fer_sweep_dist(grid, options, dist).stats.interrupted);
+  dist.faults = FaultSpec{};
+  dist.resume = true;
+  const auto res = run_fer_sweep_dist(grid, options, dist);
+  EXPECT_GE(res.stats.resumed_cells, 3u);
+  std::remove(manifest.c_str());
+
+  ASSERT_EQ(res.records.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     ASSERT_TRUE(res.done[i]);
-    const auto& a = reference[i];
-    const auto& b = res.cells[i];
-    EXPECT_EQ(a.scenario.label(), b.scenario.label());
-    EXPECT_EQ(a.result.frames, b.result.frames);
-    EXPECT_EQ(a.result.code_words, b.result.code_words);
-    EXPECT_EQ(a.result.word_errors, b.result.word_errors);
-    EXPECT_EQ(a.result.frame_errors, b.result.frame_errors);
-    EXPECT_EQ(a.result.channel_symbol_errors, b.result.channel_symbol_errors);
-    EXPECT_EQ(a.result.corrected_symbols, b.result.corrected_symbols);
-    EXPECT_EQ(a.result.frame_symbols, b.result.frame_symbols);
-    EXPECT_EQ(a.result.workspace_peak_bytes, b.result.workspace_peak_bytes);
-    EXPECT_EQ(a.result.steady_allocations, b.result.steady_allocations);
-    EXPECT_EQ(a.result.channel_symbols, b.result.channel_symbols);
-    EXPECT_EQ(a.result.dram_ran, b.result.dram_ran);
-    if (a.result.dram_ran) {
-      EXPECT_EQ(a.result.dram.total_bursts(), b.dram_bursts);
-      EXPECT_EQ(a.result.dram_throughput_gbps, b.result.dram_throughput_gbps);
-    }
+    const Json row = fer_record(reference[i].scenario, reference[i].result);
+    // Every key but host timing, which the journal carries as well.
+    EXPECT_EQ(perf::without_host_timing(res.records[i]).dump(0),
+              perf::without_host_timing(row).dump(0))
+        << reference[i].scenario.label();
+    EXPECT_TRUE(res.records[i].contains("host_ns"));
   }
+}
+
+TEST(DsweepFer, GridIsCheckedBeforeTheJournalOpens) {
+  // run_fer_sweep rejects RS(255, 224) before any cell runs; the
+  // checkpointed sweep must too, not commit cell 0 first and leave a
+  // journal behind. An unknown device is refused the same way.
+  SweepGrid grid;
+  grid.devices = {"LPDDR5-8533"};
+  grid.channels = {"bsc"};
+  grid.rs_ks = {223, 224};
+  FerSweepOptions options;
+  options.sweep.threads = 1;
+  options.base.frames = 1;
+  DsweepOptions dist;
+  dist.manifest_path = temp_manifest("badgrid");
+  std::remove(dist.manifest_path.c_str());
+
+  EXPECT_THROW(run_fer_sweep(grid, options), std::invalid_argument);
+  EXPECT_THROW(run_fer_sweep_dist(grid, options, dist), std::invalid_argument);
+  EXPECT_FALSE(load_manifest(dist.manifest_path, "").found) << "journal left behind";
+
+  grid.rs_ks = {223};
+  grid.devices = {"NO-SUCH-DEVICE"};
+  EXPECT_THROW(run_fer_sweep_dist(grid, options, dist), std::invalid_argument);
+  EXPECT_FALSE(load_manifest(dist.manifest_path, "").found) << "journal left behind";
+  std::remove(dist.manifest_path.c_str());
 }
 
 TEST(DsweepFer, JobConfigFingerprintIsStable) {
@@ -404,68 +431,38 @@ TEST(DsweepFer, JobConfigFingerprintIsStable) {
   FerSweepOptions options;
   const Json a = fer_job_config(grid, options);
   const Json b = fer_job_config(grid, options);
-  EXPECT_EQ(sweep_fingerprint("fer", a, grid.size(), 1),
-            sweep_fingerprint("fer", b, grid.size(), 1));
+  EXPECT_EQ(sweep_fingerprint(kFerSweep, a, grid.size(), 1),
+            sweep_fingerprint(kFerSweep, b, grid.size(), 1));
 
-  // Manifests already on disk stay resumable within one draw revision:
-  // this fixed job's fingerprint is the one every release under
-  // channel::kDrawRevision 3 writes into its headers. A new revision
-  // changes `channel_draws`, and with it this pin.
+  // Manifests already on disk stay resumable within one draw revision
+  // and one record shape: this fixed job's fingerprint is the one every
+  // release under channel::kDrawRevision 3 and the kFerSweep record
+  // writes into its headers. A new revision changes `channel_draws`, a
+  // new record shape the sweep's name, and either changes this pin.
   grid.interleavers = {"none", "two-stage"};
   grid.channels = {"bsc", "leo"};
   grid.rs_ks = {223, 191};
   options.base.frames = 3;
   options.base.side = 64;
   options.base.symbols_per_burst = 8;
-  EXPECT_EQ(sweep_fingerprint("fer", fer_job_config(grid, options), grid.size(), 1),
-            "ccdfa2de5b3f96cd");
+  const Json job = fer_job_config(grid, options);
+  EXPECT_EQ(sweep_fingerprint(kFerSweep, job, grid.size(), 1), "c15caac1ba20afd3");
+  // The same job under the name the nested {scenario, result} records
+  // were journaled under.
+  EXPECT_EQ(sweep_fingerprint("fer", job, grid.size(), 1), "ccdfa2de5b3f96cd");
 }
 
-TEST(DsweepFer, CellRecordRoundTripsThroughWireJson) {
-  Scenario s;
-  s.device = "LPDDR5-8533";
-  s.interleaver = "two-stage";
-  s.channel = "leo";
-  s.rs_k = 191;
-  s.symbols_per_burst = 64;
-  PipelineResult r;
-  r.frames = 4;
-  r.code_words = 123;
-  r.word_errors = 5;
-  r.frame_errors = 2;
-  r.channel_symbol_errors = 999;
-  r.corrected_symbols = 321;
-  r.frame_symbols = 2080;
-  r.workspace_peak_bytes = 65536;
-  r.host_ns = 123456789;
-  r.steady_allocations = 0;
-  r.steady_frames = 3;
-  r.channel_symbols = 8320;
-  r.dram_ran = false;
-
-  const Json record = fer_cell_to_json(s, r);
-  // Round trip through dump/parse exactly as the manifest does.
-  const FerCell back = fer_cell_from_json(Json::parse(record.dump(0)));
-  EXPECT_EQ(back.scenario.label(), s.label());
-  EXPECT_EQ(back.result.code_words, r.code_words);
-  EXPECT_EQ(back.result.word_errors, r.word_errors);
-  EXPECT_EQ(back.result.frame_errors, r.frame_errors);
-  EXPECT_EQ(back.result.channel_symbol_errors, r.channel_symbol_errors);
-  EXPECT_EQ(back.result.workspace_peak_bytes, r.workspace_peak_bytes);
-  EXPECT_EQ(back.result.host_ns, r.host_ns);
-  EXPECT_FALSE(back.result.dram_ran);
-}
-
-TEST(DsweepFer, ManifestWithoutChannelDrawStampIsRefused) {
-  // The job config carries the channel models' draw revision, so records
-  // drawn by other channel code never enter a run: a manifest written
-  // for the unstamped job (every manifest from before the stamp) is a
-  // different run to --resume and --merge-shards.
+/// Write a complete FER journal of a small grid whose header is
+/// fingerprinted by (\p name, \p job(grid, options)) and whose entries are
+/// \p record_of(scenario, result), then check that neither --resume nor
+/// --merge-shards accepts it.
+template <typename JobOf, typename RecordOf>
+void expect_journal_refused(const char* tag, const std::string& name, JobOf job_of,
+                            RecordOf record_of) {
   SweepGrid grid;
   grid.devices = {"LPDDR5-8533"};
   grid.interleavers = {"none"};
   grid.channels = {"bsc", "gilbert-elliott"};
-  grid.rs_ks = {223};
   FerSweepOptions options;
   options.sweep.threads = 1;
   options.sweep.base_seed = 3;
@@ -473,25 +470,16 @@ TEST(DsweepFer, ManifestWithoutChannelDrawStampIsRefused) {
   options.base.side = 64;
   options.base.run_dram = false;
 
-  const Json job = fer_job_config(grid, options);
-  EXPECT_EQ(job.at("channel_draws").as_double(),
-            static_cast<double>(channel::kDrawRevision));
-  Json unstamped;
-  unstamped["grid"] = job.at("grid");
-  unstamped["base"] = job.at("base");
-
-  // A complete manifest of the unstamped job, as an older binary writes it.
-  const std::string path = temp_manifest("unstamped");
+  const std::string path = temp_manifest(tag);
   std::remove(path.c_str());
-  const std::uint64_t cells = grid.size();
   ManifestWriter writer;
-  ASSERT_TRUE(writer.open(
-      path, sweep_fingerprint("fer", unstamped, cells, options.sweep.base_seed),
-      /*fresh=*/true));
+  ASSERT_TRUE(writer.open(path,
+                          sweep_fingerprint(name, job_of(grid, options), grid.size(),
+                                            options.sweep.base_seed),
+                          /*fresh=*/true));
   const auto reference = run_fer_sweep(grid, options);
-  for (std::uint64_t i = 0; i < cells; ++i) {
-    ASSERT_TRUE(writer.append(
-        i, fer_cell_to_json(reference[i].scenario, reference[i].result)));
+  for (std::uint64_t i = 0; i < reference.size(); ++i) {
+    ASSERT_TRUE(writer.append(i, record_of(reference[i].scenario, reference[i].result)));
   }
   writer.close();
 
@@ -501,6 +489,48 @@ TEST(DsweepFer, ManifestWithoutChannelDrawStampIsRefused) {
   EXPECT_THROW(run_fer_sweep_dist(grid, options, dist), std::runtime_error);
   EXPECT_THROW(run_fer_merge_shards(grid, options, {path}), std::runtime_error);
   std::remove(path.c_str());
+}
+
+TEST(DsweepFer, ManifestWithoutChannelDrawStampIsRefused) {
+  // The job config carries the channel models' draw revision, so records
+  // drawn by other channel code never enter a run: a manifest written
+  // for the unstamped job (every manifest from before the stamp) is a
+  // different run to --resume and --merge-shards, even with today's
+  // records.
+  const auto unstamped = [](const SweepGrid& grid, const FerSweepOptions& options) {
+    const Json job = fer_job_config(grid, options);
+    EXPECT_EQ(job.at("channel_draws").as_double(),
+              static_cast<double>(channel::kDrawRevision));
+    Json old;
+    old["grid"] = job.at("grid");
+    old["base"] = job.at("base");
+    return old;
+  };
+  expect_journal_refused("unstamped", kFerSweep, unstamped, fer_record);
+}
+
+TEST(DsweepFer, JournalOfNestedRecordsIsRefused) {
+  // Before the journal stored the output row, each entry was a nested
+  // {scenario, result} record under the name "fer". Such a journal is a
+  // different run, however complete, so its records never reach a
+  // document of rows.
+  const auto nested = [](const Scenario& scenario, const PipelineResult& result) {
+    Json sc;
+    sc["device"] = scenario.device;
+    sc["interleaver"] = scenario.interleaver;
+    sc["channel"] = scenario.channel;
+    sc["rs_k"] = static_cast<std::uint64_t>(scenario.rs_k);
+    Json r;
+    r["frames"] = result.frames;
+    r["code_words"] = result.code_words;
+    r["word_errors"] = result.word_errors;
+    r["dram_ran"] = result.dram_ran;
+    Json j;
+    j["scenario"] = sc;
+    j["result"] = r;
+    return j;
+  };
+  expect_journal_refused("nested", "fer", fer_job_config, nested);
 }
 
 }  // namespace

@@ -144,8 +144,9 @@ TEST(SweepGrid, PaperGridCoversTableI) {
 TEST(Scenario, LabelIsInjectiveOverTheFullGrid) {
   // Regression: the label used to elide the "triangular" interleaver and
   // the rs_k of channel-free cells, so e.g. RS(255,223) and RS(255,191)
-  // cells with channel == "none" collided — summaries then reported the
-  // wrong worst cell. Every axis value must produce a distinct label.
+  // cells with channel == "none" collided, and a label names its cell in
+  // experiment_runner's rows. Every axis value must produce a distinct
+  // label.
   SweepGrid grid;
   grid.devices = {"DDR4-3200", "LPDDR5-8533"};
   grid.mapping_specs = {"row-major", "optimized"};
@@ -247,28 +248,6 @@ TEST(BandwidthSweep, UnknownDeviceThrows) {
   SweepGrid grid;
   grid.devices = {"NO-SUCH-DEVICE"};
   EXPECT_THROW(run_bandwidth_sweep(grid, quick_sweep(2)), std::invalid_argument);
-}
-
-TEST(Summary, TracksBestAndWorst) {
-  SweepGrid grid;
-  grid.devices = {"DDR4-3200", "LPDDR4-4266"};
-  grid.mapping_specs = {"row-major", "optimized"};
-  const auto records = run_bandwidth_sweep(grid, quick_sweep(2));
-  const auto summary = summarize(records);
-  EXPECT_EQ(summary.records, 4u);
-  EXPECT_GT(summary.min_utilization, 0.0);
-  EXPECT_LE(summary.min_utilization, summary.mean_utilization);
-  EXPECT_LE(summary.mean_utilization, summary.max_utilization);
-  // Row-major read collapses on LPDDR4-4266 (paper Table I), so that cell
-  // must be the worst of this grid.
-  EXPECT_EQ(summary.worst_scenario,
-            "LPDDR4-4266/row-major/triangular/none/RS(255,223)");
-}
-
-TEST(Summary, EmptyIsZero) {
-  const auto summary = summarize({});
-  EXPECT_EQ(summary.records, 0u);
-  EXPECT_EQ(summary.mean_utilization, 0.0);
 }
 
 TEST(EffectiveThreads, ClampsToJobCountAndNeverZero) {
