@@ -28,6 +28,7 @@ Controller::Controller(DeviceConfig device, ControllerConfig config)
     throw std::invalid_argument("Controller: queue_depth must be > 0");
   }
   banks_.resize(device_.banks);
+  open_row_.assign(device_.banks, kNoRow);
   last_act_in_group_.assign(device_.bank_groups, kNegInf);
   last_cas_in_group_.assign(device_.bank_groups, kNegInf);
   group_of_.resize(device_.banks);
@@ -45,13 +46,10 @@ Controller::Controller(DeviceConfig device, ControllerConfig config)
   bank_prev_.assign(config_.queue_depth, kNoSlot);
   bins_.resize(device_.banks);
   class_head_.assign(static_cast<std::size_t>(device_.banks) * 4, kNoSlot);
+  head_seq_.assign(class_head_.size(), 0);
   head_mask_.assign((class_head_.size() + 63) / 64, 0);
   local_.resize(class_head_.size());
   for (std::uint32_t b = 0; b < device_.banks; ++b) update_local(b);
-  std::size_t table = 64;
-  while (table < static_cast<std::size_t>(config_.queue_depth) * 4) table *= 2;
-  row_counts_.assign(table, RowCountEntry{});
-  row_mask_ = table - 1;
 
   switch (refresh_mode_) {
     case RefreshMode::Disabled:
@@ -93,9 +91,9 @@ void Controller::emit(const Command& cmd) {
 }
 
 RowBufferResult Controller::classify(const Request& req) const {
-  const Bank& b = banks_[req.addr.bank];
-  if (!b.open) return RowBufferResult::Miss;
-  return b.row == req.addr.row ? RowBufferResult::Hit : RowBufferResult::Conflict;
+  const std::uint32_t open = open_row_[req.addr.bank];
+  if (open == kNoRow) return RowBufferResult::Miss;
+  return open == req.addr.row ? RowBufferResult::Hit : RowBufferResult::Conflict;
 }
 
 Ps Controller::earliest_act_after(Ps floor, std::uint32_t bank_id) const {
@@ -166,9 +164,9 @@ Controller::Plan Controller::plan_request(const Request& req) const {
 
 Ps Controller::close_bank(std::uint32_t bank_id, PhaseStats& stats) {
   Bank& b = banks_[bank_id];
-  assert(b.open);
+  assert(open_row_[bank_id] != kNoRow);
   const Ps pre_t = std::max(b.pre_ready, b.last_act + device_.timing.tRAS);
-  b.open = false;
+  open_row_[bank_id] = kNoRow;
   refill_heads(bank_id);
   b.act_ready = std::max(b.act_ready, pre_t + device_.timing.tRP);
   b.ref_ready = std::max(b.ref_ready, pre_t + device_.timing.tRP);
@@ -202,7 +200,6 @@ void Controller::commit(const Request& req, const Plan& plan, PhaseStats& stats)
       break;
     case RowBufferResult::Conflict: {
       ++stats.row_conflicts;
-      b.open = false;
       b.act_ready = std::max(b.act_ready, plan.pre_t + t.tRP);
       b.ref_ready = std::max(b.ref_ready, plan.pre_t + t.tRP);
       ++stats.precharges;
@@ -211,8 +208,7 @@ void Controller::commit(const Request& req, const Plan& plan, PhaseStats& stats)
     }
     case RowBufferResult::Miss: {
       if (plan.kind == RowBufferResult::Miss) ++stats.row_misses;
-      b.open = true;
-      b.row = req.addr.row;
+      open_row_[bank_id] = req.addr.row;
       refill_heads(bank_id);
       b.last_act = plan.act_t;
       b.act_ready = plan.act_t + t.tRC;
@@ -256,50 +252,6 @@ void Controller::commit(const Request& req, const Plan& plan, PhaseStats& stats)
                .data_end = plan.data_end});
 }
 
-std::size_t Controller::row_slot(std::uint64_t key) const {
-  // Fibonacci hashing: one multiply, top bits. The keys are structured
-  // (bank | row | dir) and the golden-ratio multiply spreads consecutive
-  // rows well enough for short linear-probe chains at 4x slack.
-  const std::uint64_t h = key * 0x9E3779B97F4A7C15ull;
-  return static_cast<std::size_t>(h >> 32) & row_mask_;
-}
-
-void Controller::row_count_add(std::uint64_t key) {
-  std::size_t i = row_slot(key);
-  while (row_counts_[i].key != key && row_counts_[i].key != kEmptyKey) {
-    i = (i + 1) & row_mask_;
-  }
-  row_counts_[i].key = key;
-  ++row_counts_[i].count;
-}
-
-void Controller::row_count_remove(std::uint64_t key) {
-  std::size_t i = row_slot(key);
-  while (row_counts_[i].key != key) i = (i + 1) & row_mask_;
-  if (--row_counts_[i].count > 0) return;
-  // Backward-shift deletion keeps probe chains tombstone-free.
-  std::size_t j = i;
-  for (;;) {
-    j = (j + 1) & row_mask_;
-    if (row_counts_[j].key == kEmptyKey) break;
-    const std::size_t ideal = row_slot(row_counts_[j].key);
-    if (((j - ideal) & row_mask_) >= ((j - i) & row_mask_)) {
-      row_counts_[i] = row_counts_[j];
-      i = j;
-    }
-  }
-  row_counts_[i] = RowCountEntry{};
-}
-
-std::uint32_t Controller::row_count_get(std::uint64_t key) const {
-  std::size_t i = row_slot(key);
-  while (row_counts_[i].key != kEmptyKey) {
-    if (row_counts_[i].key == key) return row_counts_[i].count;
-    i = (i + 1) & row_mask_;
-  }
-  return 0;
-}
-
 std::uint32_t Controller::enqueue(const Request& req) {
   assert(!free_slots_.empty());
   const std::uint32_t id = free_slots_.back();
@@ -324,10 +276,10 @@ std::uint32_t Controller::enqueue(const Request& req) {
     bin.head = id;
   }
   bin.tail = id;
-  ++bin.total[req.is_write ? 1 : 0];
-  row_count_add(row_key(req.addr.bank, req.addr.row, req.is_write));
+  // The newcomer is the youngest, so it only fills an empty head.
   const std::uint32_t index = req.addr.bank * 4 + class_of(req);
-  if (class_head_[index] == kNoSlot) set_head(index, id);  // the newcomer is the youngest
+  if (class_head_[index] == kNoSlot) set_head(index, id);
+  if (dir_head_[req.is_write] == kNoSlot) dir_head_[req.is_write] = id;
   return id;
 }
 
@@ -343,14 +295,17 @@ void Controller::dequeue(std::uint32_t slot_id) {
   const std::uint32_t bp = bank_prev_[slot_id];
   (bp != kNoSlot ? bank_next_[bp] : bin.head) = bn;
   (bn != kNoSlot ? bank_prev_[bn] : bin.tail) = bp;
-  --bin.total[req.is_write ? 1 : 0];
-  row_count_remove(row_key(req.addr.bank, req.addr.row, req.is_write));
   const unsigned c = class_of(req);
   const std::uint32_t index = req.addr.bank * 4 + c;
   if (class_head_[index] == slot_id) {  // the next classmate takes over
     std::uint32_t next = bn;
     while (next != kNoSlot && class_of(slots_[next]) != c) next = bank_next_[next];
     set_head(index, next);
+  }
+  if (dir_head_[req.is_write] == slot_id) {  // and the next of its direction
+    std::uint32_t next = fn;
+    while (next != kNoSlot && slots_[next].is_write != req.is_write) next = fifo_next_[next];
+    dir_head_[req.is_write] = next;
   }
 
   free_slots_.push_back(slot_id);
@@ -363,6 +318,7 @@ void Controller::set_head(std::uint32_t index, std::uint32_t slot_id) {
     head_mask_[index >> 6] &= ~bit;
   } else {
     head_mask_[index >> 6] |= bit;
+    head_seq_[index] = slots_[slot_id].seq;
   }
 }
 
@@ -371,9 +327,9 @@ void Controller::update_local(std::uint32_t bank_id) {
   const TimingParams& t = device_.timing;
   // L: rdwr_ready for a hit; for an ACT, act_ready behind the PRE chain
   // when a row is open.
-  const Ps act = b.open ? std::max(b.act_ready,
-                                   std::max(b.pre_ready, b.last_act + t.tRAS) + t.tRP)
-                        : b.act_ready;
+  const Ps act = open_row_[bank_id] != kNoRow
+                     ? std::max(b.act_ready, std::max(b.pre_ready, b.last_act + t.tRAS) + t.tRP)
+                     : b.act_ready;
   Ps* local = &local_[static_cast<std::size_t>(bank_id) * 4];
   local[0] = b.rdwr_ready + t.CL;
   local[1] = b.rdwr_ready + t.CWL;
@@ -382,73 +338,103 @@ void Controller::update_local(std::uint32_t bank_id) {
 }
 
 void Controller::refill_heads(std::uint32_t bank_id) {
-  const Bin& bin = bins_[bank_id];
-  const Bank& b = banks_[bank_id];
-  unsigned missing = 0;  // populated classes whose oldest member is not yet found
-  for (unsigned dir = 0; dir < 2; ++dir) {
-    const std::uint32_t hits = b.open ? row_count_get(row_key(bank_id, b.row, dir != 0)) : 0;
-    if (hits > 0) missing |= 1u << dir;
-    if (bin.total[dir] > hits) missing |= 1u << (2 + dir);
-  }
-  for (unsigned c = 0; c < 4; ++c) set_head(bank_id * 4 + c, kNoSlot);
-  for (std::uint32_t id = bin.head; missing != 0; id = bank_next_[id]) {
+  // Walk the bin until every class that can be populated has its oldest
+  // member: all four, or the two other-row ones when the bank is closed.
+  std::array<std::uint32_t, 4> heads{kNoSlot, kNoSlot, kNoSlot, kNoSlot};
+  unsigned missing = open_row_[bank_id] == kNoRow ? 0b1100u : 0b1111u;
+  for (std::uint32_t id = bins_[bank_id].head; id != kNoSlot && missing != 0;
+       id = bank_next_[id]) {
     const unsigned c = class_of(slots_[id]);
     if ((missing & (1u << c)) == 0) continue;
-    set_head(bank_id * 4 + c, id);
+    heads[c] = id;
     missing &= ~(1u << c);
   }
+  for (unsigned c = 0; c < 4; ++c) set_head(bank_id * 4 + c, heads[c]);
+}
+
+Controller::PickTerms Controller::pick_terms() const {
+  const TimingParams& t = device_.timing;
+  PickTerms p;
+  p.cas_any = last_cas_any_ + t.tCCD_S;
+  p.act_any = last_act_any_ + t.tRRD_S;
+  if (faw_len_ == 4) p.act_any = std::max(p.act_any, faw_[faw_head_] + t.tFAW);
+  p.wtr = last_wr_data_end_ + t.tWTR;
+  p.bus_w = last_burst_was_write_ ? bus_free_
+                                  : std::max(bus_free_, last_rd_data_end_ + t.tRTW_bubble);
+  return p;
+}
+
+Ps Controller::class_floor(const PickTerms& p, unsigned group, unsigned cls) const {
+  // The CAS-rate, W->R and bus floors, plus the ACT-rate floor + tRCD for
+  // the classes that need an ACT.
+  const TimingParams& t = device_.timing;
+  Ps cas = std::max(p.cas_any, last_cas_in_group_[group] + t.tCCD_L);
+  if (cls >= 2) {
+    cas = std::max(cas, std::max(p.act_any, last_act_in_group_[group] + t.tRRD_L) + t.tRCD);
+  }
+  return (cls & 1) != 0 ? std::max(cas + t.CWL, p.bus_w)
+                        : std::max(std::max(cas, p.wtr) + t.CL, bus_free_);
+}
+
+Ps Controller::data_start_of(const PickTerms& terms, std::uint32_t slot_id) const {
+  const Request& req = slots_[slot_id];
+  const unsigned c = class_of(req);
+  return std::max(local_[req.addr.bank * 4 + c],
+                  class_floor(terms, group_of_[req.addr.bank], c));
 }
 
 std::uint32_t Controller::pick_fr_fcfs(Plan& plan_out, std::uint64_t& candidates) {
   assert(fifo_head_ != kNoSlot);
-  // No Plan starts before bus_free_, so an oldest request landing there
-  // wins outright: nothing is earlier and it wins every tie by age.
-  ++candidates;
-  plan_out = plan_request(slots_[fifo_head_]);
-  if (plan_out.data_start <= bus_free_) return fifo_head_;
-
-  // data_start = max(L + c, G) per class (see the header design note).
-  // G per (bank group, class): the CAS-rate, W->R and bus floors, plus
-  // the ACT-rate floor + tRCD for the classes that need an ACT.
   const TimingParams& t = device_.timing;
-  const Ps cas_any = last_cas_any_ + t.tCCD_S;
-  Ps act_any = last_act_any_ + t.tRRD_S;
-  if (faw_len_ == 4) act_any = std::max(act_any, faw_[faw_head_] + t.tFAW);
-  const Ps wtr = last_wr_data_end_ + t.tWTR;
-  const Ps bus_w = last_burst_was_write_
-                       ? bus_free_
-                       : std::max(bus_free_, last_rd_data_end_ + t.tRTW_bubble);
-  for (std::size_t g = 0; g < last_cas_in_group_.size(); ++g) {
-    const Ps cas = std::max(cas_any, last_cas_in_group_[g] + t.tCCD_L);
-    const Ps act = std::max(act_any, last_act_in_group_[g] + t.tRRD_L) + t.tRCD;
-    Ps* floor = &group_floor_[4 * g];
-    floor[0] = std::max(std::max(cas, wtr) + t.CL, bus_free_);
-    floor[1] = std::max(cas + t.CWL, bus_w);
-    floor[2] = std::max(std::max({cas, wtr, act}) + t.CL, bus_free_);
-    floor[3] = std::max(std::max(cas, act) + t.CWL, bus_w);
+  const PickTerms terms = pick_terms();
+  // No Plan starts before bus_free_, so the oldest request landing there
+  // wins outright: nothing is earlier and it wins every tie by age.
+  std::uint32_t best = fifo_head_;
+  ++candidates;
+  if (data_start_of(terms, best) <= bus_free_) {
+    plan_out = plan_request(slots_[best]);
+    return best;
+  }
+  // Direction exit: everything older than the other direction's oldest
+  // request has the head's direction, which bus turnaround may hold off
+  // bus_free_ as a whole.
+  const bool head_write = slots_[best].is_write;
+  const std::uint32_t other = dir_head_[head_write ? 0 : 1];
+  const bool held = head_write ? terms.bus_w > bus_free_ : terms.wtr + t.CL > bus_free_;
+  if (other != kNoSlot && held) {
+    ++candidates;
+    if (data_start_of(terms, other) <= bus_free_) {
+      plan_out = plan_request(slots_[other]);
+      return other;
+    }
   }
 
+  // data_start = max(L + c, G) per class (see the header design note),
+  // G per (bank group, class).
+  for (unsigned g = 0; g < device_.bank_groups; ++g) {
+    for (unsigned c = 0; c < 4; ++c) group_floor_[4 * g + c] = class_floor(terms, g, c);
+  }
   // Fold (data_start, seq) over the occupied class heads as one 128-bit
   // key, so the comparison compiles to conditional moves (data_start >=
   // bus_free_ >= 0, so the high half orders correctly).
   using Key = unsigned __int128;
   const std::size_t floor_mask = group_floor_.size() - 1;
   Key best_key = ~Key{0};
-  std::uint32_t best = kNoSlot;
+  std::size_t best_index = 0;
   std::uint64_t evaluated = 0;
   for (std::size_t w = 0; w < head_mask_.size(); ++w) {
     for (std::uint64_t word = head_mask_[w]; word != 0; word &= word - 1) {
       const std::size_t index = w * 64 + static_cast<std::size_t>(std::countr_zero(word));
       const Ps ds = std::max(local_[index], group_floor_[index & floor_mask]);
-      const std::uint32_t id = class_head_[index];
-      const Key key = (static_cast<Key>(ds) << 64) | slots_[id].seq;
-      best = key < best_key ? id : best;
+      const Key key = (static_cast<Key>(ds) << 64) | head_seq_[index];
+      best_index = key < best_key ? index : best_index;
       best_key = key < best_key ? key : best_key;
       ++evaluated;
     }
   }
   candidates += evaluated;
-  if (best != fifo_head_) plan_out = plan_request(slots_[best]);
+  best = class_head_[best_index];
+  plan_out = plan_request(slots_[best]);
   assert(plan_out.data_start == static_cast<Ps>(best_key >> 64));
   return best;
 }
@@ -482,7 +468,7 @@ void Controller::do_refresh(PhaseStats& stats) {
 
   if (refresh_mode_ == RefreshMode::AllBank) {
     for (std::uint32_t i = 0; i < device_.banks; ++i) {
-      if (banks_[i].open) close_bank(i, stats);
+      if (open_row_[i] != kNoRow) close_bank(i, stats);
       ready = std::max(ready, banks_[i].ref_ready);
     }
     ready = std::max(ready, last_refresh_ + t.tRFC_ab);
@@ -501,7 +487,7 @@ void Controller::do_refresh(PhaseStats& stats) {
     };
     for (std::uint32_t i = 0; i < device_.banks; ++i) {
       if (!is_member(i)) continue;
-      if (banks_[i].open) close_bank(i, stats);
+      if (open_row_[i] != kNoRow) close_bank(i, stats);
       ready = std::max(ready, banks_[i].ref_ready);
     }
     ready = std::max(ready, last_refresh_ + t.tRFC_grp);
@@ -533,9 +519,19 @@ PhaseStats Controller::run_phase(RequestStream& stream, std::string label) {
   const std::uint32_t banks = device_.banks;
   const std::uint32_t rows = device_.rows_per_bank;
   const std::uint32_t columns = device_.columns_per_page;
+  // Requests arrive a run per virtual call and wait in `run` until the
+  // queue has room; each gets its arrival seq when it is enqueued.
+  std::array<Request, 64> run;
+  std::size_t run_pos = 0;
+  std::size_t run_len = 0;
   auto refill = [&] {
-    Request r;
-    while (!free_slots_.empty() && stream.next(r)) {
+    while (!free_slots_.empty()) {
+      if (run_pos == run_len) {
+        run_len = stream.next_batch(run.data(), run.size());
+        run_pos = 0;
+        if (run_len == 0) return;
+      }
+      Request& r = run[run_pos++];
       r.seq = next_seq_++;
       if (r.addr.bank >= banks || r.addr.row >= rows || r.addr.column >= columns) {
         throw std::out_of_range("Controller: request address outside device");

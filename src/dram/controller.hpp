@@ -24,8 +24,11 @@
 ///     other row). A newcomer only fills an empty class; a dequeued head
 ///     is replaced by the next classmate in its bank's bin; an open-row
 ///     change (ACT, PRE, refresh close) refills the bank's heads in one
-///     bin walk that stops once every class the row-count table reports
-///     populated was found.
+///     bin walk that stops once all four heads are found (the two other-
+///     row ones on a closed bank) or the bin ends. There is no count of
+///     queued requests per row: a bin holds a bank's share of the queue
+///     (5.0 walk steps per refill on the mixed streams, 5.1 on the Table I
+///     phases).
 ///  2. Decomposition. Every term of plan_class() is a max of (state +
 ///     constant), so data_start = max(L + c, G). L reads only the bank:
 ///     rdwr_ready for an open-row hit; for an ACT, act_ready, behind the
@@ -34,19 +37,31 @@
 ///     and group-global floors: tCCD_S/L, tWTR, the bus and tRTW, plus
 ///     tRRD/tFAW + tRCD when an ACT is needed. L + c is cached per (bank,
 ///     class) and recomputed when the bank's timing state changes; G is
-///     computed once per pick for each (bank group, class).
+///     class_floor(), evaluated per pick for the classes the pick tests.
 ///
-/// data_start never precedes bus_free_, so an oldest request landing
-/// there wins outright: that exit costs one Plan. Otherwise the pick
-/// folds (data_start, seq) over the occupied class heads and plans only
-/// the winner. Measured on the paper's full-size streams (20 Table I
-/// cells, PhaseStats::pick_candidates): the exit resolves 50% of the
-/// separate-phase picks and 18% of the double-buffered mixed ones, and a
-/// pick evaluates 8.5 data_starts on average over the phases (1.2-17 per
-/// cell) and 17.4 over the mixed streams (6-33 per cell). The command
-/// stream is identical to the replan-everything reference
-/// (Policy::FrFcfsOracle); tests/dram/test_scheduler_equivalence.cpp
-/// checks it command for command on random and on the paper's streams.
+/// data_start never precedes bus_free_, so the oldest request landing
+/// there wins outright. The pick tests two such exits before it folds,
+/// each at the cost of one data_start, and plans only the winner:
+///
+///  - Head exit: the FIFO head lands on bus_free_.
+///  - Direction exit: every request older than the other direction's
+///    oldest one has the head's direction. When bus turnaround keeps
+///    that whole direction off bus_free_ (reads while last_wr_data_end_
+///    + tWTR + CL > bus_free_; writes after a read while
+///    last_rd_data_end_ + tRTW_bubble > bus_free_), the other
+///    direction's oldest request wins if it lands on bus_free_.
+///    Single-direction phases never take it.
+///
+/// Otherwise the pick folds (data_start, seq) over the occupied class
+/// heads. Measured on the paper's full-size streams (20 Table I cells,
+/// PhaseStats::pick_candidates): the head exit resolves 50% of the
+/// separate-phase picks, and the two exits 46% of the double-buffered
+/// mixed ones (18% at the head, 28% by direction); a pick evaluates 8.5
+/// data_starts on average over the phases (1.2-17 per cell) and 12.2 over
+/// the mixed streams (1.8-26 per cell). The command stream is identical
+/// to the replan-everything reference (Policy::FrFcfsOracle);
+/// tests/dram/test_scheduler_equivalence.cpp checks it command for
+/// command on random and on the paper's streams.
 ///
 /// Fidelity notes (DESIGN.md §5): per-bank row state, bank-group-aware
 /// tCCD/tRRD, the four-activate window, rank-level write-to-read
@@ -115,10 +130,11 @@ class Controller {
  private:
   static constexpr Ps kNegInf = std::numeric_limits<Ps>::min() / 4;
   static constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+  /// open_row_ entry of a closed bank; no request row equals it (run_phase
+  /// rejects rows >= rows_per_bank).
+  static constexpr std::uint32_t kNoRow = std::numeric_limits<std::uint32_t>::max();
 
   struct Bank {
-    bool open = false;
-    std::uint32_t row = 0;
     Ps last_act = kNegInf;      ///< issue time of last ACT
     Ps act_ready = 0;           ///< earliest next ACT (tRP / tRC / refresh)
     Ps rdwr_ready = 0;          ///< earliest CAS after ACT (tRCD)
@@ -137,33 +153,26 @@ class Controller {
   };
 
   /// Per-bank view of the queue: an intrusive arrival-ordered list of the
-  /// bank's queued slots plus per-direction member totals.
+  /// bank's queued slots.
   struct Bin {
     std::uint32_t head = kNoSlot;          ///< oldest queued slot of this bank
     std::uint32_t tail = kNoSlot;
-    std::array<std::uint32_t, 2> total{};  ///< queued members per direction
   };
 
-  /// Open-addressing count table keyed by (bank, row, direction): how
-  /// many queued requests target that exact page. Membership counts do
-  /// not depend on bank state, so they are maintained incrementally on
-  /// enqueue/dequeue only and never invalidated; a class-head refill uses
-  /// them to stop its bin walk once every populated class is found. Linear
-  /// probing with backward-shift deletion; sized at 4x queue depth so
-  /// probe chains stay short.
-  struct RowCountEntry {
-    std::uint64_t key = kEmptyKey;
-    std::uint32_t count = 0;
+  /// The rank-global terms of the floor G, read once per pick.
+  struct PickTerms {
+    Ps cas_any = 0;  ///< tCCD_S after the last CAS
+    Ps act_any = 0;  ///< tRRD_S and tFAW after the last ACTs
+    Ps wtr = 0;      ///< tWTR after the last write burst
+    Ps bus_w = 0;    ///< bus floor of a write: bus_free_, or the RD->WR bubble
   };
-  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
   RowBufferResult classify(const Request& req) const;
   /// Pick class of a queued request under its bank's current open row:
   /// (other row ? 2 : 0) + is_write, where every row of a closed bank is
   /// an other row. Hit classes (0, 1) need no ACT; 2 and 3 need one.
   unsigned class_of(const Request& req) const {
-    const Bank& b = banks_[req.addr.bank];
-    return (b.open && b.row == req.addr.row ? 0u : 2u) + (req.is_write ? 1u : 0u);
+    return (open_row_[req.addr.bank] == req.addr.row ? 0u : 2u) + (req.is_write ? 1u : 0u);
   }
   /// Earliest-legal Plan for any (bank, outcome, direction) class; the
   /// single source of scheduling truth shared by all policies.
@@ -183,23 +192,19 @@ class Controller {
   /// Re-derive a bank's class heads after its open row changed.
   void refill_heads(std::uint32_t bank_id);
   /// Point class head \p index at \p slot_id (kNoSlot empties it) and
-  /// keep head_mask_ in step.
+  /// keep head_mask_ and head_seq_ in step.
   void set_head(std::uint32_t index, std::uint32_t slot_id);
   /// Recompute a bank's local_ entries after its timing state changed.
   void update_local(std::uint32_t bank_id);
+  PickTerms pick_terms() const;
+  /// G of data_start for class \p cls in bank group \p group: the one
+  /// floor formula the exits and the fold share.
+  Ps class_floor(const PickTerms& terms, unsigned group, unsigned cls) const;
+  /// data_start of queued slot \p slot_id, max(L + c, G) without a Plan.
+  Ps data_start_of(const PickTerms& terms, std::uint32_t slot_id) const;
   // Each pick adds its data_start evaluations to `candidates`.
   std::uint32_t pick_fr_fcfs(Plan& plan_out, std::uint64_t& candidates);
   std::uint32_t pick_fr_fcfs_oracle(Plan& plan_out, std::uint64_t& candidates) const;
-
-  // Row-count table primitives.
-  static std::uint64_t row_key(std::uint32_t bank, std::uint32_t row, bool is_write) {
-    return (static_cast<std::uint64_t>(bank) << 33) |
-           (static_cast<std::uint64_t>(row) << 1) | (is_write ? 1 : 0);
-  }
-  std::size_t row_slot(std::uint64_t key) const;
-  void row_count_add(std::uint64_t key);
-  void row_count_remove(std::uint64_t key);
-  std::uint32_t row_count_get(std::uint64_t key) const;
 
   DeviceConfig device_;
   ControllerConfig config_;
@@ -207,6 +212,7 @@ class Controller {
   CommandObserver* observer_ = nullptr;
 
   std::vector<Bank> banks_;
+  std::vector<std::uint32_t> open_row_; ///< per bank: the open row, or kNoRow
   std::vector<Ps> last_act_in_group_;   ///< per bank group, for tRRD_L
   std::vector<Ps> last_cas_in_group_;   ///< per bank group, for tCCD_L
   std::vector<std::uint32_t> group_of_; ///< bank id -> bank group (no div on hot path)
@@ -239,18 +245,21 @@ class Controller {
   std::vector<std::uint32_t> bank_next_, bank_prev_;
   std::uint32_t fifo_head_ = kNoSlot;        ///< oldest queued slot
   std::uint32_t fifo_tail_ = kNoSlot;
+  /// Oldest queued slot per direction (index is_write), kNoSlot when none.
+  std::array<std::uint32_t, 2> dir_head_{kNoSlot, kNoSlot};
   std::vector<Bin> bins_;                    ///< one per bank
   /// Oldest queued slot per (bank, class) at index bank * 4 + class_of(),
   /// kNoSlot when the class is empty (see the header design note).
   std::vector<std::uint32_t> class_head_;
+  /// seq of each occupied class head, indexed like class_head_, so the
+  /// fold reads one dense array instead of the slot arena.
+  std::vector<std::uint64_t> head_seq_;
   /// Bitmask of the occupied class_head_ entries (64 per word): the pick
   /// folds over the set bits only.
   std::vector<std::uint64_t> head_mask_;
   /// Bank-local term L + c of data_start per (bank, class), indexed like
   /// class_head_; refreshed whenever the bank's timing state changes.
   std::vector<Ps> local_;
-  std::vector<RowCountEntry> row_counts_;    ///< (bank, row, dir) -> queued count
-  std::size_t row_mask_ = 0;                 ///< row_counts_.size() - 1 (power of two)
   /// Pick scratch: the group-global floor G at index group * 4 + class.
   /// Bank groups are bank % bank_groups, a power of two, so a class head's
   /// entry is its class_head_ index masked by group_floor_.size() - 1.

@@ -17,6 +17,15 @@ class RequestStream {
 
   /// Produce the next request; returns false at end of stream.
   virtual bool next(Request& out) = 0;
+
+  /// Produce up to \p max (> 0) requests into \p out, the same sequence
+  /// next() yields; returns how many, 0 only at end of stream. Streams
+  /// that generate addresses override it to fill a run per virtual call.
+  virtual std::size_t next_batch(Request* out, std::size_t max) {
+    std::size_t n = 0;
+    while (n < max && next(out[n])) ++n;
+    return n;
+  }
 };
 
 /// Fixed request sequence, mostly for tests.

@@ -10,6 +10,7 @@
 /// choice alone determines the achievable bandwidth.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -32,6 +33,17 @@ class IndexMapping {
   /// Map position (row \p i, column \p j), 0 <= i,j < side(), j < n-i for
   /// triangular workloads (rectangular callers may use the full square).
   virtual dram::Address map(std::uint64_t i, std::uint64_t j) const = 0;
+
+  /// Map \p count positions from (\p i, \p j) on: (i, j + k) along the
+  /// row, or (i + k, j) down the column; out[k] equals map() of the k-th
+  /// position. Mappings with inline per-position code override it to save
+  /// the virtual call per position.
+  virtual void map_run(std::uint64_t i, std::uint64_t j, bool along_row,
+                       std::size_t count, dram::Address* out) const {
+    for (std::size_t k = 0; k < count; ++k) {
+      out[k] = along_row ? map(i, j + k) : map(i + k, j);
+    }
+  }
 
   virtual const IndexSpace& space() const = 0;
   virtual std::string name() const = 0;

@@ -87,6 +87,20 @@ dram::Address OptimizedMapping::map(std::uint64_t i, std::uint64_t j) const {
   return map_none(x, y);
 }
 
+void OptimizedMapping::map_run(std::uint64_t i, std::uint64_t j, bool along_row,
+                                std::size_t count, dram::Address* out) const {
+  if (!(options_.page_tiling && options_.diagonal_banks)) {
+    IndexMapping::map_run(i, j, along_row, count, out);  // ablation corners
+    return;
+  }
+  // x = j, y = i as in map().
+  if (along_row) {
+    for (std::size_t k = 0; k < count; ++k) out[k] = map_full(j + k, i);
+  } else {
+    for (std::size_t k = 0; k < count; ++k) out[k] = map_full(j, i + k);
+  }
+}
+
 dram::Address OptimizedMapping::map_full(std::uint64_t x, std::uint64_t y) const {
   if (pow2_) {
     // Add/shift/mask form. The circular offsets stay reductions by one

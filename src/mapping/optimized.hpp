@@ -40,6 +40,8 @@ class OptimizedMapping final : public IndexMapping {
                    OptimizedOptions options = {});
 
   dram::Address map(std::uint64_t i, std::uint64_t j) const override;
+  void map_run(std::uint64_t i, std::uint64_t j, bool along_row, std::size_t count,
+               dram::Address* out) const override;
   const IndexSpace& space() const override { return space_; }
   std::string name() const override;
 
@@ -51,7 +53,9 @@ class OptimizedMapping final : public IndexMapping {
   const OptimizedOptions& options() const { return options_; }
 
  private:
-  dram::Address map_full(std::uint64_t x, std::uint64_t y) const;
+  /// Inline (defined in optimized.cpp, its only caller) so map_run's
+  /// loop makes no call per position.
+  inline dram::Address map_full(std::uint64_t x, std::uint64_t y) const;
   dram::Address map_tiling_only(std::uint64_t x, std::uint64_t y) const;
   dram::Address map_diagonal_only(std::uint64_t x, std::uint64_t y) const;
   dram::Address map_none(std::uint64_t x, std::uint64_t y) const;

@@ -29,6 +29,18 @@ dram::Address RowMajorMapping::map(std::uint64_t i, std::uint64_t j) const {
   return decoder_.decode(linear_index(i, j));
 }
 
+void RowMajorMapping::map_run(std::uint64_t i, std::uint64_t j, bool along_row,
+                              std::size_t count, dram::Address* out) const {
+  // A local copy: out's 32-bit stores could alias the decoder's unsigned
+  // fields, which would reload them and redo the layout switch per position.
+  const dram::AddressDecoder decoder = decoder_;
+  if (along_row) {
+    for (std::size_t k = 0; k < count; ++k) out[k] = decoder.decode(linear_index(i, j + k));
+  } else {
+    for (std::size_t k = 0; k < count; ++k) out[k] = decoder.decode(linear_index(i + k, j));
+  }
+}
+
 std::string RowMajorMapping::name() const {
   return std::string("row-major[") + dram::to_string(decoder_.layout()) +
          (packed_ ? ",packed]" : ",square]");

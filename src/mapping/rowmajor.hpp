@@ -24,6 +24,8 @@ class RowMajorMapping final : public IndexMapping {
                   bool packed = true);
 
   dram::Address map(std::uint64_t i, std::uint64_t j) const override;
+  void map_run(std::uint64_t i, std::uint64_t j, bool along_row, std::size_t count,
+               dram::Address* out) const override;
   const IndexSpace& space() const override { return space_; }
   std::string name() const override;
 

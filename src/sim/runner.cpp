@@ -1,6 +1,7 @@
 #include "sim/runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <stdexcept>
 
@@ -62,15 +63,18 @@ PhaseResult run_streaming(const RunConfig& config) {
     throw std::invalid_argument("run_streaming: side must be set");
   }
   // Two instances of the same mapping in disjoint row regions. The exact
-  // row footprint of one block is found by scanning the triangle once —
-  // the mapping costs ~25 ns per position, so even the paper-sized
-  // geometry probes in a few milliseconds.
+  // row footprint of one block is found by walking the triangle once, a
+  // row run at a time; even the paper-sized geometry probes in a few
+  // milliseconds.
   auto probe_rows = [&](const mapping::IndexMapping& m) {
+    std::array<dram::Address, 256> run;
     std::uint32_t max_row = 0;
     const std::uint64_t n = m.space().side;
     for (std::uint64_t i = 0; i < n; ++i) {
-      for (std::uint64_t j = 0; j < n - i; ++j) {
-        max_row = std::max(max_row, m.map(i, j).row);
+      for (std::uint64_t j = 0; j < n - i; j += run.size()) {
+        const std::size_t count = std::min<std::uint64_t>(run.size(), n - i - j);
+        m.map_run(i, j, true, count, run.data());
+        for (std::size_t k = 0; k < count; ++k) max_row = std::max(max_row, run[k].row);
       }
     }
     return max_row + 1;

@@ -51,15 +51,17 @@ void expect_same_stats(const PhaseStats& a, const PhaseStats& b) {
 }
 
 /// Random mix with enough structure to hit every scheduling regime:
-/// clustered rows (row hits and conflicts), all banks, both directions.
+/// clustered rows (row hits and conflicts), the first \p bank_pool banks
+/// (all by default), both directions.
 std::vector<Request> random_requests(const DeviceConfig& dev, Rng& rng,
                                      unsigned count, unsigned row_pool,
-                                     double write_fraction) {
+                                     double write_fraction, unsigned bank_pool = 0) {
   std::vector<Request> v;
   v.reserve(count);
   for (unsigned i = 0; i < count; ++i) {
     Request r;
-    r.addr.bank = static_cast<std::uint32_t>(rng.uniform(dev.banks));
+    r.addr.bank =
+        static_cast<std::uint32_t>(rng.uniform(bank_pool != 0 ? bank_pool : dev.banks));
     r.addr.row = static_cast<std::uint32_t>(rng.uniform(row_pool));
     r.addr.column = static_cast<std::uint32_t>(rng.uniform(dev.columns_per_page));
     r.is_write = rng.uniform_double() < write_fraction;
@@ -93,6 +95,26 @@ PolicyRun run_policy(const DeviceConfig& dev, ControllerConfig::Policy policy,
 
 class SchedulerEquivalence : public ::testing::TestWithParam<const char*> {};
 
+/// Runs both policies over \p phases and compares them command for command.
+void expect_policies_agree(const DeviceConfig& dev, unsigned queue_depth,
+                           const std::vector<std::vector<Request>>& phases,
+                           const std::string& where) {
+  const PolicyRun fast =
+      run_policy(dev, ControllerConfig::Policy::FrFcfs, queue_depth, phases);
+  const PolicyRun oracle =
+      run_policy(dev, ControllerConfig::Policy::FrFcfsOracle, queue_depth, phases);
+  ASSERT_EQ(fast.stats.size(), oracle.stats.size());
+  for (std::size_t p = 0; p < fast.stats.size(); ++p) {
+    expect_same_stats(fast.stats[p], oracle.stats[p]);
+  }
+  ASSERT_EQ(fast.commands.size(), oracle.commands.size()) << where;
+  for (std::size_t c = 0; c < fast.commands.size(); ++c) {
+    ASSERT_TRUE(same_command(fast.commands[c], oracle.commands[c]))
+        << where << " command " << c << " (" << to_string(fast.commands[c].kind) << " vs "
+        << to_string(oracle.commands[c].kind) << ")";
+  }
+}
+
 TEST_P(SchedulerEquivalence, IncrementalMatchesOracleOnRandomStreams) {
   const DeviceConfig& dev = *find_config(GetParam());
   Rng rng(0xE9u ^ std::hash<std::string>{}(dev.name));
@@ -100,26 +122,28 @@ TEST_P(SchedulerEquivalence, IncrementalMatchesOracleOnRandomStreams) {
     for (const unsigned row_pool : {2u, 8u, 64u}) {
       for (const double write_fraction : {0.0, 0.5, 1.0}) {
         // Two chained phases so bank/bus/refresh state carries across.
-        std::vector<std::vector<Request>> phases = {
+        const std::vector<std::vector<Request>> phases = {
             random_requests(dev, rng, 1500, row_pool, write_fraction),
             random_requests(dev, rng, 500, row_pool, 1.0 - write_fraction)};
-        const PolicyRun fast = run_policy(dev, ControllerConfig::Policy::FrFcfs,
-                                    queue_depth, phases);
-        const PolicyRun oracle = run_policy(dev, ControllerConfig::Policy::FrFcfsOracle,
-                                      queue_depth, phases);
-        ASSERT_EQ(fast.stats.size(), oracle.stats.size());
-        for (std::size_t p = 0; p < fast.stats.size(); ++p) {
-          expect_same_stats(fast.stats[p], oracle.stats[p]);
-        }
-        ASSERT_EQ(fast.commands.size(), oracle.commands.size())
-            << dev.name << " q" << queue_depth << " rows " << row_pool
-            << " wf " << write_fraction;
-        for (std::size_t c = 0; c < fast.commands.size(); ++c) {
-          ASSERT_TRUE(same_command(fast.commands[c], oracle.commands[c]))
-              << dev.name << " q" << queue_depth << " command " << c << " ("
-              << to_string(fast.commands[c].kind) << " vs "
-              << to_string(oracle.commands[c].kind) << ")";
-        }
+        expect_policies_agree(dev, queue_depth, phases,
+                              dev.name + " q" + std::to_string(queue_depth) + " rows " +
+                                  std::to_string(row_pool) + " wf " +
+                                  std::to_string(write_fraction));
+      }
+    }
+  }
+  // Long bins: every request in one or two banks, so a class-head refill
+  // walks a bin as long as the queue.
+  for (const unsigned queue_depth : {64u, 128u}) {
+    for (const unsigned bank_pool : {1u, 2u}) {
+      for (const unsigned row_pool : {2u, 8u, 64u}) {
+        const std::vector<std::vector<Request>> phases = {
+            random_requests(dev, rng, 1500, row_pool, 0.5, bank_pool),
+            random_requests(dev, rng, 500, row_pool, 0.0, bank_pool)};
+        expect_policies_agree(dev, queue_depth, phases,
+                              dev.name + " q" + std::to_string(queue_depth) + " banks " +
+                                  std::to_string(bank_pool) + " rows " +
+                                  std::to_string(row_pool));
       }
     }
   }
@@ -139,6 +163,42 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, SchedulerEquivalence,
                                            "LPDDR4-4266", "LPDDR5-8533",
                                            "DDR3-800"),
                          test_name);
+
+/// Right after a write burst the FIFO head is a read that tWTR keeps off
+/// the bus, while a younger write hits an open row in another bank group
+/// and lands on bus_free_: the direction exit serves that write after
+/// evaluating two data_starts, without the fold.
+TEST(DirectionExit, ServesTheOtherDirectionsOldestWhenTurnaroundHoldsTheHead) {
+  const DeviceConfig& dev = *find_config("DDR4-3200");  // 4 bank groups
+  auto request = [](std::uint32_t bank, std::uint32_t column, bool is_write) {
+    Request r;
+    r.addr = Address{.bank = bank, .row = 0, .column = column};
+    r.is_write = is_write;
+    return r;
+  };
+  // Phase 1 opens banks 0 and 1 with a write each. Phase 2 starts with
+  // the read (bank 2, closed) at the FIFO head and the write hit (bank 0,
+  // open) behind it.
+  const std::vector<std::vector<Request>> phases = {
+      {request(0, 0, true), request(1, 0, true)},
+      {request(2, 0, false), request(0, 1, true)}};
+  expect_policies_agree(dev, 8, phases, "direction exit");
+
+  const PolicyRun fast = run_policy(dev, ControllerConfig::Policy::FrFcfs, 8, phases);
+  std::vector<Command> data;
+  for (const Command& c : fast.commands) {
+    if (c.kind == CommandKind::Rd || c.kind == CommandKind::Wr) data.push_back(c);
+  }
+  ASSERT_EQ(data.size(), 4u);
+  EXPECT_EQ(data[2].kind, CommandKind::Wr);  // the younger write goes first ...
+  EXPECT_EQ(data[2].bank, 0u);
+  EXPECT_EQ(data[2].data_start, data[1].data_end);  // ... landing on bus_free_
+  EXPECT_EQ(data[3].kind, CommandKind::Rd);
+  // Phase 2: the direction exit costs 2 (the held head and the write);
+  // the lone read then costs 2 (its head test and a one-class fold).
+  EXPECT_EQ(fast.stats[1].picks, 2u);
+  EXPECT_EQ(fast.stats[1].pick_candidates, 4u);
+}
 
 /// One stream of the paper's traffic on a fresh controller per policy,
 /// every command checked by a TimingChecker.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "dram/standards.hpp"
 #include "mapping/factory.hpp"
@@ -60,6 +61,12 @@ TEST(RowOffset, ThrowsBeyondDevice) {
   RowOffsetMapping shifted(make_mapping("row-major", dev, 64),
                            dev.rows_per_bank - 1, dev.rows_per_bank);
   EXPECT_THROW(shifted.map(63, 0), std::out_of_range);
+  // Row 0 of the inner image lands on the last device row, row 1 beyond it.
+  std::vector<dram::Address> out(64);
+  shifted.map_run(0, 0, true, 64, out.data());
+  EXPECT_EQ(out[63].row, dev.rows_per_bank - 1);
+  EXPECT_THROW(shifted.map_run(0, 0, false, 64, out.data()), std::out_of_range);
+  EXPECT_THROW(shifted.map_run(63, 0, true, 1, out.data()), std::out_of_range);
 }
 
 TEST(RowOffset, NullInnerRejected) {
