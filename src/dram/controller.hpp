@@ -107,6 +107,8 @@ struct ControllerConfig {
   /// `refresh_mode` is ignored.
   bool use_device_default_refresh = true;
   RefreshMode refresh_mode = RefreshMode::AllBank;
+
+  friend bool operator==(const ControllerConfig&, const ControllerConfig&) = default;
 };
 
 class Controller {

@@ -44,6 +44,8 @@ struct EnergyParams {
   double wr_pj = 0;          ///< one write burst
   double ref_ab_pj = 0;      ///< one all-bank refresh (group refresh scaled)
   double background_mw = 0;  ///< standby power while the phase runs
+
+  friend bool operator==(const EnergyParams&, const EnergyParams&) = default;
 };
 
 /// Complete description of one DRAM channel configuration.
@@ -60,6 +62,10 @@ struct DeviceConfig {
   TimingParams timing;
   EnergyParams energy;
   RefreshMode default_refresh = RefreshMode::AllBank;
+
+  /// Every field, so two configurations that share a name but differ in
+  /// timing or energy compare unequal.
+  friend bool operator==(const DeviceConfig&, const DeviceConfig&) = default;
 
   unsigned banks_per_group() const { return banks / bank_groups; }
   std::uint64_t page_bytes() const {

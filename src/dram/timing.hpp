@@ -36,6 +36,8 @@ struct TimingParams {
   Ps tRFC_ab = 0;  ///< all-bank refresh cycle time
   Ps tRFC_grp = 0; ///< per-bank / same-bank refresh cycle time
 
+  friend bool operator==(const TimingParams&, const TimingParams&) = default;
+
   /// Throws std::invalid_argument when a parameter combination is
   /// physically inconsistent (e.g. tRC < tRAS + tRP).
   void validate() const;

@@ -244,15 +244,12 @@ Json fer_record(const Scenario& scenario, const PipelineResult& result) {
 
 DsweepResult run_fer_sweep_dist(const SweepGrid& grid, const FerSweepOptions& options,
                                 const DsweepOptions& dist) {
-  const auto cells = grid.expand();
-  check_fer_cells(cells, options.base);
-  // The cell body of run_fer_sweep (fer_cell_config is shared), so both
-  // paths produce byte-identical records.
+  // Checks the grid before the journal opens.
+  FerCells cells(grid, options.base);
   return dsweep_run(kFerSweep, fer_job_config(grid, options), cells.size(), options.sweep,
                     dist, [&](std::uint64_t index, std::uint64_t seed) {
-                      const Scenario& scenario = cells[index];
-                      return fer_record(scenario, run_pipeline(fer_cell_config(
-                                                      options.base, scenario, seed)));
+                      const FerRecord r = cells.run(index, seed);
+                      return fer_record(r.scenario, r.result);
                     });
 }
 

@@ -115,8 +115,9 @@ Json fer_job_config(const SweepGrid& grid, const FerSweepOptions& options);
 /// the host timing (perf::without_host_timing) for stable output.
 Json fer_record(const Scenario& scenario, const PipelineResult& result);
 
-/// run_fer_sweep with a checkpoint: same grid check, grid semantics and
-/// per-cell seeds (options.sweep), one fer_record per cell in index order.
+/// run_fer_sweep with a checkpoint: the same cell body (FerCells), grid
+/// check and per-cell seeds (options.sweep), one fer_record per cell in
+/// index order.
 DsweepResult run_fer_sweep_dist(const SweepGrid& grid, const FerSweepOptions& options,
                                 const DsweepOptions& dist);
 

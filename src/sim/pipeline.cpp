@@ -162,13 +162,13 @@ void count_frames(const PipelineConfig& config, const WordLayout& layout,
       std::max<std::uint64_t>(result.workspace_peak_bytes, weights.capacity());
 }
 
-/// run_pipeline's DRAM stage: honored for every DRAM-resident
-/// interleaver. "block" is the SRAM stage-1 structure and "none" buffers
-/// nothing, so asking for their DRAM phases is a configuration error, not
-/// a silent no-op.
-void run_dram_phase(const PipelineConfig& config, std::uint64_t side,
-                    PipelineResult& result) {
-  if (!config.run_dram) return;
+/// The input of \p config's DRAM stage, or nullopt when run_dram is
+/// off. The stage is honored for every DRAM-resident interleaver.
+/// "block" is the SRAM stage-1 structure and "none" buffers nothing, so
+/// asking for their DRAM phases is a configuration error, not a silent
+/// no-op.
+std::optional<RunConfig> dram_run_config(const PipelineConfig& config) {
+  if (!config.run_dram) return std::nullopt;
   if (!dram_resident_interleaver(config.interleaver)) {
     throw std::invalid_argument(
         "pipeline: run_dram requires a DRAM-resident interleaver "
@@ -179,6 +179,7 @@ void run_dram_phase(const PipelineConfig& config, std::uint64_t side,
   if (config.device.name.empty()) {
     throw std::invalid_argument("pipeline: run_dram requires a device");
   }
+  const std::uint64_t side = frame_side(config);
   RunConfig rc;
   rc.device = config.device;
   rc.mapping_spec = config.mapping_spec;
@@ -192,9 +193,50 @@ void run_dram_phase(const PipelineConfig& config, std::uint64_t side,
                                                    config.device.burst_bytes);
   rc.max_bursts_per_phase = config.dram_max_bursts_per_phase;
   rc.check_protocol = config.check_protocol;
-  result.dram = run_interleaver(rc);
+  return rc;
+}
+
+void attach_dram(PipelineResult& result, const InterleaverRun& run,
+                 const dram::DeviceConfig& device) {
+  result.dram = run;
   result.dram_ran = true;
-  result.dram_throughput_gbps = result.dram.throughput_gbps(config.device.burst_bytes);
+  result.dram_throughput_gbps = run.throughput_gbps(device.burst_bytes);
+}
+
+/// run_pipeline without its DRAM stage: the frame loop.
+PipelineResult run_frames(const PipelineConfig& config) {
+  if (config.rs_n > 255 || config.rs_k == 0 || config.rs_k >= config.rs_n ||
+      (config.rs_n - config.rs_k) % 2 != 0) {
+    throw std::invalid_argument("pipeline: invalid RS(n, k)");
+  }
+  if (config.frames == 0) {
+    throw std::invalid_argument("pipeline: frames must be > 0");
+  }
+  const StreamInterleaver il(config.interleaver, frame_side(config),
+                             config.symbols_per_burst);
+  const std::uint64_t capacity = il.capacity_symbols();
+  if (pipeline_streams(config) && capacity < config.rs_n) {
+    throw std::invalid_argument("pipeline: side too small for one RS code word");
+  }
+  const WordLayout layout(config, capacity);
+  const auto src = make_source(config);
+
+  PipelineResult result;
+  result.frames = config.frames;
+  result.frame_symbols = capacity;
+  count_frames(config, layout, result, [&](unsigned f, std::uint8_t* weights) {
+    if (src == nullptr) return;
+    // The wire position advances contiguously frame to frame, so the
+    // source's channel state stays continuous in symbol time.
+    const std::uint64_t frame_base = static_cast<std::uint64_t>(f) * capacity;
+    auto count = [&](const source::Corruption& e) {
+      ++weights[layout.word_of(il.wire_to_input(e.wire_pos - frame_base))];
+    };
+    result.channel_symbols += capacity;
+    result.channel_symbol_errors += src->events(frame_base, capacity, count);
+  });
+  if (src != nullptr) result.workspace_peak_bytes += src->scratch_bytes();
+  return result;
 }
 
 }  // namespace
@@ -313,39 +355,10 @@ PipelineResult run_pipeline(const PipelineConfig& config,
 }
 
 PipelineResult run_pipeline(const PipelineConfig& config) {
-  if (config.rs_n > 255 || config.rs_k == 0 || config.rs_k >= config.rs_n ||
-      (config.rs_n - config.rs_k) % 2 != 0) {
-    throw std::invalid_argument("pipeline: invalid RS(n, k)");
+  PipelineResult result = run_frames(config);
+  if (const auto rc = dram_run_config(config)) {
+    attach_dram(result, run_interleaver(*rc), config.device);
   }
-  if (config.frames == 0) {
-    throw std::invalid_argument("pipeline: frames must be > 0");
-  }
-  const std::uint64_t side = frame_side(config);
-  const StreamInterleaver il(config.interleaver, side, config.symbols_per_burst);
-  const std::uint64_t capacity = il.capacity_symbols();
-  if (pipeline_streams(config) && capacity < config.rs_n) {
-    throw std::invalid_argument("pipeline: side too small for one RS code word");
-  }
-  const WordLayout layout(config, capacity);
-  const auto src = make_source(config);
-
-  PipelineResult result;
-  result.frames = config.frames;
-  result.frame_symbols = capacity;
-  count_frames(config, layout, result, [&](unsigned f, std::uint8_t* weights) {
-    if (src == nullptr) return;
-    // The wire position advances contiguously frame to frame, so the
-    // source's channel state stays continuous in symbol time.
-    const std::uint64_t frame_base = static_cast<std::uint64_t>(f) * capacity;
-    auto count = [&](const source::Corruption& e) {
-      ++weights[layout.word_of(il.wire_to_input(e.wire_pos - frame_base))];
-    };
-    result.channel_symbols += capacity;
-    result.channel_symbol_errors += src->events(frame_base, capacity, count);
-  });
-  if (src != nullptr) result.workspace_peak_bytes += src->scratch_bytes();
-
-  run_dram_phase(config, side, result);
   return result;
 }
 
@@ -363,25 +376,57 @@ void check_fer_cells(const std::vector<Scenario>& cells, const PipelineConfig& b
       throw std::invalid_argument("fer sweep: invalid RS(" + std::to_string(base.rs_n) +
                                   ", " + std::to_string(cell.rs_k) + ")");
     }
-    if (!cell.device.empty() && dram::find_config(cell.device) == nullptr) {
-      throw std::invalid_argument("fer sweep: unknown device '" + cell.device + "'");
+    // Throws for an unknown device.
+    const PipelineConfig config = fer_cell_config(base, cell, base.seed);
+    if (config.run_dram && config.device.name.empty()) {
+      throw std::invalid_argument("fer sweep: cell '" + cell.label() +
+                                  "' runs the DRAM stage but names no device");
     }
   }
 }
 
-std::vector<FerRecord> run_fer_sweep(const SweepGrid& grid, const FerSweepOptions& options) {
-  const auto cells = grid.expand();
-  check_fer_cells(cells, options.base);
+FerCells::FerCells(const SweepGrid& grid, const PipelineConfig& base)
+    : base_(base), cells_(grid.expand()) {
+  check_fer_cells(cells_, base_);
+  slot_of_.reserve(cells_.size());
+  for (const Scenario& cell : cells_) {
+    // The seed never reaches the DRAM stage.
+    const auto key = dram_run_config(fer_cell_config(base_, cell, base_.seed));
+    DramSlot* slot = nullptr;
+    if (key) {
+      const auto same = std::find_if(slots_.begin(), slots_.end(),
+                                     [&](const DramSlot& s) { return s.key == *key; });
+      if (same != slots_.end()) {
+        slot = &*same;
+      } else {
+        slot = &slots_.emplace_back();
+        slot->key = *key;
+      }
+    }
+    slot_of_.push_back(slot);
+  }
+}
 
+FerRecord FerCells::run(std::uint64_t index, std::uint64_t seed) {
+  FerRecord record;
+  record.scenario = cells_[index];
+  record.config = fer_cell_config(base_, record.scenario, seed);
+  record.result = run_frames(record.config);
+  if (DramSlot* slot = slot_of_[index]) {
+    // Cells of one key wait here for the first one's run, not run it again.
+    std::lock_guard<std::mutex> lock(slot->mutex);
+    if (!slot->run) slot->run = run_interleaver(slot->key);
+    attach_dram(record.result, *slot->run, slot->key.device);
+  }
+  return record;
+}
+
+std::vector<FerRecord> run_fer_sweep(const SweepGrid& grid, const FerSweepOptions& options) {
+  FerCells cells(grid, options.base);
   return sweep_map(cells.size(), options.sweep,
                    [&](std::uint64_t index, std::uint64_t seed) {
-    const Scenario& scenario = cells[index];
-    FerRecord record;
-    record.scenario = scenario;
-    record.config = fer_cell_config(options.base, scenario, seed);
-    record.result = run_pipeline(record.config);
-    return record;
-  });
+                     return cells.run(index, seed);
+                   });
 }
 
 }  // namespace tbi::sim

@@ -32,7 +32,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -171,22 +174,25 @@ bool dram_resident_interleaver(const std::string& kind);
 
 /// The exact per-cell PipelineConfig a FER sweep runs for \p scenario:
 /// \p base with the scenario axes, the per-cell \p seed, and run_dram
-/// narrowed to DRAM-resident interleavers. Shared by run_fer_sweep and
-/// the checkpointed sweep (sim/dsweep.hpp) so both execute byte-identical
-/// cells. Throws std::invalid_argument for an unknown scenario device.
+/// narrowed to DRAM-resident interleavers. FerCells builds every record's
+/// config with it, and run_pipeline on that config alone reproduces the
+/// record (the DRAM stage's host timing aside). Throws
+/// std::invalid_argument for an unknown scenario device.
 PipelineConfig fer_cell_config(const PipelineConfig& base, const Scenario& scenario,
                                std::uint64_t seed);
 
 /// Reject a FER grid before any of its cells runs: every cell must name
-/// a valid RS(base.rs_n, k) code and, when it names one, a known device.
-/// run_fer_sweep and the checkpointed sweep (sim/dsweep.hpp) both call it
-/// first, the latter before its journal opens. Throws
-/// std::invalid_argument.
+/// a valid RS(base.rs_n, k) code, a known device when it names one, and
+/// a device when it runs the DRAM stage. FerCells calls it first, so
+/// run_fer_sweep and the checkpointed sweep (sim/dsweep.hpp) both reject
+/// a grid before any cell runs, the latter before its journal opens.
+/// Throws std::invalid_argument.
 void check_fer_cells(const std::vector<Scenario>& cells, const PipelineConfig& base);
 
 /// Simulate \p config.frames triangular blocks end to end and, when
 /// configured, the DRAM phases of the DRAM-resident interleaver
-/// ("triangular" or "two-stage").
+/// ("triangular" or "two-stage"). It always runs its own DRAM stage; only
+/// a FER sweep (FerCells) shares one among cells.
 PipelineResult run_pipeline(const PipelineConfig& config);
 
 /// As above, but with a caller-provided codec, whose rs.n()/rs.k() must
@@ -208,7 +214,8 @@ struct FerSweepOptions {
   /// channel / rs_k / symbols_per_burst / links are overridden per
   /// scenario, the seed is replaced by the deterministic per-job seed,
   /// and run_dram is narrowed to the cells whose interleaver is
-  /// DRAM-resident.
+  /// DRAM-resident. The sweep runs each distinct DRAM stage once (see
+  /// FerCells).
   PipelineConfig base;
 };
 
@@ -218,8 +225,50 @@ struct FerRecord {
   PipelineResult result;
 };
 
+/// The cells of one FER sweep and the one cell body that run_fer_sweep
+/// and run_fer_sweep_dist (sim/dsweep.hpp) both run.
+///
+/// A cell's DRAM stage has no random input: it is run_interleaver on the
+/// RunConfig built from the cell's device, mapping, burst-triangle side,
+/// burst cap and protocol check, never from its channel, code rate or
+/// seed. The sweep keeps one slot per distinct RunConfig, compared on
+/// every field (device timing and energy included), not by device name.
+/// The first cell that needs a slot runs the stage after its frame loop,
+/// under the slot's own lock; later cells copy the stored run. A cell
+/// that never runs (resumed from the journal, or in another shard)
+/// starts no DRAM run. So every record equals run_pipeline(record.config)
+/// except for the DRAM phases' host_ns: cells sharing a run report its
+/// dram_sched_ns_per_pick.
+class FerCells {
+ public:
+  /// Expand \p grid and check it (check_fer_cells). Throws
+  /// std::invalid_argument.
+  FerCells(const SweepGrid& grid, const PipelineConfig& base);
+  FerCells(const FerCells&) = delete;
+  FerCells& operator=(const FerCells&) = delete;
+
+  std::uint64_t size() const { return cells_.size(); }
+
+  /// Run cell \p index on the config fer_cell_config builds with \p seed.
+  /// Safe to call from several threads at once.
+  FerRecord run(std::uint64_t index, std::uint64_t seed);
+
+ private:
+  struct DramSlot {
+    RunConfig key;
+    std::mutex mutex;
+    std::optional<InterleaverRun> run;  ///< guarded by mutex
+  };
+
+  PipelineConfig base_;
+  std::vector<Scenario> cells_;
+  std::deque<DramSlot> slots_;  ///< a deque never moves a slot's mutex
+  std::vector<DramSlot*> slot_of_;  ///< per cell; nullptr without DRAM stage
+};
+
 /// Run the full pipeline for every cell of the grid in parallel; records
-/// are index-ordered and independent of the thread count.
+/// are index-ordered and independent of the thread count. Cells with the
+/// same DRAM input share one run of it (FerCells).
 std::vector<FerRecord> run_fer_sweep(const SweepGrid& grid, const FerSweepOptions& options);
 
 }  // namespace tbi::sim

@@ -27,6 +27,10 @@ struct RunConfig {
   std::uint64_t side = 0;                  ///< burst triangle side (required)
   std::uint64_t max_bursts_per_phase = 0;  ///< 0 = simulate the full triangle
   bool check_protocol = false;  ///< attach the JEDEC checker; throw on violation
+
+  /// Every field: run_interleaver depends on nothing else, so equal
+  /// configs give equal runs (host timing aside).
+  friend bool operator==(const RunConfig&, const RunConfig&) = default;
 };
 
 struct PhaseResult {

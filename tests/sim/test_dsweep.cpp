@@ -358,9 +358,10 @@ TEST(DsweepShard, MergeRequiresFullCoverage) {
 // ---------------------------------------------------------------------------
 
 TEST(DsweepFer, DistributedSweepMatchesInProcessSweep) {
+  // Two DRAM inputs: triangular (cells 8-11) and two-stage (12-15).
   SweepGrid grid;
   grid.devices = {"LPDDR5-8533"};
-  grid.interleavers = {"none", "block", "two-stage"};
+  grid.interleavers = {"none", "block", "triangular", "two-stage"};
   grid.channels = {"bsc", "gilbert-elliott"};
   grid.rs_ks = {223, 191};
 
@@ -374,17 +375,21 @@ TEST(DsweepFer, DistributedSweepMatchesInProcessSweep) {
   const auto reference = run_fer_sweep(grid, options);
 
   // Some records come back through the journal: the run is aborted after
-  // 3 commits and resumed.
+  // 9 commits and resumed. The two threads take cells in index order and
+  // the cell in flight commits, so the journal holds cells 0-8 and at
+  // most one more: cell 8, the triangular input's first cell, is journaled,
+  // and the resumed run must still run that input for cells 10 and 11.
   const std::string manifest = temp_manifest("fer_match");
   std::remove(manifest.c_str());
   DsweepOptions dist;
   dist.manifest_path = manifest;
-  dist.faults = FaultSpec::parse("abort-after=3");
+  dist.faults = FaultSpec::parse("abort-after=9");
   EXPECT_TRUE(run_fer_sweep_dist(grid, options, dist).stats.interrupted);
   dist.faults = FaultSpec{};
   dist.resume = true;
   const auto res = run_fer_sweep_dist(grid, options, dist);
-  EXPECT_GE(res.stats.resumed_cells, 3u);
+  EXPECT_GE(res.stats.resumed_cells, 9u);
+  EXPECT_LE(res.stats.resumed_cells, 10u);
   std::remove(manifest.c_str());
 
   ASSERT_EQ(res.records.size(), reference.size());
@@ -420,6 +425,18 @@ TEST(DsweepFer, GridIsCheckedBeforeTheJournalOpens) {
 
   grid.rs_ks = {223};
   grid.devices = {"NO-SUCH-DEVICE"};
+  EXPECT_THROW(run_fer_sweep_dist(grid, options, dist), std::invalid_argument);
+  EXPECT_FALSE(load_manifest(dist.manifest_path, "").found) << "journal left behind";
+
+  // A DRAM-resident cell with run_dram set and no device ("" falls back
+  // to the template's device, which is unset) is refused the same way,
+  // even when cells before it would run.
+  grid.devices = {"", "DDR4-3200"};
+  grid.interleavers = {"block", "triangular"};
+  options.base.side = 64;
+  options.base.symbols_per_burst = 8;
+  ASSERT_TRUE(options.base.run_dram);
+  EXPECT_THROW(run_fer_sweep(grid, options), std::invalid_argument);
   EXPECT_THROW(run_fer_sweep_dist(grid, options, dist), std::invalid_argument);
   EXPECT_FALSE(load_manifest(dist.manifest_path, "").found) << "journal left behind";
   std::remove(dist.manifest_path.c_str());

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <functional>
 #include <stdexcept>
+#include <string>
 
 #include "fec/reed_solomon.hpp"
 #include "source/trace.hpp"
@@ -30,6 +31,37 @@ PipelineConfig burst_config(const std::string& interleaver, std::uint64_t seed) 
   c.seed = seed;
   c.run_dram = false;
   return c;
+}
+
+/// Every simulated field of two DRAM phases; host_ns is host timing.
+void expect_same_phase(const dram::PhaseStats& a, const dram::PhaseStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.label, b.label) << what;
+  EXPECT_EQ(a.bursts, b.bursts) << what;
+  EXPECT_EQ(a.picks, b.picks) << what;
+  EXPECT_EQ(a.pick_candidates, b.pick_candidates) << what;
+  EXPECT_EQ(a.reads, b.reads) << what;
+  EXPECT_EQ(a.writes, b.writes) << what;
+  EXPECT_EQ(a.activates, b.activates) << what;
+  EXPECT_EQ(a.precharges, b.precharges) << what;
+  EXPECT_EQ(a.refreshes, b.refreshes) << what;
+  EXPECT_EQ(a.row_hits, b.row_hits) << what;
+  EXPECT_EQ(a.row_misses, b.row_misses) << what;
+  EXPECT_EQ(a.row_conflicts, b.row_conflicts) << what;
+  EXPECT_EQ(a.start, b.start) << what;
+  EXPECT_EQ(a.end, b.end) << what;
+  EXPECT_EQ(a.busy, b.busy) << what;
+}
+
+/// Every DRAM counter of two pipeline results.
+void expect_same_dram(const PipelineResult& a, const PipelineResult& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.dram_ran, b.dram_ran) << what;
+  EXPECT_EQ(a.dram_throughput_gbps, b.dram_throughput_gbps) << what;
+  EXPECT_EQ(a.dram.device_name, b.dram.device_name) << what;
+  EXPECT_EQ(a.dram.mapping_name, b.dram.mapping_name) << what;
+  expect_same_phase(a.dram.write.stats, b.dram.write.stats, what + " write");
+  expect_same_phase(a.dram.read.stats, b.dram.read.stats, what + " read");
 }
 
 TEST(Pipeline, CleanChannelHasZeroErrors) {
@@ -430,7 +462,8 @@ TEST(FerSweep, GridRecordsMatchScenarios) {
 TEST(FerSweep, DeterministicAcrossThreadCounts) {
   // Covers the full interleaver axis including "two-stage" and the
   // symbols_per_burst axis: records must be identical for any thread
-  // count.
+  // count. The 24 DRAM-resident cells share two DRAM inputs, so on 4
+  // threads several cells wait on one input's run.
   SweepGrid grid;
   grid.devices = {"DDR4-3200"};
   grid.interleavers = {"none", "triangular", "block", "two-stage"};
@@ -439,7 +472,8 @@ TEST(FerSweep, DeterministicAcrossThreadCounts) {
   grid.symbols_per_bursts = {4, 8};
   FerSweepOptions o;
   o.base.frames = 2;
-  o.base.run_dram = false;
+  o.base.run_dram = true;
+  o.base.dram_max_bursts_per_phase = 200;
   o.base.side = 64;  // streaming path for every cell, small frames
   o.base.fade_fraction = 0.01;
   o.base.mean_burst_symbols = 200;
@@ -460,7 +494,75 @@ TEST(FerSweep, DeterministicAcrossThreadCounts) {
     EXPECT_EQ(serial[i].result.corrected_symbols,
               parallel[i].result.corrected_symbols) << i;
     EXPECT_EQ(serial[i].result.frame_symbols, parallel[i].result.frame_symbols) << i;
+    expect_same_dram(serial[i].result, parallel[i].result, serial[i].scenario.label());
   }
+  // Index: interleaver * 12 + channel * 4 + rs_k * 2 + spb.
+  EXPECT_FALSE(serial[0].result.dram_ran);  // none
+  EXPECT_TRUE(serial[12].result.dram_ran);  // triangular
+  EXPECT_TRUE(serial[36].result.dram_ran);  // two-stage
+}
+
+TEST(FerSweep, CellsWithOneDramInputShareOneRun) {
+  SweepGrid grid;
+  grid.devices = {"DDR4-3200", "LPDDR5-8533"};
+  grid.interleavers = {"block", "triangular", "two-stage"};
+  grid.channels = {"bsc", "gilbert-elliott"};
+  FerSweepOptions o;
+  o.base.frames = 2;
+  o.base.side = 64;
+  o.base.symbols_per_burst = 8;
+  o.base.dram_max_bursts_per_phase = 500;
+  o.sweep.threads = 2;
+  const auto records = run_fer_sweep(grid, o);
+  ASSERT_EQ(records.size(), 12u);
+
+  // Each record's config still reproduces it alone, DRAM stage included.
+  for (const auto& r : records) {
+    const std::string label = r.scenario.label();
+    const PipelineResult alone = run_pipeline(r.config);
+    EXPECT_EQ(r.result.frames, alone.frames) << label;
+    EXPECT_EQ(r.result.frame_symbols, alone.frame_symbols) << label;
+    EXPECT_EQ(r.result.code_words, alone.code_words) << label;
+    EXPECT_EQ(r.result.word_errors, alone.word_errors) << label;
+    EXPECT_EQ(r.result.frame_errors, alone.frame_errors) << label;
+    EXPECT_EQ(r.result.channel_symbol_errors, alone.channel_symbol_errors) << label;
+    EXPECT_EQ(r.result.corrected_symbols, alone.corrected_symbols) << label;
+    EXPECT_EQ(r.result.channel_symbols, alone.channel_symbols) << label;
+    EXPECT_EQ(r.result.workspace_peak_bytes, alone.workspace_peak_bytes) << label;
+    EXPECT_EQ(r.result.steady_allocations, alone.steady_allocations) << label;
+    EXPECT_EQ(r.result.steady_frames, alone.steady_frames) << label;
+    expect_same_dram(r.result, alone, label);
+    EXPECT_EQ(r.result.dram_ran, r.scenario.interleaver != "block") << label;
+  }
+
+  // The two channels of one (device, interleaver) share a DRAM input, so
+  // they copy one run, host timing included. Index: device * 6 +
+  // interleaver * 2 + channel.
+  for (std::size_t cell = 0; cell < records.size(); cell += 2) {
+    const PipelineResult& bsc = records[cell].result;
+    const PipelineResult& ge = records[cell + 1].result;
+    if (!bsc.dram_ran) continue;
+    EXPECT_EQ(bsc.dram.write.stats.host_ns, ge.dram.write.stats.host_ns) << cell;
+    EXPECT_EQ(bsc.dram.read.stats.host_ns, ge.dram.read.stats.host_ns) << cell;
+  }
+
+  // No input is shared across devices: each device's runs are its own.
+  for (const std::size_t cell : {2u, 4u}) {
+    const InterleaverRun& ddr4 = records[cell].result.dram;
+    const InterleaverRun& lpddr5 = records[cell + 6].result.dram;
+    EXPECT_EQ(ddr4.device_name, "DDR4-3200");
+    EXPECT_EQ(lpddr5.device_name, "LPDDR5-8533");
+    EXPECT_NE(ddr4.write.stats.end, lpddr5.write.stats.end) << cell;
+    EXPECT_NE(ddr4.read.stats.end, lpddr5.read.stats.end) << cell;
+  }
+
+  // A DRAM input is every field of its RunConfig, not the device name.
+  RunConfig a;
+  a.device = *dram::find_config("DDR4-3200");
+  RunConfig b = a;
+  EXPECT_TRUE(a == b);
+  b.device.timing.tRCD += 1;
+  EXPECT_FALSE(a == b);
 }
 
 TEST(FerSweep, SymbolsPerBurstAxisReachesTwoStageCells) {
