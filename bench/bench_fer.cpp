@@ -28,12 +28,13 @@
 ///
 /// Usage: bench_fer [--device NAME] [--frames N] [--seed S] [--threads T]
 ///                  [--resume] [--fade-prob P] [--burst-symbols B]
-///                  [--side S] [--spb B] [--links N]
+///                  [--side S] [--spb B]
 ///                  [--shard I/N] [--merge-shards M1,M2,..]
 ///                  [--markdown] [--progress] [--json FILE] [--stable-json]
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -83,7 +84,6 @@ int main(int argc, char** argv) {
   cli.add_option("burst-symbols", "b", "mean fade length in symbols (default 300)");
   cli.add_option("side", "s", "interleaver side (0 = RS-255 triangle; bursts for two-stage)");
   cli.add_option("spb", "b", "two-stage symbols per DRAM burst (default 64)");
-  cli.add_option("links", "n", "downlinks interleaved on the wire (default 1)");
   cli.add_option("shard", "i/n", "compute only shard i of n (needs --json)");
   cli.add_option("merge-shards", "m1,m2,..",
                  "merge shard manifests into the full result (no compute)");
@@ -112,9 +112,7 @@ int main(int argc, char** argv) {
   }
 
   tbi::sim::FerSweepOptions options;
-  unsigned links = 1;
   if (!read_count(cli, "frames", 40, 1, &options.base.frames) ||
-      !read_count(cli, "links", 1, 1, &links) ||
       !read_count(cli, "side", 0, 0, &options.base.side) ||
       !read_count(cli, "spb", 64, 1, &options.base.symbols_per_burst) ||
       !read_count(cli, "threads", 0, 0, &options.sweep.threads) ||
@@ -127,11 +125,6 @@ int main(int argc, char** argv) {
   grid.interleavers = {"none", "block", "triangular", "two-stage"};
   grid.channels = {"bsc", "gilbert-elliott", "leo"};
   grid.rs_ks = {239, 223, 191};
-  // Route --links through the grid axis (not the base template) so the
-  // scenario labels and checkpoint manifests identify multi-link cells;
-  // the default 1 keeps the axis in its unset state and the cell order,
-  // seeds and labels of single-link sweeps unchanged.
-  if (links > 1) grid.links = {links};
 
   options.base.fade_fraction = cli.get_double("fade-prob", 0.004);
   options.base.mean_burst_symbols = cli.get_double("burst-symbols", 300);
@@ -188,7 +181,7 @@ int main(int argc, char** argv) {
       }
       sweep = tbi::sim::run_fer_merge_shards(grid, options, paths);
     } else {
-      dist.faults = tbi::sim::FaultSpec::from_env();
+      dist.abort_after = tbi::sim::parse_fault_inject(std::getenv("TBI_FAULT_INJECT"));
       sweep = tbi::sim::run_fer_sweep_dist(grid, options, dist);
     }
   } catch (const std::exception& e) {
@@ -221,7 +214,6 @@ int main(int argc, char** argv) {
     config["burst_symbols"] = options.base.mean_burst_symbols;
     config["side"] = options.base.side;
     config["spb"] = options.base.symbols_per_burst;
-    config["links"] = static_cast<std::uint64_t>(links);
     doc["config"] = config;
     if (!stable) {
       doc["wall_seconds"] = wall_seconds;

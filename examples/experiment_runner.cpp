@@ -21,38 +21,45 @@
 /// }
 ///
 /// A config with a "fer" object instead drives the end-to-end FER sweep:
-/// axis arrays become the scenario grid (including the multi-link
-/// "links" axis), scalars configure the pipeline template:
+/// axis arrays become the scenario grid, scalars configure the pipeline
+/// template:
 /// {
 ///   "fer": {
 ///     "interleavers": ["triangular", "two-stage"],
 ///     "channels": ["gilbert-elliott", "leo"],
 ///     "rs_ks": [223],
-///     "links": [1, 4],
 ///     "frames": 8
 ///   }
 /// }
 ///
 /// Each FER result row is bench_fer's `--stable-json` row plus the
 /// cell's `scenario` label. Every count in a config (frames, seeds, axis
-/// entries, ...) must be a non-negative integer that fits its field; any
-/// other value, like every other failure, prints an `error:` line and
-/// exits 1.
+/// entries, ...) must be a non-negative integer that fits its field, and
+/// every key must be one of those read here. Any other value or key, like
+/// every other failure, prints an `error:` line and exits 1. Both batches
+/// check every run or cell (devices, mappings, interleavers, channels,
+/// codes) before the first one starts, so a bad config leaves no
+/// `.manifest` behind.
 ///
 /// Usage: experiment_runner --config FILE [--output FILE] [--resume]
 ///        experiment_runner --print-default-config
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
 #include "dram/standards.hpp"
 #include "interleaver/streams.hpp"
+#include "mapping/factory.hpp"
 #include "perf/bench_compare.hpp"
 #include "sim/dsweep.hpp"
 #include "sim/pipeline.hpp"
@@ -113,9 +120,22 @@ std::vector<T> read_counts(const tbi::Json& obj, const char* key,
   return out;
 }
 
-/// One run of a bandwidth batch: deterministic DRAM phases only.
-tbi::Json bandwidth_run(const tbi::Json& run_cfg, std::uint64_t symbols,
-                        std::uint64_t max_bursts, unsigned queue_depth) {
+/// Throw for a key of config object \p obj that is not in \p known: a
+/// misspelt key would otherwise be ignored without a word.
+void check_keys(const tbi::Json& obj, std::initializer_list<std::string_view> known) {
+  for (const auto& entry : obj.as_object()) {
+    if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+      throw std::invalid_argument("unknown key '" + entry.first + "'");
+    }
+  }
+}
+
+/// The RunConfig of one bandwidth run. Throws for an unknown device or
+/// mapping, and for a symbol count that burst_triangle_side refuses, so
+/// the batch can check every run before its journal opens.
+tbi::sim::RunConfig bandwidth_config(const tbi::Json& run_cfg, std::uint64_t symbols,
+                                     std::uint64_t max_bursts, unsigned queue_depth) {
+  check_keys(run_cfg, {"device", "mapping", "refresh", "check"});
   const std::string device_name = run_cfg.at("device").as_string();
   const auto* device = tbi::dram::find_config(device_name);
   if (device == nullptr) {
@@ -132,9 +152,15 @@ tbi::Json bandwidth_run(const tbi::Json& run_cfg, std::uint64_t symbols,
     rc.controller.refresh_mode = tbi::dram::RefreshMode::Disabled;
   }
   rc.check_protocol = run_cfg.get_or("check", false);
+  // Throws for an unknown mapping, as run_interleaver would.
+  tbi::mapping::make_mapping(rc.mapping_spec, rc.device, rc.side);
+  return rc;
+}
 
+/// One run of a bandwidth batch: deterministic DRAM phases only.
+tbi::Json bandwidth_run(const tbi::sim::RunConfig& rc) {
   const tbi::sim::InterleaverRun run = tbi::sim::run_interleaver(rc);
-  const auto phase_json = [burst_bytes = device->burst_bytes](
+  const auto phase_json = [burst_bytes = rc.device.burst_bytes](
                               const tbi::sim::PhaseResult& p) {
     tbi::Json j;
     j["utilization"] = p.stats.utilization();
@@ -154,7 +180,7 @@ tbi::Json bandwidth_run(const tbi::Json& run_cfg, std::uint64_t symbols,
   r["write"] = phase_json(run.write);
   r["read"] = phase_json(run.read);
   r["min_utilization"] = run.min_utilization();
-  r["throughput_gbps"] = run.throughput_gbps(device->burst_bytes);
+  r["throughput_gbps"] = run.throughput_gbps(rc.device.burst_bytes);
   return r;
 }
 
@@ -163,6 +189,9 @@ tbi::Json bandwidth_run(const tbi::Json& run_cfg, std::uint64_t symbols,
 /// the bench_fer defaults.
 tbi::Json run_fer_experiment(const tbi::Json& fer, const tbi::sim::DsweepOptions& dist,
                              bool& interrupted) {
+  check_keys(fer, {"devices", "mapping_specs", "interleavers", "channels", "rs_ks",
+                   "symbols_per_bursts", "threads", "seed", "frames", "side", "spb",
+                   "fade_prob", "burst_symbols", "error_probability", "error_rate_bad"});
   tbi::sim::SweepGrid grid;
   const auto string_axis = [&fer](const char* key,
                                   std::vector<std::string> fallback) {
@@ -178,7 +207,6 @@ tbi::Json run_fer_experiment(const tbi::Json& fer, const tbi::sim::DsweepOptions
   grid.rs_ks = read_counts(fer, "rs_ks", grid.rs_ks);
   grid.symbols_per_bursts =
       read_counts(fer, "symbols_per_bursts", grid.symbols_per_bursts);
-  grid.links = read_counts(fer, "links", grid.links);
 
   tbi::sim::FerSweepOptions options;
   options.sweep.threads = read_count(fer, "threads", 0u);
@@ -190,8 +218,6 @@ tbi::Json run_fer_experiment(const tbi::Json& fer, const tbi::sim::DsweepOptions
   options.base.mean_burst_symbols = fer.get_or("burst_symbols", 300.0);
   options.base.error_probability = fer.get_or("error_probability", 2e-3);
   options.base.error_rate_bad = fer.get_or("error_rate_bad", 0.95);
-  options.base.link_phase_symbols =
-      read_count<std::uint64_t>(fer, "link_phase_symbols", 0);
 
   const auto sweep = tbi::sim::run_fer_sweep_dist(grid, options, dist);
   interrupted = sweep.stats.interrupted;
@@ -259,12 +285,13 @@ int main(int argc, char** argv) {
   bool interrupted = false;
   try {
     const tbi::Json config = tbi::Json::parse(text);
+    check_keys(config, {"symbols", "max_bursts", "queue_depth", "runs", "fer"});
     dist.resume = cli.has("resume");
     if (cli.has("output")) {
       dist.manifest_path = cli.get("output", "") + ".manifest";
     }
     dist.cancel = &g_cancel;
-    dist.faults = tbi::sim::FaultSpec::from_env();
+    dist.abort_after = tbi::sim::parse_fault_inject(std::getenv("TBI_FAULT_INJECT"));
 
     if (config.contains("fer")) {
       results = run_fer_experiment(config.at("fer"), dist, interrupted);
@@ -273,6 +300,11 @@ int main(int argc, char** argv) {
       const auto max_bursts = read_count<std::uint64_t>(config, "max_bursts", 0);
       const auto queue_depth = read_count(config, "queue_depth", 64u, 1u);
       const tbi::Json::Array& runs = config.at("runs").as_array();
+      // Every run is checked before the journal opens.
+      std::vector<tbi::sim::RunConfig> run_configs;
+      for (const auto& run_cfg : runs) {
+        run_configs.push_back(bandwidth_config(run_cfg, symbols, max_bursts, queue_depth));
+      }
       // Canonical job config for the "bandwidth" sweep: built from parsed
       // values, never from the raw file text, so whitespace/key-order
       // changes in the config file don't invalidate a resume manifest.
@@ -288,8 +320,7 @@ int main(int argc, char** argv) {
       sweep.base_seed = 0;
       const auto run = tbi::sim::dsweep_run(
           "bandwidth", job, cells, sweep, dist, [&](std::uint64_t index, std::uint64_t) {
-            return bandwidth_run(runs[static_cast<std::size_t>(index)], symbols,
-                                 max_bursts, queue_depth);
+            return bandwidth_run(run_configs[static_cast<std::size_t>(index)]);
           });
       interrupted = run.stats.interrupted;
 

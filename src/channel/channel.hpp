@@ -19,8 +19,8 @@
 /// them while consuming the identical RNG draws — the deterministic
 /// skip-ahead behind events() and apply_range(), which lets a fresh
 /// channel fast-forward to any wire position and continue byte-identically
-/// to a sequential walk, and lets range-addressable error sources
-/// (src/source/) serve any span of a frame on its own.
+/// to a sequential walk. The FER pipeline walks one channel forward per
+/// cell (source::ErrorSource, src/source/).
 ///
 /// Clean stretches cost no per-symbol draws. The BSC draws the geometric
 /// gap to its next error, Gilbert-Elliott draws each good-state sojourn in

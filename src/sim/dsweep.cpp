@@ -1,5 +1,6 @@
 #include "sim/dsweep.hpp"
 
+#include <charconv>
 #include <mutex>
 #include <stdexcept>
 
@@ -7,6 +8,29 @@
 #include "sim/manifest.hpp"
 
 namespace tbi::sim {
+
+std::uint64_t parse_fault_inject(const char* spec) {
+  if (spec == nullptr || *spec == '\0') return 0;
+  const std::string text = spec;
+  const std::string action = "abort-after=";
+  if (text.rfind(action, 0) != 0) {
+    throw std::invalid_argument("fault spec: unknown action '" + text +
+                                "' (only abort-after=K is supported)");
+  }
+  const std::string count = text.substr(action.size());
+  // Digits only, and no more than fit 64 bits: a saturated count would
+  // never fire.
+  std::uint64_t k = 0;
+  const char* end = count.data() + count.size();
+  const auto [ptr, ec] = std::from_chars(count.data(), end, k);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("fault spec: bad count '" + count + "'");
+  }
+  if (k == 0) {
+    throw std::invalid_argument("fault spec: abort-after count must be >= 1");
+  }
+  return k;
+}
 
 Json DsweepStats::to_json() const {
   Json j;
@@ -92,7 +116,7 @@ DsweepResult dsweep_run(const std::string& name, const Json& job, std::uint64_t 
     ++done_count;
     if (manifest.is_open()) manifest.append(cell, record);
     if (sweep.progress) sweep.progress({done_count, range.size()});
-    if (done_count - result.stats.resumed_cells == options.faults.abort_after) {
+    if (done_count - result.stats.resumed_cells == options.abort_after) {
       stop = true;  // injected preemption
     }
     return record;
@@ -172,7 +196,6 @@ Json fer_job_config(const SweepGrid& grid, const FerSweepOptions& options) {
   g["channels"] = string_array(grid.channels);
   g["rs_ks"] = number_array(grid.rs_ks);
   g["symbols_per_bursts"] = number_array(grid.symbols_per_bursts);
-  g["links"] = number_array(grid.links);
 
   const PipelineConfig& b = options.base;
   Json base;
@@ -187,8 +210,6 @@ Json fer_job_config(const SweepGrid& grid, const FerSweepOptions& options) {
   base["fade_fraction"] = b.fade_fraction;
   base["mean_burst_symbols"] = b.mean_burst_symbols;
   base["error_rate_bad"] = b.error_rate_bad;
-  base["links"] = static_cast<std::uint64_t>(b.links);
-  base["link_phase_symbols"] = b.link_phase_symbols;
   base["run_dram"] = b.run_dram;
   // Devices enter the fingerprint by standard-config name (grids name
   // their devices anyway).
@@ -213,9 +234,6 @@ Json fer_record(const Scenario& scenario, const PipelineResult& result) {
   row["interleaver"] = scenario.interleaver;
   row["channel"] = scenario.channel;
   row["rs_k"] = static_cast<std::uint64_t>(scenario.rs_k);
-  if (scenario.links != 0) {
-    row["links"] = static_cast<std::uint64_t>(scenario.links);
-  }
   row["frame_symbols"] = result.frame_symbols;
   row["code_words"] = result.code_words;
   row["word_errors"] = result.word_errors;

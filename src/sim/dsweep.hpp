@@ -11,8 +11,9 @@
 ///    appended and fsynced, fingerprinted by (name, job, cells, seed);
 ///  * `resume`: cells already in the journal are adopted, not recomputed;
 ///  * cancellation (the SIGINT/SIGTERM flag) and the `abort-after=K`
-///    fault (sim/fault.hpp): no new cell starts, the cells in flight
-///    commit, and the result comes back partial with `interrupted` set;
+///    fault (`TBI_FAULT_INJECT`, parse_fault_inject): no new cell starts,
+///    the cells in flight commit, and the result comes back partial with
+///    `interrupted` set;
 ///  * sharding: `shard_index / shard_count` computes one contiguous cell
 ///    range into its own manifest (all shards share the full-run
 ///    fingerprint), and `dsweep_merge_shards` reassembles the ranges into
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "common/json.hpp"
-#include "sim/fault.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/sweep.hpp"
 
@@ -53,12 +53,21 @@ struct DsweepOptions {
   /// the full-run fingerprint, so dsweep_merge_shards can reassemble.
   unsigned shard_index = 0;
   unsigned shard_count = 1;
-  FaultSpec faults;  ///< injected preemption (tests / CI)
+  /// Injected preemption: stop after this many cells committed by this
+  /// run, as SIGINT would (0 = never). See parse_fault_inject.
+  std::uint64_t abort_after = 0;
   /// Cooperative cancellation (SIGINT/SIGTERM handler flag): checked
   /// before each cell starts; a set flag stops the sweep and returns the
   /// committed cells with stats.interrupted set.
   const volatile std::sig_atomic_t* cancel = nullptr;
 };
+
+/// The abort_after count of a `TBI_FAULT_INJECT` spec: `abort-after=K`
+/// with 1 <= K <= 2^64 - 1, or 0 (no fault) for nullptr or "". A resume
+/// path that only runs when a machine is preempted has never run, so the
+/// fault exercises it on demand. Throws std::invalid_argument on anything
+/// else: an unreadable spec must fail loudly, not silently test nothing.
+std::uint64_t parse_fault_inject(const char* spec);
 
 struct DsweepStats {
   std::uint64_t resumed_cells = 0;  ///< cells loaded from the manifest

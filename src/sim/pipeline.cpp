@@ -11,8 +11,8 @@
 #include "interleaver/streams.hpp"
 #include "interleaver/triangular.hpp"
 #include "interleaver/twostage.hpp"
+#include "mapping/factory.hpp"
 #include "perf/counters.hpp"
-#include "source/trace.hpp"
 
 namespace tbi::sim {
 
@@ -203,8 +203,9 @@ void attach_dram(PipelineResult& result, const InterleaverRun& run,
   result.dram_throughput_gbps = run.throughput_gbps(device.burst_bytes);
 }
 
-/// run_pipeline without its DRAM stage: the frame loop.
-PipelineResult run_frames(const PipelineConfig& config) {
+}  // namespace
+
+PipelineResult run_frames(const PipelineConfig& config, source::ErrorSource* src) {
   if (config.rs_n > 255 || config.rs_k == 0 || config.rs_k >= config.rs_n ||
       (config.rs_n - config.rs_k) % 2 != 0) {
     throw std::invalid_argument("pipeline: invalid RS(n, k)");
@@ -219,7 +220,6 @@ PipelineResult run_frames(const PipelineConfig& config) {
     throw std::invalid_argument("pipeline: side too small for one RS code word");
   }
   const WordLayout layout(config, capacity);
-  const auto src = make_source(config);
 
   PipelineResult result;
   result.frames = config.frames;
@@ -235,11 +235,8 @@ PipelineResult run_frames(const PipelineConfig& config) {
     result.channel_symbols += capacity;
     result.channel_symbol_errors += src->events(frame_base, capacity, count);
   });
-  if (src != nullptr) result.workspace_peak_bytes += src->scratch_bytes();
   return result;
 }
-
-}  // namespace
 
 bool dram_resident_interleaver(const std::string& kind) {
   return kind == "triangular" || kind == "two-stage";
@@ -254,9 +251,6 @@ PipelineConfig fer_cell_config(const PipelineConfig& base, const Scenario& scena
   config.mapping_spec = scenario.mapping_spec;
   if (scenario.symbols_per_burst != 0) {
     config.symbols_per_burst = scenario.symbols_per_burst;
-  }
-  if (scenario.links != 0) {
-    config.links = scenario.links;
   }
   // The DRAM stage only exists for DRAM-resident interleavers; narrow the
   // template's run_dram so mixed grids stay valid.
@@ -304,46 +298,12 @@ std::unique_ptr<channel::Channel> make_channel(const PipelineConfig& config) {
 }
 
 std::unique_ptr<source::ErrorSource> make_source(const PipelineConfig& config) {
-  if (config.links == 0) {
-    throw std::invalid_argument("pipeline: links must be >= 1");
-  }
-  if (!config.trace_replay.empty() && config.channel != "trace") {
-    throw std::invalid_argument(
-        "pipeline: trace_replay is only read when channel == 'trace'");
-  }
-  std::unique_ptr<source::ErrorSource> src;
-  if (config.channel == "trace") {
-    if (config.trace_replay.empty()) {
-      throw std::invalid_argument(
-          "pipeline: channel 'trace' needs a trace_replay path");
-    }
-    src = source::TraceReplaySource::open(config.trace_replay);
-  } else if (config.channel != "none") {
-    // Index 1 off the cell seed is the channel stream: the committed
-    // baselines pin its draws.
-    const std::uint64_t channel_root = job_seed(config.seed, 1);
-    const auto factory = [config]() { return make_channel(config); };
-    if (config.links == 1) {
-      src = std::make_unique<source::ChannelSource>(factory, channel_root);
-    } else {
-      std::vector<source::MultiLinkSource::Link> links(config.links);
-      for (unsigned l = 0; l < config.links; ++l) {
-        links[l].source = std::make_unique<source::ChannelSource>(
-            factory, job_seed(channel_root, l));
-        links[l].phase_offset =
-            static_cast<std::uint64_t>(l) * config.link_phase_symbols;
-      }
-      src = std::make_unique<source::MultiLinkSource>(std::move(links));
-    }
-  }
-  if (!config.trace_record.empty()) {
-    if (!src) {
-      throw std::invalid_argument(
-          "pipeline: trace_record needs a channel to record");
-    }
-    src = source::RecordingSource::to_file(std::move(src), config.trace_record);
-  }
-  return src;
+  auto channel = make_channel(config);
+  if (channel == nullptr) return nullptr;
+  // Index 1 off the cell seed is the channel stream: the committed
+  // baselines pin its draws.
+  return std::make_unique<source::ErrorSource>(std::move(channel),
+                                               job_seed(config.seed, 1));
 }
 
 PipelineResult run_pipeline(const PipelineConfig& config,
@@ -355,7 +315,7 @@ PipelineResult run_pipeline(const PipelineConfig& config,
 }
 
 PipelineResult run_pipeline(const PipelineConfig& config) {
-  PipelineResult result = run_frames(config);
+  PipelineResult result = run_frames(config, make_source(config).get());
   if (const auto rc = dram_run_config(config)) {
     attach_dram(result, run_interleaver(*rc), config.device);
   }
@@ -376,11 +336,17 @@ void check_fer_cells(const std::vector<Scenario>& cells, const PipelineConfig& b
       throw std::invalid_argument("fer sweep: invalid RS(" + std::to_string(base.rs_n) +
                                   ", " + std::to_string(cell.rs_k) + ")");
     }
-    // Throws for an unknown device.
+    // Throws for an unknown device, interleaver or channel, and below
+    // for an unknown mapping, with the texts the cell itself would throw.
     const PipelineConfig config = fer_cell_config(base, cell, base.seed);
+    StreamInterleaver(config.interleaver, frame_side(config), config.symbols_per_burst);
+    make_channel(config);
     if (config.run_dram && config.device.name.empty()) {
       throw std::invalid_argument("fer sweep: cell '" + cell.label() +
                                   "' runs the DRAM stage but names no device");
+    }
+    if (const auto rc = dram_run_config(config)) {
+      mapping::make_mapping(rc->mapping_spec, rc->device, rc->side);
     }
   }
 }
@@ -411,7 +377,7 @@ FerRecord FerCells::run(std::uint64_t index, std::uint64_t seed) {
   FerRecord record;
   record.scenario = cells_[index];
   record.config = fer_cell_config(base_, record.scenario, seed);
-  record.result = run_frames(record.config);
+  record.result = run_frames(record.config, make_source(record.config).get());
   if (DramSlot* slot = slot_of_[index]) {
     // Cells of one key wait here for the first one's run, not run it again.
     std::lock_guard<std::mutex> lock(slot->mutex);

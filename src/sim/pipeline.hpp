@@ -51,7 +51,7 @@ namespace tbi::sim {
 struct PipelineConfig {
   // --- data path -----------------------------------------------------------
   std::string interleaver = "triangular";  ///< "none" | "triangular" | "block" | "two-stage"
-  std::string channel = "gilbert-elliott"; ///< "none" | "bsc" | "gilbert-elliott" | "leo" | "trace"
+  std::string channel = "gilbert-elliott"; ///< "none" | "bsc" | "gilbert-elliott" | "leo"
   unsigned rs_n = 255;                     ///< code word length (symbols)
   unsigned rs_k = 223;                     ///< data symbols per code word
   unsigned frames = 20;                    ///< triangular blocks to simulate
@@ -77,22 +77,6 @@ struct PipelineConfig {
                                     ///< leo: coherence length in symbols
   double error_rate_bad = 0.5;      ///< symbol error rate inside a fade
 
-  // --- burst source (src/source/) ------------------------------------------
-  /// Ingested downlinks sharing the wire (>= 1). 1 = the classic single
-  /// channel stream; N > 1 interleaves N independent channel instances
-  /// symbol-round-robin (global wire position p carries link p % N), each
-  /// link seeded deterministically from the cell seed. See
-  /// source::MultiLinkSource.
-  unsigned links = 1;
-  /// Staggered acquisition: link l starts at local stream position
-  /// l * link_phase_symbols. 0 = all links phase-aligned.
-  std::uint64_t link_phase_symbols = 0;
-  /// When non-empty, tee every corruption event into this burst-trace
-  /// file (source::RecordingSource) for later replay.
-  std::string trace_record;
-  /// Burst-trace file replayed as the channel when channel == "trace".
-  std::string trace_replay;
-
   // --- DRAM stage (DRAM-resident interleavers: triangular, two-stage) ------
   /// Execute the interleaver's write/read phases on the simulated memory
   /// controller. Honored for every DRAM-resident interleaver
@@ -113,9 +97,9 @@ struct PipelineResult {
   std::uint64_t channel_symbol_errors = 0;  ///< symbols the channel corrupted
   std::uint64_t corrected_symbols = 0;      ///< error weight of the words <= t
   std::uint64_t frame_symbols = 0;          ///< interleaver symbol capacity per frame
-  /// Peak bytes the frame loop holds: the per-word weight array (one
-  /// byte per code word of a frame) plus a replayed trace's event list.
-  /// The streaming memory test bounds it by capacity / n.
+  /// Peak bytes the frame loop holds: the per-word weight array, one
+  /// byte per code word of a frame plus one padding slot. The streaming
+  /// memory test bounds it by capacity / n.
   std::uint64_t workspace_peak_bytes = 0;
 
   // --- in-process perf counters (src/perf/counters.hpp) --------------------
@@ -160,12 +144,9 @@ struct PipelineResult {
 /// Symbols are RS code-word bytes, so all channels run with 8 symbol bits.
 std::unique_ptr<channel::Channel> make_channel(const PipelineConfig& config);
 
-/// Burst-source factory ("none" -> nullptr): wraps the channel axis in a
-/// source::ChannelSource (links == 1, byte-identical to the channel
-/// running in place), composes links > 1 into a MultiLinkSource with
-/// per-link seeds derived from the cell seed, replays a recorded trace
-/// for channel == "trace", and tees events through a RecordingSource
-/// when trace_record is set.
+/// The channel axis as an error source ("none" -> nullptr): make_channel
+/// seeded with job_seed(config.seed, 1), the channel stream the committed
+/// baselines pin.
 std::unique_ptr<source::ErrorSource> make_source(const PipelineConfig& config);
 
 /// True for interleavers whose buffer lives in simulated DRAM
@@ -182,17 +163,26 @@ PipelineConfig fer_cell_config(const PipelineConfig& base, const Scenario& scena
                                std::uint64_t seed);
 
 /// Reject a FER grid before any of its cells runs: every cell must name
-/// a valid RS(base.rs_n, k) code, a known device when it names one, and
-/// a device when it runs the DRAM stage. FerCells calls it first, so
+/// a valid RS(base.rs_n, k) code, a known interleaver and channel, a
+/// known device when it names one, and a device and a known mapping when
+/// it runs the DRAM stage. FerCells calls it first, so
 /// run_fer_sweep and the checkpointed sweep (sim/dsweep.hpp) both reject
 /// a grid before any cell runs, the latter before its journal opens.
 /// Throws std::invalid_argument.
 void check_fer_cells(const std::vector<Scenario>& cells, const PipelineConfig& base);
 
-/// Simulate \p config.frames triangular blocks end to end and, when
-/// configured, the DRAM phases of the DRAM-resident interleaver
-/// ("triangular" or "two-stage"). It always runs its own DRAM stage; only
-/// a FER sweep (FerCells) shares one among cells.
+/// The frame loop alone: \p config.frames frames through the interleaver,
+/// each word judged by the error weight that \p source's events put on
+/// it (nullptr: a clean channel). The wire position runs on from frame to
+/// frame, so the source walks one forward stream. Throws
+/// std::invalid_argument for an invalid code, frame count, interleaver or
+/// side.
+PipelineResult run_frames(const PipelineConfig& config, source::ErrorSource* source);
+
+/// Simulate \p config.frames triangular blocks end to end: run_frames on
+/// make_source(config) and, when configured, the DRAM phases of the
+/// DRAM-resident interleaver ("triangular" or "two-stage"). It always runs
+/// its own DRAM stage; only a FER sweep (FerCells) shares one among cells.
 PipelineResult run_pipeline(const PipelineConfig& config);
 
 /// As above, but with a caller-provided codec, whose rs.n()/rs.k() must
@@ -211,11 +201,10 @@ bool pipeline_streams(const PipelineConfig& config);
 struct FerSweepOptions {
   SweepOptions sweep;
   /// Template for every cell; device / mapping_spec / interleaver /
-  /// channel / rs_k / symbols_per_burst / links are overridden per
-  /// scenario, the seed is replaced by the deterministic per-job seed,
-  /// and run_dram is narrowed to the cells whose interleaver is
-  /// DRAM-resident. The sweep runs each distinct DRAM stage once (see
-  /// FerCells).
+  /// channel / rs_k / symbols_per_burst are overridden per scenario, the
+  /// seed is replaced by the deterministic per-job seed, and run_dram is
+  /// narrowed to the cells whose interleaver is DRAM-resident. The sweep
+  /// runs each distinct DRAM stage once (see FerCells).
   PipelineConfig base;
 };
 

@@ -114,12 +114,10 @@ std::string Scenario::label() const {
   // two distinct cells can never share a label (eliding "triangular" or
   // the rs_k of channel-free cells used to collide e.g. distinct rs_k
   // cells under channel == "none"). Only the optional symbols_per_burst
-  // and links axes are elided, and only in their single "unset" state (0).
+  // axis is elided, and only in its "unset" state (0).
   std::string s = device + "/" + mapping_spec + "/" + interleaver;
   if (symbols_per_burst != 0) s += "/spb" + std::to_string(symbols_per_burst);
-  s += "/" + channel;
-  if (links != 0) s += "/links" + std::to_string(links);
-  s += "/RS(255," + std::to_string(rs_k) + ")";
+  s += "/" + channel + "/RS(255," + std::to_string(rs_k) + ")";
   return s;
 }
 
@@ -135,7 +133,7 @@ SweepGrid SweepGrid::paper_bandwidth_grid() {
 std::uint64_t SweepGrid::size() const {
   return static_cast<std::uint64_t>(devices.size()) * mapping_specs.size() *
          interleavers.size() * channels.size() * rs_ks.size() *
-         symbols_per_bursts.size() * links.size();
+         symbols_per_bursts.size();
 }
 
 std::vector<Scenario> SweepGrid::expand() const {
@@ -147,17 +145,14 @@ std::vector<Scenario> SweepGrid::expand() const {
         for (const auto& ch : channels) {
           for (const unsigned k : rs_ks) {
             for (const std::uint64_t spb : symbols_per_bursts) {
-              for (const unsigned lk : links) {
-                Scenario s;
-                s.device = device;
-                s.mapping_spec = mapping;
-                s.interleaver = il;
-                s.channel = ch;
-                s.rs_k = k;
-                s.symbols_per_burst = spb;
-                s.links = lk;
-                cells.push_back(std::move(s));
-              }
+              Scenario s;
+              s.device = device;
+              s.mapping_spec = mapping;
+              s.interleaver = il;
+              s.channel = ch;
+              s.rs_k = k;
+              s.symbols_per_burst = spb;
+              cells.push_back(std::move(s));
             }
           }
         }

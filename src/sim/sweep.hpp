@@ -132,15 +132,12 @@ struct Scenario {
   /// Symbols per DRAM burst for "two-stage" cells; 0 = keep the sweep
   /// template's value (the axis is off).
   std::uint64_t symbols_per_burst = 0;
-  /// Ingested downlinks sharing the wire (source::MultiLinkSource); 0 =
-  /// keep the sweep template's value (the axis is off).
-  unsigned links = 0;
 
   std::string label() const;
 };
 
 /// Cartesian scenario grid; expand() enumerates cells in row-major axis
-/// order (devices outermost, links innermost) — the job-index order that
+/// order (devices outermost, symbols_per_bursts innermost) — the job-index order that
 /// deterministic seeding keys on.
 struct SweepGrid {
   std::vector<std::string> devices;
@@ -151,8 +148,6 @@ struct SweepGrid {
   /// The {0} default keeps existing grids' cell order and per-index seeds
   /// unchanged (0 = inherit the sweep template's value).
   std::vector<std::uint64_t> symbols_per_bursts = {0};
-  /// Innermost axis; same {0} = inherit convention as symbols_per_bursts.
-  std::vector<unsigned> links = {0};
 
   /// All ten Table-I devices, both paper mappings.
   static SweepGrid paper_bandwidth_grid();

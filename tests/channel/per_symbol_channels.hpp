@@ -5,11 +5,14 @@
 /// LEO walk that draws its power samples by Marsaglia's polar method
 /// instead of the ziggurat. They define the models the production
 /// channels sample: the same distribution of events from different draws,
-/// which the distribution tests check over many seeds.
+/// which the distribution tests check over many seeds. FixedEventsChannel
+/// injects a chosen error pattern instead.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "channel/channel.hpp"
 #include "channel/gilbert_elliott.hpp"
@@ -145,6 +148,31 @@ class PolarLeoChannel final : public Channel {
   unsigned phase_ = 0;
   bool has_spare_ = false;
   double spare_ = 0.0;
+};
+
+/// Emits a fixed list of events, sorted by wire position with no position
+/// twice, and draws nothing.
+class FixedEventsChannel final : public Channel {
+ public:
+  explicit FixedEventsChannel(std::vector<Corruption> events) : events_(std::move(events)) {}
+
+  const char* name() const override { return "fixed-events"; }
+
+ protected:
+  std::uint64_t advance(std::uint64_t start, std::uint64_t span, Rng&,
+                        EventSink sink) override {
+    std::uint64_t emitted = 0;
+    for (const Corruption& e : events_) {
+      if (e.wire_pos >= start && e.wire_pos - start < span) {
+        sink(e);
+        ++emitted;
+      }
+    }
+    return emitted;
+  }
+
+ private:
+  std::vector<Corruption> events_;
 };
 
 }  // namespace tbi::channel

@@ -1,8 +1,8 @@
 /// Counter-based random access (Channel::apply_range / skip): chunking a
 /// stream through apply_range at arbitrary boundaries — including one
 /// symbol at a time — must be byte-identical to a single sequential
-/// apply() over the whole stream, for every channel model. This is the
-/// contract the source layer (src/source/) builds on. The gap-sampled
+/// apply() over the whole stream, for every channel model. The FER
+/// pipeline's forward walk (source::ErrorSource) builds on it. The gap-sampled
 /// models carry a pending event (BSC, Gilbert-Elliott) or a sample phase
 /// (LEO) across calls, so the boundaries that matter most are the ones
 /// on or next to an event or a fade edge.
@@ -226,38 +226,86 @@ TEST_P(ChannelRanges, OneSymbolRangesAcrossFadeEdgesMatchSequentialApply) {
   EXPECT_EQ(split_at(named(GetParam()), kTotal, 17, cuts), reference);
 }
 
-TEST_P(ChannelRanges, SourceRewindMidFrameMatchesSequentialEvents) {
-  // A ChannelSource asked for a range behind its channel rebuilds the
-  // channel, reseeds and skips forward; the rewound events must be the
-  // sequential ones, and so must every range after the rewind.
-  constexpr std::uint64_t kFrame = 50'000;
-  const Factory factory = named(GetParam());
-  source::ChannelSource whole(factory, 99);
-  std::vector<Corruption> reference;
-  whole.collect(0, 3 * kFrame, reference);
-  ASSERT_GT(reference.size(), 20u);
-  const auto expected = [&reference](std::uint64_t lo, std::uint64_t hi) {
-    std::vector<Corruption> out;
-    for (const Corruption& e : reference) {
-      if (e.wire_pos >= lo && e.wire_pos < hi) out.push_back(e);
-    }
-    return out;
-  };
-
-  source::ChannelSource src(factory, 99);
-  std::vector<Corruption> got;
-  src.collect(0, kFrame + kFrame / 2, got);  // into the second frame
-  EXPECT_EQ(got, expected(0, kFrame + kFrame / 2));
-  got.clear();
-  src.collect(kFrame + 1234, 20'000, got);  // behind: rewind mid-frame
-  EXPECT_EQ(got, expected(kFrame + 1234, kFrame + 21'234));
-  got.clear();
-  src.collect(2 * kFrame, kFrame, got);  // and forward again
-  EXPECT_EQ(got, expected(2 * kFrame, 3 * kFrame));
-}
-
 INSTANTIATE_TEST_SUITE_P(AllModels, ChannelRanges,
                          ::testing::Values("bsc", "ge", "ge-noisy", "leo"));
+
+// ---------------------------------------------------------------------------
+// source::ErrorSource: the pipeline's forward walk over one channel
+// ---------------------------------------------------------------------------
+
+/// The events a zeroed buffer's corruption stands for, in wire order.
+std::vector<Corruption> events_of(const std::vector<std::uint8_t>& wire) {
+  std::vector<Corruption> out;
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    if (wire[i] != 0) out.push_back({i, wire[i]});
+  }
+  return out;
+}
+
+/// Append \p src's events over [start, start + span) to \p out.
+std::uint64_t collect(source::ErrorSource& src, std::uint64_t start, std::uint64_t span,
+                      std::vector<Corruption>& out) {
+  return src.events(start, span, [&out](const Corruption& e) { out.push_back(e); });
+}
+
+TEST(ErrorSource, CorruptMatchesRawChannelApply) {
+  constexpr std::size_t kTotal = 60'000;
+  const auto expected = sequential(named("ge"), kTotal, 5);
+
+  source::ErrorSource src(make_named("ge"), 5);
+  std::vector<std::uint8_t> wire(kTotal, 0);
+  // Frame-sized forward windows.
+  for (std::size_t pos = 0; pos < kTotal; pos += 7000) {
+    const std::size_t len = std::min<std::size_t>(7000, kTotal - pos);
+    src.corrupt(pos, std::span<std::uint8_t>(wire.data() + pos, len));
+  }
+  EXPECT_EQ(wire, expected);
+}
+
+TEST(ErrorSource, EventsMatchCorruptPattern) {
+  // Splitting a range into sub-ranges, down to one symbol each, must emit
+  // exactly the events of one call, which must be the corruption apply()
+  // writes into a zeroed buffer. Every channel model; the random split
+  // lengths bear no relation to the LEO sample window or the GE burst
+  // length.
+  constexpr std::size_t kTotal = 40'000;
+  for (const std::string name : {"bsc", "ge", "leo"}) {
+    const auto expected = events_of(sequential(named(name), kTotal, 11));
+    ASSERT_FALSE(expected.empty()) << name;
+
+    source::ErrorSource whole(make_named(name), 11);
+    std::vector<Corruption> one_call;
+    EXPECT_EQ(collect(whole, 0, kTotal, one_call), expected.size()) << name;
+    EXPECT_EQ(one_call, expected) << name;
+
+    source::ErrorSource split(make_named(name), 11);
+    std::vector<Corruption> random_split;
+    Rng len_rng(3);
+    for (std::size_t pos = 0; pos < kTotal;) {
+      const std::size_t len = std::min(
+          kTotal - pos, static_cast<std::size_t>(1 + len_rng.uniform(997)));
+      collect(split, pos, len, random_split);
+      pos += len;
+    }
+    EXPECT_EQ(random_split, expected) << name;
+
+    source::ErrorSource stepped(make_named(name), 11);
+    std::vector<Corruption> single_symbols;
+    for (std::size_t pos = 0; pos < kTotal; ++pos) {
+      collect(stepped, pos, 1, single_symbols);
+    }
+    EXPECT_EQ(single_symbols, expected) << name;
+  }
+}
+
+TEST(ErrorSource, RangeBehindTheWalkThrows) {
+  // The source only runs forward; there is no rewind.
+  source::ErrorSource src(make_named("bsc"), 3);
+  std::vector<std::uint8_t> wire(100, 0);
+  src.corrupt(1000, wire);
+  EXPECT_THROW(src.corrupt(1099, wire), std::logic_error);
+  EXPECT_THROW(src.events(0, 1, [](const Corruption&) {}), std::logic_error);
+}
 
 TEST(ChannelRangesBsc, CertainAndImpossibleErrorsSplitLikeOnePass) {
   // p = 0 never draws a gap that ends, and p = 1 draws zero-length gaps

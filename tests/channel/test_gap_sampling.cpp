@@ -12,8 +12,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -27,7 +25,6 @@
 #include "sim/pipeline.hpp"
 #include "sim/sweep.hpp"
 #include "source/source.hpp"
-#include "source/trace.hpp"
 
 namespace tbi::channel {
 namespace {
@@ -335,16 +332,16 @@ TEST(GapSampling, LeoFadesAndDutyMatchPolarOracle) {
 
 TEST(GapSampling, PipelineWordAndFrameErrorsMatchPerSymbolOracle) {
   // The FER pipeline on a small grid: the production channels against the
-  // oracles, whose events reach the same pipeline as a recorded burst
-  // trace. Word and frame error counts must agree inside their binomial
-  // intervals (widened by the per-seed spread).
+  // oracles, whose events reach the same frame loop through an
+  // ErrorSource on the channel stream's seed. Word and frame error counts
+  // must agree inside their binomial intervals (widened by the per-seed
+  // spread).
   sim::PipelineConfig c;
   c.rs_k = 223;
   c.frames = 10;
   c.run_dram = false;
   c.error_probability = 0.05;  // a few percent of full rows fail at t = 16
   const std::uint64_t wire = 10 * 32'640;  // frames x T(255)
-  const std::string trace = ::testing::TempDir() + "gap_sampling_oracle.trace";
   for (const std::string channel : {"bsc", "gilbert-elliott", "leo"}) {
     sim::PipelineConfig base = c;
     base.channel = channel;
@@ -378,21 +375,13 @@ TEST(GapSampling, PipelineWordAndFrameErrorsMatchPerSymbolOracle) {
       frames[o].resize(interleavers.size());
     }
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-      {
-        std::ofstream out(trace);
-        source::BurstTraceWriter writer(out);
-        source::ChannelSource src(oracle, sim::job_seed(seed, 1));
-        src.events(0, wire, [&writer](const Corruption& e) { writer.record(e); });
-      }
       for (std::size_t i = 0; i < interleavers.size(); ++i) {
         sim::PipelineConfig live = base;
         live.interleaver = interleavers[i];
         live.seed = seed;
-        sim::PipelineConfig replay = live;
-        replay.channel = "trace";
-        replay.trace_replay = trace;
+        source::ErrorSource reference(oracle(), sim::job_seed(seed, 1));
         const auto production = sim::run_pipeline(live);
-        const auto replayed = sim::run_pipeline(replay);
+        const auto replayed = sim::run_frames(live, &reference);
         ASSERT_EQ(production.channel_symbols, wire);
         words[0][i].push_back(static_cast<double>(production.word_errors));
         words[1][i].push_back(static_cast<double>(replayed.word_errors));
@@ -407,7 +396,6 @@ TEST(GapSampling, PipelineWordAndFrameErrorsMatchPerSymbolOracle) {
       EXPECT_LT(seed_z(frames[0][i], frames[1][i]), kMaxZ) << cell;
     }
   }
-  std::remove(trace.c_str());
 }
 
 }  // namespace

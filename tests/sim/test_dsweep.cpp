@@ -99,7 +99,7 @@ TEST(Dsweep, AbortIsCheckpointedAndResumeCompletesIdentically) {
 
   DsweepOptions opt;
   opt.manifest_path = manifest;
-  opt.faults = FaultSpec::parse("abort-after=3");
+  opt.abort_after = 3;
   const auto partial = run_echo(opt);
   EXPECT_TRUE(partial.stats.interrupted);
   const std::uint64_t done = done_cells(partial).size();
@@ -165,7 +165,7 @@ TEST(Dsweep, ResumeRejectsManifestFromDifferentRun) {
 
   DsweepOptions opt;
   opt.manifest_path = manifest;
-  opt.faults = FaultSpec::parse("abort-after=2");
+  opt.abort_after = 2;
   (void)run_echo(opt, echo_sweep(1));
 
   DsweepOptions resume;
@@ -201,14 +201,19 @@ TEST(Dsweep, DeterministicKernelFailurePropagatesInProcess) {
                std::invalid_argument);
 }
 
-TEST(FaultSpec, AcceptsOnlyAbortAfter) {
-  EXPECT_EQ(FaultSpec::parse("").abort_after, 0u);
-  EXPECT_EQ(FaultSpec::parse("abort-after=10").abort_after, 10u);
+TEST(FaultInject, AcceptsOnlyAbortAfter) {
+  EXPECT_EQ(parse_fault_inject(nullptr), 0u);
+  EXPECT_EQ(parse_fault_inject(""), 0u);
+  EXPECT_EQ(parse_fault_inject("abort-after=10"), 10u);
+  EXPECT_EQ(parse_fault_inject("abort-after=18446744073709551615"),
+            18446744073709551615u);
+  // A count past 2^64 - 1 must not saturate into a fault that never fires.
   for (const char* bad :
        {"abort-after", "abort-after=", "abort-after=0", "abort-after=x",
         "abort-after=-1", "abort-after=3@0", "kill-after=3", "spawn-fail",
-        "abort-after=3,kill-after=1"}) {
-    EXPECT_THROW(FaultSpec::parse(bad), std::invalid_argument) << "spec '" << bad << "'";
+        "abort-after=3,kill-after=1", "abort-after=18446744073709551616",
+        "abort-after=99999999999999999999999"}) {
+    EXPECT_THROW(parse_fault_inject(bad), std::invalid_argument) << "spec '" << bad << "'";
   }
 }
 
@@ -291,7 +296,7 @@ TEST(DsweepShard, TornTailShardResumesAndMergesIdentically) {
 
   // Shard 0 is preempted mid-run...
   auto opt0 = shard_options(m0, 0, 2);
-  opt0.faults = FaultSpec::parse("abort-after=2");
+  opt0.abort_after = 2;
   const auto partial = run_echo(opt0);
   EXPECT_TRUE(partial.stats.interrupted);
 
@@ -383,9 +388,9 @@ TEST(DsweepFer, DistributedSweepMatchesInProcessSweep) {
   std::remove(manifest.c_str());
   DsweepOptions dist;
   dist.manifest_path = manifest;
-  dist.faults = FaultSpec::parse("abort-after=9");
+  dist.abort_after = 9;
   EXPECT_TRUE(run_fer_sweep_dist(grid, options, dist).stats.interrupted);
-  dist.faults = FaultSpec{};
+  dist.abort_after = 0;
   dist.resume = true;
   const auto res = run_fer_sweep_dist(grid, options, dist);
   EXPECT_GE(res.stats.resumed_cells, 9u);
@@ -439,7 +444,43 @@ TEST(DsweepFer, GridIsCheckedBeforeTheJournalOpens) {
   EXPECT_THROW(run_fer_sweep(grid, options), std::invalid_argument);
   EXPECT_THROW(run_fer_sweep_dist(grid, options, dist), std::invalid_argument);
   EXPECT_FALSE(load_manifest(dist.manifest_path, "").found) << "journal left behind";
+
+  // An unknown interleaver, an unknown channel ("trace" among them), and
+  // an unknown mapping on a cell that runs the DRAM stage, each behind a
+  // good cell, are refused with the text the cell itself would throw.
+  const auto expect_refused = [&](const std::string& text) {
+    try {
+      run_fer_sweep_dist(grid, options, dist);
+      ADD_FAILURE() << "grid accepted; expected " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), text);
+    }
+    EXPECT_FALSE(load_manifest(dist.manifest_path, "").found) << "journal left behind";
+  };
+  grid.devices = {"DDR4-3200"};
+  grid.interleavers = {"triangular", "bogus"};
+  expect_refused("pipeline: unknown interleaver 'bogus'");
+  grid.interleavers = {"triangular"};
+  grid.channels = {"bsc", "trace"};
+  expect_refused("pipeline: unknown channel 'trace'");
+  grid.channels = {"bsc"};
+  grid.mapping_specs = {"optimized", "bogus"};
+  expect_refused("make_mapping: unknown spec 'bogus'");
   std::remove(dist.manifest_path.c_str());
+}
+
+/// fer_job_config as releases with the links axis wrote it: today's job
+/// plus that axis's three keys at their default values.
+Json job_with_links(const SweepGrid& grid, const FerSweepOptions& options) {
+  Json job = fer_job_config(grid, options);
+  Json g = job.at("grid");
+  g["links"] = Json(Json::Array{Json(std::uint64_t{0})});
+  Json base = job.at("base");
+  base["links"] = std::uint64_t{1};
+  base["link_phase_symbols"] = std::uint64_t{0};
+  job["grid"] = g;
+  job["base"] = base;
+  return job;
 }
 
 TEST(DsweepFer, JobConfigFingerprintIsStable) {
@@ -451,11 +492,12 @@ TEST(DsweepFer, JobConfigFingerprintIsStable) {
   EXPECT_EQ(sweep_fingerprint(kFerSweep, a, grid.size(), 1),
             sweep_fingerprint(kFerSweep, b, grid.size(), 1));
 
-  // Manifests already on disk stay resumable within one draw revision
-  // and one record shape: this fixed job's fingerprint is the one every
-  // release under channel::kDrawRevision 3 and the kFerSweep record
-  // writes into its headers. A new revision changes `channel_draws`, a
-  // new record shape the sweep's name, and either changes this pin.
+  // Manifests already on disk stay resumable within one draw revision,
+  // one record shape and one job shape: this fixed job's fingerprint is
+  // the one every release under channel::kDrawRevision 3, the kFerSweep
+  // record and the job without the links axis writes into its headers. A
+  // new revision changes `channel_draws`, a new record shape the sweep's
+  // name, a new setting the job, and each changes this pin.
   grid.interleavers = {"none", "two-stage"};
   grid.channels = {"bsc", "leo"};
   grid.rs_ks = {223, 191};
@@ -463,10 +505,13 @@ TEST(DsweepFer, JobConfigFingerprintIsStable) {
   options.base.side = 64;
   options.base.symbols_per_burst = 8;
   const Json job = fer_job_config(grid, options);
-  EXPECT_EQ(sweep_fingerprint(kFerSweep, job, grid.size(), 1), "c15caac1ba20afd3");
-  // The same job under the name the nested {scenario, result} records
-  // were journaled under.
-  EXPECT_EQ(sweep_fingerprint("fer", job, grid.size(), 1), "ccdfa2de5b3f96cd");
+  EXPECT_EQ(sweep_fingerprint(kFerSweep, job, grid.size(), 1), "cf9e8cf64e4e4e26");
+  // The earlier pins: the job as releases with the links axis wrote it,
+  // under this name and under the name the nested {scenario, result}
+  // records were journaled under.
+  const Json with_links = job_with_links(grid, options);
+  EXPECT_EQ(sweep_fingerprint(kFerSweep, with_links, grid.size(), 1), "c15caac1ba20afd3");
+  EXPECT_EQ(sweep_fingerprint("fer", with_links, grid.size(), 1), "ccdfa2de5b3f96cd");
 }
 
 /// Write a complete FER journal of a small grid whose header is
@@ -524,6 +569,13 @@ TEST(DsweepFer, ManifestWithoutChannelDrawStampIsRefused) {
     return old;
   };
   expect_journal_refused("unstamped", kFerSweep, unstamped, fer_record);
+}
+
+TEST(DsweepFer, JournalOfTheLinksJobIsRefused) {
+  // A journal written while the job carried the links axis belongs to
+  // another run, even with today's records: --resume and --merge-shards
+  // refuse it rather than mix it in.
+  expect_journal_refused("links", kFerSweep, job_with_links, fer_record);
 }
 
 TEST(DsweepFer, JournalOfNestedRecordsIsRefused) {

@@ -3,14 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <functional>
 #include <stdexcept>
 #include <string>
 
+#include "../channel/per_symbol_channels.hpp"
 #include "fec/reed_solomon.hpp"
-#include "source/trace.hpp"
+#include "source/source.hpp"
 
 namespace tbi::sim {
 namespace {
@@ -607,70 +606,8 @@ TEST(FerSweep, RunDramNarrowedToDramResidentCells) {
 }
 
 // ---------------------------------------------------------------------------
-// Burst sources: trace record/replay and multi-link ingestion
+// Error sources
 // ---------------------------------------------------------------------------
-
-TEST(PipelineTrace, RecordThenReplayReproducesTheRun) {
-  // Record a live Gilbert-Elliott run to a burst trace, then replay the
-  // trace through the same pipeline: every error counter must match, and
-  // re-recording the replay must produce the identical event set (same
-  // corruption positions and flips).
-  const std::string trace = ::testing::TempDir() + "pipeline_trace_XXXXXX.txt";
-  auto live_cfg = burst_config("triangular", 13);
-  live_cfg.trace_record = trace;
-  const auto live = run_pipeline(live_cfg);
-  EXPECT_GT(live.channel_symbol_errors, 0u);
-
-  PipelineConfig replay_cfg = live_cfg;
-  replay_cfg.trace_record.clear();
-  replay_cfg.channel = "trace";
-  replay_cfg.trace_replay = trace;
-  const std::string retrace = trace + ".again";
-  replay_cfg.trace_record = retrace;
-  const auto replayed = run_pipeline(replay_cfg);
-
-  EXPECT_EQ(replayed.channel_symbol_errors, live.channel_symbol_errors);
-  EXPECT_EQ(replayed.word_errors, live.word_errors);
-  EXPECT_EQ(replayed.frame_errors, live.frame_errors);
-  EXPECT_EQ(replayed.corrected_symbols, live.corrected_symbols);
-  EXPECT_EQ(replayed.code_words, live.code_words);
-
-  // Event-level identity: the replay's own recording is the same sorted
-  // (position, flip) set as the original.
-  std::ifstream a(trace), b(retrace);
-  ASSERT_TRUE(a && b);
-  auto ea = source::read_burst_trace(a);
-  auto eb = source::read_burst_trace(b);
-  EXPECT_FALSE(ea.empty());
-  EXPECT_EQ(ea, eb);
-  std::remove(trace.c_str());
-  std::remove(retrace.c_str());
-}
-
-TEST(PipelineTrace, StreamingPathRecordsAndReplaysIdentically) {
-  // Same round trip on the streaming frame layout (side != rs_n).
-  const std::string trace = ::testing::TempDir() + "pipeline_trace_stream.txt";
-  auto live_cfg = burst_config("two-stage", 29);
-  live_cfg.side = 64;
-  live_cfg.symbols_per_burst = 8;
-  live_cfg.fade_fraction = 0.02;  // small frames: keep the burst count up
-  live_cfg.frames = 5;
-  live_cfg.trace_record = trace;
-  const auto live = run_pipeline(live_cfg);
-  EXPECT_GT(live.channel_symbol_errors, 0u);
-
-  PipelineConfig replay_cfg = live_cfg;
-  replay_cfg.trace_record.clear();
-  replay_cfg.channel = "trace";
-  replay_cfg.trace_replay = trace;
-  const auto replayed = run_pipeline(replay_cfg);
-
-  EXPECT_EQ(replayed.channel_symbol_errors, live.channel_symbol_errors);
-  EXPECT_EQ(replayed.word_errors, live.word_errors);
-  EXPECT_EQ(replayed.frame_errors, live.frame_errors);
-  EXPECT_EQ(replayed.corrected_symbols, live.corrected_symbols);
-  std::remove(trace.c_str());
-}
 
 TEST(PipelineTrace, ShortenedRowMiscorrectionIsAWordError) {
   // A row-aligned word i carries word symbols [i, n); its prefix [0, i)
@@ -682,7 +619,6 @@ TEST(PipelineTrace, ShortenedRowMiscorrectionIsAWordError) {
   // [1, k), but the error weight is 2t, so the word is lost all the same.
   PipelineConfig c;
   c.interleaver = "none";  // wire position == code-word stream position
-  c.channel = "trace";
   c.frames = 1;
   c.run_dram = false;
   ASSERT_FALSE(pipeline_streams(c));
@@ -697,15 +633,8 @@ TEST(PipelineTrace, ShortenedRowMiscorrectionIsAWordError) {
     if (d[j] != 0) events.push_back({row1 + (j - 1), d[j]});
   }
   EXPECT_EQ(events.size(), 2u * rs.t());
-  const std::string trace = ::testing::TempDir() + "pipeline_miscorrection.trace";
-  {
-    std::ofstream out(trace);
-    source::BurstTraceWriter writer(out);
-    for (const auto& e : events) writer.record(e);
-  }
-  c.trace_replay = trace;
-  const auto r = run_pipeline(c);
-  std::remove(trace.c_str());
+  source::ErrorSource src(std::make_unique<channel::FixedEventsChannel>(events), 0);
+  const auto r = run_frames(c, &src);
 
   EXPECT_EQ(r.channel_symbol_errors, events.size());
   EXPECT_EQ(r.word_errors, 1u);
@@ -725,128 +654,17 @@ TEST(PipelineTrace, ShortenedRowMiscorrectionIsAWordError) {
   EXPECT_TRUE(std::equal(sent.begin() + 1, sent.end(), received.begin() + 1));
 }
 
-TEST(PipelineMultiLink, SingleLinkMatchesLegacySingleChannel) {
-  // links = 1 must be byte-identical to the pre-source pipeline: the
-  // single-link path hands the channel root seed to one ChannelSource.
-  auto c = burst_config("triangular", 17);
-  const auto base = run_pipeline(c);
-  c.links = 1;
-  const auto one_link = run_pipeline(c);
-  EXPECT_EQ(one_link.channel_symbol_errors, base.channel_symbol_errors);
-  EXPECT_EQ(one_link.word_errors, base.word_errors);
-  EXPECT_EQ(one_link.corrected_symbols, base.corrected_symbols);
-}
-
-TEST(PipelineMultiLink, LinksChangeTheErrorProcess) {
-  // N independent links interleave N distinct channel streams, so the
-  // composite corruption pattern differs from any single link — but the
-  // run stays deterministic and allocation-free in steady state.
-  auto c = burst_config("triangular", 17);
-  const auto single = run_pipeline(c);
-  c.links = 4;
-  const auto multi = run_pipeline(c);
-  const auto multi_again = run_pipeline(c);
-
-  EXPECT_GT(multi.channel_symbol_errors, 0u);
-  EXPECT_NE(multi.channel_symbol_errors, single.channel_symbol_errors);
-  EXPECT_EQ(multi.channel_symbol_errors, multi_again.channel_symbol_errors);
-  EXPECT_EQ(multi.word_errors, multi_again.word_errors);
-  EXPECT_EQ(multi.steady_allocations, 0u);
-}
-
-TEST(PipelineMultiLink, PhaseOffsetsShiftPerLinkStreams) {
-  auto c = burst_config("triangular", 23);
-  c.links = 3;
-  const auto aligned = run_pipeline(c);
-  c.link_phase_symbols = 10'000;
-  const auto staggered = run_pipeline(c);
-  EXPECT_GT(aligned.channel_symbol_errors, 0u);
-  EXPECT_GT(staggered.channel_symbol_errors, 0u);
-  EXPECT_NE(aligned.channel_symbol_errors, staggered.channel_symbol_errors);
-}
-
-TEST(PipelineMultiLink, StreamingPathSupportsLinks) {
-  auto c = burst_config("two-stage", 31);
-  c.side = 64;
-  c.symbols_per_burst = 8;
-  c.frames = 3;
-  c.links = 4;
-  const auto r = run_pipeline(c);
-  EXPECT_GT(r.channel_symbol_errors, 0u);
-  EXPECT_EQ(r.steady_allocations, 0u);
-  EXPECT_EQ(r.channel_symbols,
-            static_cast<std::uint64_t>(c.frames) * r.frame_symbols);
-}
-
 TEST(MakeSource, ValidatesConfig) {
-  {
-    PipelineConfig c;
-    c.run_dram = false;
-    c.links = 0;
-    EXPECT_THROW(make_source(c), std::invalid_argument);
+  PipelineConfig c;
+  c.run_dram = false;
+  c.channel = "none";
+  EXPECT_EQ(make_source(c), nullptr);
+  for (const char* unknown : {"trace", "bogus"}) {
+    c.channel = unknown;
+    EXPECT_THROW(make_source(c), std::invalid_argument) << unknown;
   }
-  {
-    PipelineConfig c;
-    c.trace_replay = "whatever.txt";  // replay needs channel == "trace"
-    EXPECT_THROW(make_source(c), std::invalid_argument);
-  }
-  {
-    PipelineConfig c;
-    c.channel = "trace";  // trace channel needs a replay file
-    EXPECT_THROW(make_source(c), std::invalid_argument);
-  }
-  {
-    PipelineConfig c;
-    c.channel = "trace";
-    c.trace_replay = ::testing::TempDir() + "does_not_exist.trace";
-    EXPECT_THROW(make_source(c), std::runtime_error);
-  }
-  {
-    PipelineConfig c;
-    c.channel = "none";
-    EXPECT_EQ(make_source(c), nullptr);
-    c.trace_record = "anything.txt";  // nothing to record on a clean channel
-    EXPECT_THROW(make_source(c), std::invalid_argument);
-  }
-  {
-    PipelineConfig c;
-    c.channel = "gilbert-elliott";
-    c.links = 4;
-    const auto src = make_source(c);
-    ASSERT_NE(src, nullptr);
-    EXPECT_STREQ(src->name(), "multi-link");
-  }
-}
-
-TEST(FerSweep, LinksAxisExpandsAndStaysDeterministic) {
-  SweepGrid grid;
-  grid.devices = {"DDR4-3200"};
-  grid.interleavers = {"triangular"};
-  grid.channels = {"gilbert-elliott"};
-  grid.links = {1, 4};
-  FerSweepOptions o;
-  o.base = burst_config("triangular", 0);
-  o.base.frames = 3;
-  o.base.run_dram = false;
-
-  o.sweep.threads = 1;
-  const auto serial = run_fer_sweep(grid, o);
-  o.sweep.threads = 4;
-  const auto parallel = run_fer_sweep(grid, o);
-  ASSERT_EQ(serial.size(), 2u);
-  ASSERT_EQ(parallel.size(), 2u);
-  EXPECT_EQ(serial[0].scenario.links, 1u);
-  EXPECT_EQ(serial[1].scenario.links, 4u);
-  EXPECT_EQ(serial[0].config.links, 1u);
-  EXPECT_EQ(serial[1].config.links, 4u);
-  EXPECT_NE(serial[0].scenario.label(), serial[1].scenario.label());
-  EXPECT_NE(serial[0].result.channel_symbol_errors,
-            serial[1].result.channel_symbol_errors);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].result.channel_symbol_errors,
-              parallel[i].result.channel_symbol_errors) << i;
-    EXPECT_EQ(serial[i].result.word_errors, parallel[i].result.word_errors) << i;
-  }
+  c.channel = "gilbert-elliott";
+  EXPECT_NE(make_source(c), nullptr);
 }
 
 TEST(MakeChannel, FactoryCoversAllKinds) {

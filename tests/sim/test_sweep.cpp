@@ -282,30 +282,5 @@ TEST(SweepMap, MoreThreadsThanJobsCompletesAndStaysOrdered) {
   EXPECT_EQ(results[2], 3);
 }
 
-TEST(SweepGrid, LinksAxisIsInnermostAndLabeled) {
-  SweepGrid grid;
-  grid.devices = {"DDR4-3200"};
-  grid.interleavers = {"none", "triangular"};
-  grid.channels = {"gilbert-elliott"};
-  grid.links = {0, 4};
-  EXPECT_EQ(grid.size(), 4u);
-  const auto cells = grid.expand();
-  ASSERT_EQ(cells.size(), 4u);
-  // links is the innermost axis: it cycles fastest, so extending a grid
-  // with it preserves every existing cell's index (and thus its seed).
-  EXPECT_EQ(cells[0].links, 0u);
-  EXPECT_EQ(cells[1].links, 4u);
-  EXPECT_EQ(cells[0].interleaver, cells[1].interleaver);
-  EXPECT_EQ(cells[2].interleaver, "triangular");
-  // links == 0 means "inherit the template" and stays out of the label,
-  // so pre-links grids keep their exact labels; explicit links are named.
-  EXPECT_EQ(cells[0].label().find("links"), std::string::npos);
-  EXPECT_NE(cells[1].label().find("/links4"), std::string::npos);
-  std::set<std::string> labels;
-  for (const auto& cell : cells) {
-    EXPECT_TRUE(labels.insert(cell.label()).second) << cell.label();
-  }
-}
-
 }  // namespace
 }  // namespace tbi::sim
