@@ -13,6 +13,7 @@
 ///                       [--json FILE] [--threads T]
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
@@ -21,7 +22,9 @@
 #include "perf/counters.hpp"
 #include "sim/experiments.hpp"
 
-int main(int argc, char** argv) {
+// A symbol count the devices cannot hold throws std::invalid_argument
+// from the sizing or the mapping.
+int main(int argc, char** argv) try {
   tbi::CliParser cli("bench_ablation", "per-optimization ablation (paper §II)");
   cli.add_option("device", "name", "single device (default: three fast grades)");
   cli.add_option("symbols", "count", "interleaver symbols (default 12.5M)");
@@ -38,11 +41,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto symbols =
-      static_cast<std::uint64_t>(cli.get_int("symbols", 12'500'000));
-  const auto max_bursts =
-      static_cast<std::uint64_t>(cli.get_int("max-bursts", 0));
-  const auto threads = static_cast<unsigned>(cli.get_int("threads", 0));
+  const auto symbols = cli.read_count<std::uint64_t>("symbols", 12'500'000, 1);
+  const auto max_bursts = cli.read_count<std::uint64_t>("max-bursts", 0, 0);
+  const auto threads = cli.read_count<unsigned>("threads", 0, 0);
 
   std::vector<std::string> devices;
   if (cli.has("device")) {
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
   for (const auto& name : devices) {
     const auto* device = tbi::dram::find_config(name);
     if (device == nullptr) {
-      std::fprintf(stderr, "unknown device '%s'\n", name.c_str());
+      std::fprintf(stderr, "error: unknown device '%s'\n", name.c_str());
       return 1;
     }
     const auto rows = tbi::sim::run_ablation(*device, symbols, max_bursts, threads);
@@ -104,4 +105,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

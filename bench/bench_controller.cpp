@@ -51,13 +51,13 @@ int main(int argc, char** argv) {
     std::fputs(cli.usage().c_str(), stdout);
     return 0;
   }
-  const auto* device = tbi::dram::find_config(cli.get("device", "DDR4-3200"));
+  const std::string device_name = cli.get("device", "DDR4-3200");
+  const auto* device = tbi::dram::find_config(device_name);
   if (device == nullptr) {
-    std::fprintf(stderr, "unknown device\n");
+    std::fprintf(stderr, "error: unknown device '%s'\n", device_name.c_str());
     return 1;
   }
-  const auto max_bursts =
-      static_cast<std::uint64_t>(cli.get_int("max-bursts", 0));
+  const auto max_bursts = cli.read_count<std::uint64_t>("max-bursts", 0, 0);
   const bool md = cli.has("markdown");
 
   const auto wall_start = std::chrono::steady_clock::now();

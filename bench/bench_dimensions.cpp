@@ -19,7 +19,7 @@
 
 int main(int argc, char** argv) {
   tbi::CliParser cli("bench_dimensions", "interleaver size sweep (paper §III)");
-  cli.add_option("device", "name", "single device (default: all ten)");
+  cli.add_option("device", "name", "single device, any known grade (default: all ten)");
   cli.add_option("json", "file", "write config + wall time + rows as JSON");
   cli.add_option("markdown", "", "print GitHub markdown");
   cli.add_option("threads", "T", "sweep worker threads (default: all cores)");
@@ -31,6 +31,21 @@ int main(int argc, char** argv) {
     std::fputs(cli.usage().c_str(), stdout);
     return 0;
   }
+
+  // One device by name (find_config knows the extended grades too), or
+  // all ten of Table I.
+  std::vector<const tbi::dram::DeviceConfig*> devices;
+  if (cli.has("device")) {
+    const std::string name = cli.get("device", "");
+    devices.push_back(tbi::dram::find_config(name));
+    if (devices.back() == nullptr) {
+      std::fprintf(stderr, "error: unknown device '%s'\n", name.c_str());
+      return 1;
+    }
+  } else {
+    for (const auto& device : tbi::dram::standard_configs()) devices.push_back(&device);
+  }
+  const auto threads = cli.read_count<unsigned>("threads", 0, 0);
 
   const std::vector<std::uint64_t> sizes = {800'000, 3'000'000, 12'500'000,
                                             50'000'000};
@@ -46,14 +61,12 @@ int main(int argc, char** argv) {
 
   const auto wall_start = std::chrono::steady_clock::now();
   tbi::Json::Array device_docs;
-  for (const auto& device : tbi::dram::standard_configs()) {
-    if (cli.has("device") && device.name != cli.get("device", "")) continue;
-    const auto rows = tbi::sim::run_dimension_sweep(
-        device, sizes, static_cast<unsigned>(cli.get_int("threads", 0)));
-    std::vector<std::string> rm = {device.name, "row-major"};
+  for (const auto* device : devices) {
+    const auto rows = tbi::sim::run_dimension_sweep(*device, sizes, threads);
+    std::vector<std::string> rm = {device->name, "row-major"};
     std::vector<std::string> opt = {"", "optimized"};
     tbi::Json device_doc;
-    device_doc["device"] = device.name;
+    device_doc["device"] = device->name;
     tbi::Json::Array out_rows;
     for (const auto& r : rows) {
       rm.push_back(tbi::TextTable::pct(r.row_major_min));
@@ -78,7 +91,7 @@ int main(int argc, char** argv) {
     doc["bench"] = "bench_dimensions";
     tbi::Json config;
     config["device"] = cli.get("device", "");
-    config["threads"] = static_cast<std::uint64_t>(cli.get_int("threads", 0));
+    config["threads"] = static_cast<std::uint64_t>(threads);
     doc["config"] = config;
     doc["wall_seconds"] =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)

@@ -35,8 +35,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
-#include <utility>
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
@@ -53,23 +51,6 @@ namespace {
 volatile std::sig_atomic_t g_cancel = 0;
 
 void handle_signal(int) { g_cancel = 1; }
-
-/// Read integer option \p name into \p out. A value below \p min, or
-/// one that does not fit T, prints an error: line and returns false; an
-/// unchecked cast would turn --frames -1 into 4,294,967,295 frames.
-template <typename T>
-bool read_count(const tbi::CliParser& cli, const char* name, std::int64_t fallback,
-                std::int64_t min, T* out) {
-  const std::int64_t v = cli.get_int(name, fallback);
-  if (v < min || !std::in_range<T>(v)) {
-    std::fprintf(stderr, "error: --%s must be an integer in [%lld, %llu]\n", name,
-                 static_cast<long long>(min),
-                 static_cast<unsigned long long>(std::numeric_limits<T>::max()));
-    return false;
-  }
-  *out = static_cast<T>(v);
-  return true;
-}
 
 }  // namespace
 
@@ -112,13 +93,11 @@ int main(int argc, char** argv) {
   }
 
   tbi::sim::FerSweepOptions options;
-  if (!read_count(cli, "frames", 40, 1, &options.base.frames) ||
-      !read_count(cli, "side", 0, 0, &options.base.side) ||
-      !read_count(cli, "spb", 64, 1, &options.base.symbols_per_burst) ||
-      !read_count(cli, "threads", 0, 0, &options.sweep.threads) ||
-      !read_count(cli, "seed", 1, 0, &options.sweep.base_seed)) {
-    return 1;
-  }
+  options.base.frames = cli.read_count<unsigned>("frames", 40, 1);
+  options.base.side = cli.read_count<std::uint64_t>("side", 0, 0);
+  options.base.symbols_per_burst = cli.read_count<std::uint64_t>("spb", 64, 1);
+  options.sweep.threads = cli.read_count<unsigned>("threads", 0, 0);
+  options.sweep.base_seed = cli.read_count<std::uint64_t>("seed", 1, 0);
 
   tbi::sim::SweepGrid grid;
   grid.devices = {device};

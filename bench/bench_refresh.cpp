@@ -12,6 +12,7 @@
 ///                      [--json FILE]
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
@@ -21,7 +22,9 @@
 #include "perf/counters.hpp"
 #include "sim/runner.hpp"
 
-int main(int argc, char** argv) {
+// A symbol count the devices cannot hold throws std::invalid_argument
+// from the sizing or the mapping.
+int main(int argc, char** argv) try {
   tbi::CliParser cli("bench_refresh", "refresh on/off ablation (paper §III)");
   cli.add_option("symbols", "count", "interleaver symbols (default 12.5M)");
   cli.add_option("max-bursts", "count", "truncate phases for quick runs");
@@ -35,10 +38,8 @@ int main(int argc, char** argv) {
     std::fputs(cli.usage().c_str(), stdout);
     return 0;
   }
-  const auto symbols =
-      static_cast<std::uint64_t>(cli.get_int("symbols", 12'500'000));
-  const auto max_bursts =
-      static_cast<std::uint64_t>(cli.get_int("max-bursts", 0));
+  const auto symbols = cli.read_count<std::uint64_t>("symbols", 12'500'000, 1);
+  const auto max_bursts = cli.read_count<std::uint64_t>("max-bursts", 0, 0);
 
   tbi::TextTable t(
       "Optimized mapping: device-default refresh vs refresh disabled");
@@ -109,4 +110,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

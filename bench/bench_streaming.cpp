@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
     std::fputs(cli.usage().c_str(), stdout);
     return 0;
   }
-  const auto max_bursts =
-      static_cast<std::uint64_t>(cli.get_int("max-bursts", 0));
+  const auto max_bursts = cli.read_count<std::uint64_t>("max-bursts", 0, 0);
 
   tbi::TextTable t("Continuous operation (1:1 mixed write/read)");
   t.set_header({"DRAM Configuration", "Mapping", "min(W,R) bound", "Streaming",

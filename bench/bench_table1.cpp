@@ -11,24 +11,26 @@
 /// The full grid (ten devices x two mappings) runs on the parallel sweep
 /// engine; --threads shards it over the machine.
 ///
-/// Usage: bench_table1 [--symbols N] [--max-bursts M] [--csv FILE]
-///                     [--json FILE] [--markdown] [--check] [--threads T]
+/// Usage: bench_table1 [--symbols N] [--max-bursts M] [--json FILE]
+///                     [--markdown] [--check] [--threads T]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "common/cli.hpp"
-#include "common/csv.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "perf/counters.hpp"
 #include "sim/experiments.hpp"
 
-int main(int argc, char** argv) {
+// A symbol count the devices cannot hold throws std::invalid_argument
+// from the sizing or the mapping.
+int main(int argc, char** argv) try {
   tbi::CliParser cli("bench_table1", "reproduce Table I (bandwidth utilizations)");
-  cli.add_option("symbols", "count", "interleaver symbols (default 12.5M)");
+  cli.add_option("symbols", "count", "interleaver symbols (0 = the paper's 12.5M)");
   cli.add_option("max-bursts", "count", "truncate phases for quick runs");
-  cli.add_option("csv", "file", "also write results as CSV");
   cli.add_option("json", "file", "write config + wall time + rows as JSON");
   cli.add_option("markdown", "", "print GitHub markdown instead of ASCII");
   cli.add_option("check", "", "validate all command streams with the JEDEC checker");
@@ -43,11 +45,10 @@ int main(int argc, char** argv) {
   }
 
   tbi::sim::Table1Options options;
-  options.total_symbols = static_cast<std::uint64_t>(cli.get_int("symbols", 0));
-  options.max_bursts_per_phase =
-      static_cast<std::uint64_t>(cli.get_int("max-bursts", 0));
+  options.total_symbols = cli.read_count<std::uint64_t>("symbols", 0, 0);
+  options.max_bursts_per_phase = cli.read_count<std::uint64_t>("max-bursts", 0, 0);
   options.check_protocol = cli.has("check");
-  options.threads = static_cast<unsigned>(cli.get_int("threads", 0));
+  options.threads = cli.read_count<unsigned>("threads", 0, 0);
 
   const auto wall_start = std::chrono::steady_clock::now();
   const auto rows = tbi::sim::run_table1(options);
@@ -106,21 +107,8 @@ int main(int argc, char** argv) {
   std::fputs(cli.has("markdown") ? mins.render_markdown().c_str()
                                  : mins.render().c_str(),
              stdout);
-
-  if (cli.has("csv")) {
-    tbi::CsvWriter csv;
-    csv.set_header({"config", "row_major_write", "row_major_read",
-                    "optimized_write", "optimized_read"});
-    for (const auto& r : rows) {
-      csv.add_row({r.config, tbi::TextTable::num(r.row_major_write, 6),
-                   tbi::TextTable::num(r.row_major_read, 6),
-                   tbi::TextTable::num(r.optimized_write, 6),
-                   tbi::TextTable::num(r.optimized_read, 6)});
-    }
-    if (!csv.write_file(cli.get("csv", ""))) {
-      std::fprintf(stderr, "failed to write %s\n", cli.get("csv", "").c_str());
-      return 1;
-    }
-  }
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -38,9 +38,8 @@ int main(int argc, char** argv) {
   const double target = cli.get_double("target-gbps", 100.0);
 
   tbi::sim::BandwidthSweepOptions options;
-  options.sweep.threads = static_cast<unsigned>(cli.get_int("threads", 0));
-  options.max_bursts_per_phase =
-      static_cast<std::uint64_t>(cli.get_int("max-bursts", 0));
+  options.sweep.threads = cli.read_count<unsigned>("threads", 0, 0);
+  options.max_bursts_per_phase = cli.read_count<std::uint64_t>("max-bursts", 0, 0);
   const auto grid = tbi::sim::SweepGrid::paper_bandwidth_grid();
   const auto wall_start = std::chrono::steady_clock::now();
   const auto records = tbi::sim::run_bandwidth_sweep(grid, options);

@@ -19,10 +19,11 @@
 ///     {"device": "DDR4-3200", "mapping": "row-major", "refresh": "disabled"}
 ///   ]
 /// }
+/// A run's "refresh" is "default" (the device's own mode) or "disabled".
 ///
-/// A config with a "fer" object instead drives the end-to-end FER sweep:
-/// axis arrays become the scenario grid, scalars configure the pipeline
-/// template:
+/// A config with a "fer" object instead (and none of the keys above)
+/// drives the end-to-end FER sweep: axis arrays become the scenario grid,
+/// scalars configure the pipeline template:
 /// {
 ///   "fer": {
 ///     "interleavers": ["triangular", "two-stage"],
@@ -130,9 +131,10 @@ void check_keys(const tbi::Json& obj, std::initializer_list<std::string_view> kn
   }
 }
 
-/// The RunConfig of one bandwidth run. Throws for an unknown device or
-/// mapping, and for a symbol count that burst_triangle_side refuses, so
-/// the batch can check every run before its journal opens.
+/// The RunConfig of one bandwidth run. Throws for an unknown device,
+/// mapping or refresh value ("default" or "disabled"), and for a symbol
+/// count that burst_triangle_side refuses, so the batch can check every
+/// run before its journal opens.
 tbi::sim::RunConfig bandwidth_config(const tbi::Json& run_cfg, std::uint64_t symbols,
                                      std::uint64_t max_bursts, unsigned queue_depth) {
   check_keys(run_cfg, {"device", "mapping", "refresh", "check"});
@@ -147,9 +149,13 @@ tbi::sim::RunConfig bandwidth_config(const tbi::Json& run_cfg, std::uint64_t sym
   rc.side = tbi::interleaver::burst_triangle_side(symbols, 3, device->burst_bytes);
   rc.max_bursts_per_phase = max_bursts;
   rc.controller.queue_depth = queue_depth;
-  if (run_cfg.get_or("refresh", std::string("default")) == "disabled") {
+  const std::string refresh = run_cfg.get_or("refresh", std::string("default"));
+  if (refresh == "disabled") {
     rc.controller.use_device_default_refresh = false;
     rc.controller.refresh_mode = tbi::dram::RefreshMode::Disabled;
+  } else if (refresh != "default") {
+    throw std::invalid_argument("refresh must be \"default\" or \"disabled\", got '" +
+                                refresh + "'");
   }
   rc.check_protocol = run_cfg.get_or("check", false);
   // Throws for an unknown mapping, as run_interleaver would.
@@ -294,6 +300,14 @@ int main(int argc, char** argv) {
     dist.abort_after = tbi::sim::parse_fault_inject(std::getenv("TBI_FAULT_INJECT"));
 
     if (config.contains("fer")) {
+      // The FER batch reads none of the bandwidth keys: refuse them
+      // rather than drop them.
+      for (const char* key : {"runs", "symbols", "max_bursts", "queue_depth"}) {
+        if (config.contains(key)) {
+          throw std::invalid_argument(std::string("a \"fer\" config takes no '") + key +
+                                      "' key");
+        }
+      }
       results = run_fer_experiment(config.at("fer"), dist, interrupted);
     } else {
       const auto symbols = read_count<std::uint64_t>(config, "symbols", 12'500'000, 1);

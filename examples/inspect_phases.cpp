@@ -1,7 +1,7 @@
 /// \file inspect_phases.cpp
 /// Diagnostic deep-dive into one (device, mapping) pair: per-phase counter
-/// dump, per-bank load balance, optional JEDEC protocol check, and an
-/// optional DRAM command trace written to a file for offline analysis.
+/// dump plus either a JEDEC protocol check or a DRAM command trace
+/// written to a file (the controller holds one observer).
 ///
 /// Usage: inspect_phases [--device NAME] [--mapping SPEC] [--queue-depth Q]
 ///                       [--no-refresh] [--fcfs] [--check] [--trace FILE]
@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "common/cli.hpp"
@@ -57,18 +58,30 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto* dev = tbi::dram::find_config(cli.get("device", "DDR4-3200"));
+  const std::string device_name = cli.get("device", "DDR4-3200");
+  const auto* dev = tbi::dram::find_config(device_name);
   if (dev == nullptr) {
-    std::fprintf(stderr, "unknown device\n");
+    std::fprintf(stderr, "error: unknown device '%s'\n", device_name.c_str());
+    return 1;
+  }
+  if (cli.has("trace") && cli.has("check")) {
+    std::fprintf(stderr, "error: --trace and --check exclude each other (the "
+                         "controller holds one observer)\n");
     return 1;
   }
 
   const std::uint64_t side = tbi::sim::paper_side_for(*dev);
-  const auto mapping =
-      tbi::mapping::make_mapping(cli.get("mapping", "optimized"), *dev, side);
+  std::unique_ptr<tbi::mapping::IndexMapping> mapping;
+  try {
+    mapping = tbi::mapping::make_mapping(cli.get("mapping", "optimized"), *dev, side);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   tbi::dram::ControllerConfig cfg;
-  cfg.queue_depth = static_cast<unsigned>(cli.get_int("queue-depth", 64));
+  cfg.queue_depth = cli.read_count<unsigned>("queue-depth", 64, 1);
+  const auto max_bursts = cli.read_count<std::uint64_t>("max-bursts", 0, 0);
   if (cli.has("no-refresh")) {
     cfg.use_device_default_refresh = false;
     cfg.refresh_mode = tbi::dram::RefreshMode::Disabled;
@@ -83,7 +96,8 @@ int main(int argc, char** argv) {
   if (cli.has("trace")) {
     trace_file.open(cli.get("trace", ""));
     if (!trace_file) {
-      std::fprintf(stderr, "cannot open trace file\n");
+      std::fprintf(stderr, "error: cannot open trace file '%s'\n",
+                   cli.get("trace", "").c_str());
       return 1;
     }
     recorder = std::make_unique<tbi::dram::TraceRecorder>(trace_file);
@@ -93,7 +107,6 @@ int main(int argc, char** argv) {
     ctl.set_observer(checker.get());
   }
 
-  const auto max_bursts = static_cast<std::uint64_t>(cli.get_int("max-bursts", 0));
   std::printf("%s, %s, side %llu, refresh %s\n", dev->name.c_str(),
               mapping->name().c_str(), static_cast<unsigned long long>(side),
               to_string(ctl.refresh_mode()));

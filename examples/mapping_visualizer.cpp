@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <stdexcept>
 #include <string>
 
 #include "common/cli.hpp"
@@ -48,10 +49,12 @@ void print_grid(const char* title, std::uint64_t size,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// A toy geometry that is not a power of two, or that the mapping cannot
+// tile or hold, throws std::invalid_argument.
+int main(int argc, char** argv) try {
   tbi::CliParser cli("mapping_visualizer", "ASCII rendition of the paper's Fig. 1");
-  cli.add_option("banks", "n", "banks of the toy device (default 2)");
-  cli.add_option("columns", "c", "columns per page in bursts (default 4)");
+  cli.add_option("banks", "n", "banks of the toy device, a power of two (default 2)");
+  cli.add_option("columns", "c", "columns per page in bursts, a power of two (default 4)");
   cli.add_option("size", "s", "rendered index-space size (default 8)");
   if (!cli.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n%s", cli.error().c_str(), cli.usage().c_str());
@@ -62,10 +65,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto banks = static_cast<unsigned>(cli.get_int("banks", 2));
-  const auto columns = static_cast<unsigned>(cli.get_int("columns", 4));
-  const auto size = static_cast<std::uint64_t>(cli.get_int("size", 8));
+  const auto banks = cli.read_count<unsigned>("banks", 2, 1);
+  const auto columns = cli.read_count<unsigned>("columns", 4, 1);
+  const auto size = cli.read_count<std::uint64_t>("size", 8, 1);
   const auto dev = tiny_device(banks, columns);
+  dev.validate();
 
   using tbi::mapping::OptimizedMapping;
   using tbi::mapping::OptimizedOptions;
@@ -113,4 +117,7 @@ int main(int argc, char** argv) {
       "rectangle boundary; in (d) the circular per-bank shift staggers the\n"
       "switches so one bank's page miss hides behind the others' hits.");
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

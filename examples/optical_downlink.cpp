@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   cli.add_option("fade-prob", "p", "stationary fade duty cycle (default 0.004)");
   cli.add_option("burst-symbols", "b", "mean fade length in symbols (default 300)");
   cli.add_option("seed", "s", "RNG seed (default 1)");
-  cli.add_option("device", "name", "DRAM device for the bandwidth check");
+  cli.add_option("device", "name", "DRAM device for the bandwidth check (default LPDDR5-8533)");
   cli.add_option("channel", "kind", "bsc | gilbert-elliott | leo (default gilbert-elliott)");
   cli.add_option("side", "s", "interleaver side (0 = RS-255 triangle; bursts for two-stage)");
   cli.add_option("spb", "b", "two-stage symbols per DRAM burst (default 64)");
@@ -38,19 +38,25 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const std::string device_name = cli.get("device", "LPDDR5-8533");
+  const auto* device = tbi::dram::find_config(device_name);
+  if (device == nullptr) {
+    std::fprintf(stderr, "error: unknown device '%s'\n", device_name.c_str());
+    return 1;
+  }
+
   tbi::sim::PipelineConfig config;
   config.channel = cli.get("channel", "gilbert-elliott");
-  config.frames = static_cast<unsigned>(cli.get_int("frames", 40));
+  config.frames = cli.read_count<unsigned>("frames", 40, 1);
   config.fade_fraction = cli.get_double("fade-prob", 0.004);
   config.mean_burst_symbols = cli.get_double("burst-symbols", 300);
   config.error_rate_bad = 0.95;
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  config.side = static_cast<std::uint64_t>(cli.get_int("side", 0));
-  config.symbols_per_burst = static_cast<std::uint64_t>(cli.get_int("spb", 64));
+  config.seed = cli.read_count<std::uint64_t>("seed", 1, 0);
+  config.side = cli.read_count<std::uint64_t>("side", 0, 0);
+  config.symbols_per_burst = cli.read_count<std::uint64_t>("spb", 64, 1);
   config.run_dram = false;
 
   tbi::sim::PipelineResult direct, interleaved, two_stage;
-  const auto* device = tbi::dram::find_config(cli.get("device", "LPDDR5-8533"));
   try {
     // Same seed => same channel draws: the "none" and "triangular"
     // systems see identical fades (the two-stage frame is spb x larger,
@@ -59,11 +65,9 @@ int main(int argc, char** argv) {
     direct = tbi::sim::run_pipeline(config);
 
     config.interleaver = "triangular";
-    if (device != nullptr) {
-      config.run_dram = true;
-      config.device = *device;
-      config.dram_max_bursts_per_phase = 0;  // one frame's triangle is small
-    }
+    config.run_dram = true;
+    config.device = *device;
+    config.dram_max_bursts_per_phase = 0;  // one frame's triangle is small
     interleaved = tbi::sim::run_pipeline(config);
 
     config.interleaver = "two-stage";
@@ -99,7 +103,6 @@ int main(int argc, char** argv) {
 
   const auto report_dram = [device](const char* name,
                                     const tbi::sim::PipelineResult& r) {
-    if (!r.dram_ran) return;
     std::printf(
         "DRAM feasibility of the %s on %s: %.1f Gbit/s interleaver\n"
         "throughput (%.1f Gbit/s peak, %.1f %% min utilization).\n",

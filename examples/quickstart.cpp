@@ -8,6 +8,7 @@
 ///
 /// Usage: quickstart [--device DDR4-3200] [--symbols N] [--queue-depth Q]
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "common/cli.hpp"
@@ -16,7 +17,9 @@
 #include "interleaver/streams.hpp"
 #include "sim/runner.hpp"
 
-int main(int argc, char** argv) {
+// A symbol count the devices cannot hold throws std::invalid_argument
+// from the sizing or the mapping.
+int main(int argc, char** argv) try {
   tbi::CliParser cli("quickstart", "simulate one device with both mappings");
   cli.add_option("device", "name", "DRAM configuration (default DDR4-3200)");
   cli.add_option("symbols", "count", "interleaver size in symbols (default 12.5M)");
@@ -33,15 +36,12 @@ int main(int argc, char** argv) {
   const std::string device_name = cli.get("device", "DDR4-3200");
   const auto* device = tbi::dram::find_config(device_name);
   if (device == nullptr) {
-    std::fprintf(stderr, "unknown device '%s'; available:\n", device_name.c_str());
-    for (const auto& c : tbi::dram::standard_configs()) {
-      std::fprintf(stderr, "  %s\n", c.name.c_str());
-    }
+    std::fprintf(stderr, "error: unknown device '%s'\n", device_name.c_str());
     return 1;
   }
 
-  const auto symbols =
-      static_cast<std::uint64_t>(cli.get_int("symbols", 12'500'000));
+  const auto symbols = cli.read_count<std::uint64_t>("symbols", 12'500'000, 1);
+  const auto queue_depth = cli.read_count<unsigned>("queue-depth", 64, 1);
   const std::uint64_t side =
       tbi::interleaver::burst_triangle_side(symbols, 3, device->burst_bytes);
 
@@ -59,8 +59,7 @@ int main(int argc, char** argv) {
   for (const std::string spec : {"row-major", "optimized"}) {
     tbi::sim::RunConfig rc;
     rc.device = *device;
-    rc.controller.queue_depth =
-        static_cast<unsigned>(cli.get_int("queue-depth", 64));
+    rc.controller.queue_depth = queue_depth;
     rc.mapping_spec = spec;
     rc.side = side;
     const auto run = tbi::sim::run_interleaver(rc);
@@ -74,4 +73,7 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.render().c_str(), stdout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -30,8 +30,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   const double target = cli.get_double("target-gbps", 100.0);
-  const auto max_bursts =
-      static_cast<std::uint64_t>(cli.get_int("max-bursts", 40000));
+  const auto max_bursts = cli.read_count<std::uint64_t>("max-bursts", 40000, 0);
 
   std::printf("Sizing DRAM for a %.0f Gbit/s optical downlink\n", target);
   std::printf("(each interleaved bit is written and read -> %.0f Gbit/s of\n",

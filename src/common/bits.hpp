@@ -30,12 +30,6 @@ constexpr unsigned clog2(std::uint64_t v) {
   return is_pow2(v) ? ilog2(v) : ilog2(v) + 1;
 }
 
-/// Smallest power of two >= v (v > 0).
-constexpr std::uint64_t ceil_pow2(std::uint64_t v) {
-  assert(v != 0);
-  return std::uint64_t{1} << clog2(v);
-}
-
 /// Mask with the low \p n bits set. n may be 0..63.
 constexpr std::uint64_t low_mask(unsigned n) {
   assert(n < 64);
@@ -48,27 +42,5 @@ constexpr std::uint64_t extract_bits(std::uint64_t v, unsigned pos, unsigned cou
   if (count == 64) return v >> pos;
   return (v >> pos) & low_mask(count);
 }
-
-/// Deposit the low \p count bits of \p field into \p v at bit \p pos.
-constexpr std::uint64_t deposit_bits(std::uint64_t v, unsigned pos, unsigned count,
-                                     std::uint64_t field) {
-  assert(pos + count <= 64);
-  const std::uint64_t m = (count == 64) ? ~std::uint64_t{0} : low_mask(count);
-  return (v & ~(m << pos)) | ((field & m) << pos);
-}
-
-/// Parity (XOR-reduce) of all bits of \p v. Used by bank-XOR address layouts.
-constexpr unsigned parity(std::uint64_t v) {
-  v ^= v >> 32;
-  v ^= v >> 16;
-  v ^= v >> 8;
-  v ^= v >> 4;
-  v ^= v >> 2;
-  v ^= v >> 1;
-  return static_cast<unsigned>(v & 1);
-}
-
-/// Reverse the low \p n bits of \p v (other bits dropped).
-std::uint64_t reverse_bits(std::uint64_t v, unsigned n);
 
 }  // namespace tbi

@@ -28,8 +28,8 @@ bool CliParser::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(arg);
-      continue;
+      error_ = "unexpected argument '" + arg + "'";
+      return false;
     }
     arg = arg.substr(2);
     std::string key = arg;
@@ -85,6 +85,13 @@ std::int64_t CliParser::get_int(const std::string& name, std::int64_t fallback) 
   const std::int64_t v = std::strtoll(it->second.c_str(), &end, 0);
   require_number(name, it->second, end);
   return v;
+}
+
+void CliParser::count_out_of_range(const std::string& name, std::uint64_t min,
+                                   std::uint64_t max) {
+  std::fprintf(stderr, "error: --%s must be an integer in [%llu, %llu]\n", name.c_str(),
+               static_cast<unsigned long long>(min), static_cast<unsigned long long>(max));
+  std::exit(1);
 }
 
 double CliParser::get_double(const std::string& name, double fallback) const {

@@ -6,17 +6,6 @@
 
 namespace tbi::dram {
 
-const char* to_string(Standard s) {
-  switch (s) {
-    case Standard::DDR3: return "DDR3";
-    case Standard::DDR4: return "DDR4";
-    case Standard::DDR5: return "DDR5";
-    case Standard::LPDDR4: return "LPDDR4";
-    case Standard::LPDDR5: return "LPDDR5";
-  }
-  return "?";
-}
-
 const char* to_string(RefreshMode m) {
   switch (m) {
     case RefreshMode::Disabled: return "disabled";
@@ -359,95 +348,6 @@ const DeviceConfig* find_config(std::string_view name) {
     if (c.name == name) return &c;
   }
   return nullptr;
-}
-
-namespace {
-
-RefreshMode refresh_mode_from_string(const std::string& s) {
-  if (s == "disabled") return RefreshMode::Disabled;
-  if (s == "all-bank") return RefreshMode::AllBank;
-  if (s == "per-bank") return RefreshMode::PerBank;
-  if (s == "same-bank") return RefreshMode::SameBank;
-  throw std::invalid_argument("unknown refresh mode: " + s);
-}
-
-Standard standard_from_string(const std::string& s) {
-  if (s == "DDR3") return Standard::DDR3;
-  if (s == "DDR4") return Standard::DDR4;
-  if (s == "DDR5") return Standard::DDR5;
-  if (s == "LPDDR4") return Standard::LPDDR4;
-  if (s == "LPDDR5") return Standard::LPDDR5;
-  throw std::invalid_argument("unknown standard: " + s);
-}
-
-}  // namespace
-
-Json config_to_json(const DeviceConfig& cfg) {
-  Json j;
-  j["name"] = cfg.name;
-  j["standard"] = to_string(cfg.standard);
-  j["data_rate_mts"] = static_cast<std::int64_t>(cfg.data_rate_mts);
-  j["banks"] = static_cast<std::int64_t>(cfg.banks);
-  j["bank_groups"] = static_cast<std::int64_t>(cfg.bank_groups);
-  j["columns_per_page"] = static_cast<std::int64_t>(cfg.columns_per_page);
-  j["rows_per_bank"] = static_cast<std::int64_t>(cfg.rows_per_bank);
-  j["burst_bytes"] = static_cast<std::int64_t>(cfg.burst_bytes);
-  j["burst_time_ps"] = cfg.burst_time;
-  j["default_refresh"] = to_string(cfg.default_refresh);
-  Json t;
-  const TimingParams& p = cfg.timing;
-  t["tCK"] = p.tCK; t["CL"] = p.CL; t["CWL"] = p.CWL;
-  t["tRCD"] = p.tRCD; t["tRP"] = p.tRP; t["tRAS"] = p.tRAS; t["tRC"] = p.tRC;
-  t["tRRD_S"] = p.tRRD_S; t["tRRD_L"] = p.tRRD_L; t["tFAW"] = p.tFAW;
-  t["tCCD_S"] = p.tCCD_S; t["tCCD_L"] = p.tCCD_L;
-  t["tRTP"] = p.tRTP; t["tWR"] = p.tWR; t["tWTR"] = p.tWTR;
-  t["tRTW_bubble"] = p.tRTW_bubble;
-  t["tREFI"] = p.tREFI; t["tRFC_ab"] = p.tRFC_ab; t["tRFC_grp"] = p.tRFC_grp;
-  j["timing"] = t;
-  Json e;
-  e["act_pre_pj"] = cfg.energy.act_pre_pj;
-  e["rd_pj"] = cfg.energy.rd_pj;
-  e["wr_pj"] = cfg.energy.wr_pj;
-  e["ref_ab_pj"] = cfg.energy.ref_ab_pj;
-  e["background_mw"] = cfg.energy.background_mw;
-  j["energy"] = e;
-  return j;
-}
-
-DeviceConfig config_from_json(const Json& j) {
-  DeviceConfig c;
-  c.name = j.at("name").as_string();
-  c.standard = standard_from_string(j.at("standard").as_string());
-  c.data_rate_mts = static_cast<unsigned>(j.at("data_rate_mts").as_int());
-  c.banks = static_cast<unsigned>(j.at("banks").as_int());
-  c.bank_groups = static_cast<unsigned>(j.at("bank_groups").as_int());
-  c.columns_per_page = static_cast<unsigned>(j.at("columns_per_page").as_int());
-  c.rows_per_bank = static_cast<unsigned>(j.at("rows_per_bank").as_int());
-  c.burst_bytes = static_cast<unsigned>(j.at("burst_bytes").as_int());
-  c.burst_time = j.at("burst_time_ps").as_int();
-  c.default_refresh = refresh_mode_from_string(j.at("default_refresh").as_string());
-  const Json& t = j.at("timing");
-  TimingParams& p = c.timing;
-  p.tCK = t.at("tCK").as_int(); p.CL = t.at("CL").as_int(); p.CWL = t.at("CWL").as_int();
-  p.tRCD = t.at("tRCD").as_int(); p.tRP = t.at("tRP").as_int();
-  p.tRAS = t.at("tRAS").as_int(); p.tRC = t.at("tRC").as_int();
-  p.tRRD_S = t.at("tRRD_S").as_int(); p.tRRD_L = t.at("tRRD_L").as_int();
-  p.tFAW = t.at("tFAW").as_int();
-  p.tCCD_S = t.at("tCCD_S").as_int(); p.tCCD_L = t.at("tCCD_L").as_int();
-  p.tRTP = t.at("tRTP").as_int(); p.tWR = t.at("tWR").as_int();
-  p.tWTR = t.at("tWTR").as_int(); p.tRTW_bubble = t.at("tRTW_bubble").as_int();
-  p.tREFI = t.at("tREFI").as_int(); p.tRFC_ab = t.at("tRFC_ab").as_int();
-  p.tRFC_grp = t.at("tRFC_grp").as_int();
-  if (j.contains("energy")) {
-    const Json& e = j.at("energy");
-    c.energy.act_pre_pj = e.at("act_pre_pj").as_double();
-    c.energy.rd_pj = e.at("rd_pj").as_double();
-    c.energy.wr_pj = e.at("wr_pj").as_double();
-    c.energy.ref_ab_pj = e.at("ref_ab_pj").as_double();
-    c.energy.background_mw = e.at("background_mw").as_double();
-  }
-  c.validate();
-  return c;
 }
 
 }  // namespace tbi::dram

@@ -1,7 +1,7 @@
 /// \file standards.hpp
 /// Device configurations for the five JEDEC standards (two speed grades
-/// each) evaluated in the paper, plus JSON (de)serialization for custom
-/// devices.
+/// each) evaluated in the paper, plus five intermediate grades. Binaries
+/// name a device through find_config().
 ///
 /// Channel conventions (documented in DESIGN.md §5):
 ///  * one rank per channel;
@@ -16,14 +16,11 @@
 #include <string_view>
 #include <vector>
 
-#include "common/json.hpp"
 #include "dram/timing.hpp"
 
 namespace tbi::dram {
 
 enum class Standard { DDR3, DDR4, DDR5, LPDDR4, LPDDR5 };
-
-const char* to_string(Standard s);
 
 /// How the controller refreshes the device (JEDEC command availability
 /// differs per standard; defaults follow the standard).
@@ -94,9 +91,5 @@ const std::vector<DeviceConfig>& extended_configs();
 /// Look up a configuration by name in the standard and extended sets
 /// (e.g. "DDR4-3200" or "DDR4-2400"); returns nullptr when unknown.
 const DeviceConfig* find_config(std::string_view name);
-
-/// JSON round-trip for custom device descriptions.
-Json config_to_json(const DeviceConfig& cfg);
-DeviceConfig config_from_json(const Json& j);
 
 }  // namespace tbi::dram

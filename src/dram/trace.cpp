@@ -1,11 +1,8 @@
 #include "dram/trace.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <istream>
 #include <ostream>
-#include <stdexcept>
 
 namespace tbi::dram {
 
@@ -22,83 +19,6 @@ std::string format_command(const Command& cmd) {
                 cmd.issue, to_string(cmd.kind), cmd.bank, cmd.row, cmd.column,
                 cmd.data_start, cmd.data_end);
   return buf;
-}
-
-bool parse_command(const std::string& line, Command& out) {
-  // Skip blank lines and comments.
-  const auto first = line.find_first_not_of(" \t\r");
-  if (first == std::string::npos || line[first] == '#') return false;
-
-  char kind[16] = {0};
-  long long issue = 0, data_start = 0, data_end = 0;
-  unsigned bank = 0, row = 0, column = 0;
-  const int n = std::sscanf(line.c_str(), "%lld %15s %u %u %u %lld %lld", &issue,
-                            kind, &bank, &row, &column, &data_start, &data_end);
-  if (n != 7) throw std::invalid_argument("trace: malformed line: " + line);
-
-  const std::string k = kind;
-  if (k == "ACT") out.kind = CommandKind::Act;
-  else if (k == "PRE") out.kind = CommandKind::Pre;
-  else if (k == "RD") out.kind = CommandKind::Rd;
-  else if (k == "WR") out.kind = CommandKind::Wr;
-  else if (k == "REFab") out.kind = CommandKind::RefAb;
-  else if (k == "REFgrp") out.kind = CommandKind::RefGrp;
-  else throw std::invalid_argument("trace: unknown command kind: " + k);
-
-  out.issue = issue;
-  out.bank = bank;
-  out.row = row;
-  out.column = column;
-  out.data_start = data_start;
-  out.data_end = data_end;
-  return true;
-}
-
-std::vector<Command> parse_trace(std::istream& in) {
-  std::vector<Command> commands;
-  std::string line;
-  while (std::getline(in, line)) {
-    Command cmd;
-    if (parse_command(line, cmd)) commands.push_back(cmd);
-  }
-  return commands;
-}
-
-double TraceSummary::bank_imbalance() const {
-  if (per_bank_accesses.empty()) return 0.0;
-  const auto [lo, hi] =
-      std::minmax_element(per_bank_accesses.begin(), per_bank_accesses.end());
-  if (*hi == 0) return 0.0;
-  return static_cast<double>(*hi - *lo) / static_cast<double>(*hi);
-}
-
-TraceSummary summarize_trace(const std::vector<Command>& commands, unsigned banks) {
-  TraceSummary s;
-  s.per_bank_accesses.assign(banks, 0);
-  bool first = true;
-  for (const Command& c : commands) {
-    if (first) {
-      s.first_issue = c.issue;
-      first = false;
-    }
-    s.first_issue = std::min(s.first_issue, c.issue);
-    s.last_issue = std::max(s.last_issue, c.issue);
-    switch (c.kind) {
-      case CommandKind::Act: ++s.activates; break;
-      case CommandKind::Pre: ++s.precharges; break;
-      case CommandKind::Rd:
-        ++s.reads;
-        if (c.bank < banks) ++s.per_bank_accesses[c.bank];
-        break;
-      case CommandKind::Wr:
-        ++s.writes;
-        if (c.bank < banks) ++s.per_bank_accesses[c.bank];
-        break;
-      case CommandKind::RefAb:
-      case CommandKind::RefGrp: ++s.refreshes; break;
-    }
-  }
-  return s;
 }
 
 }  // namespace tbi::dram

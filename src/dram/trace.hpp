@@ -1,9 +1,7 @@
 /// \file trace.hpp
-/// Command trace recording and replay (DRAMSys-style .stl-like text
-/// format). A TraceRecorder observes a controller run and serializes every
-/// command; parse_trace() loads a trace back for offline analysis, and
-/// trace_histogram() computes per-bank / per-kind summaries. Used by the
-/// inspect_phases example and by tests that assert on command sequences.
+/// Command trace recording (DRAMSys-style .stl-like text format). A
+/// TraceRecorder observes a controller run and writes every command as
+/// one line; `inspect_phases --trace FILE` uses it.
 ///
 /// Format: one command per line,
 ///   <issue_ps> <KIND> <bank> <row> <column> <data_start> <data_end>
@@ -12,7 +10,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "dram/controller.hpp"
 #include "dram/types.hpp"
@@ -38,30 +35,5 @@ class TraceRecorder final : public CommandObserver {
 
 /// Serialize one command in trace format (without newline).
 std::string format_command(const Command& cmd);
-
-/// Parse one trace line; returns false for comments/blank lines and throws
-/// std::invalid_argument on malformed input.
-bool parse_command(const std::string& line, Command& out);
-
-/// Load a whole trace document.
-std::vector<Command> parse_trace(std::istream& in);
-
-/// Aggregate statistics of a (possibly replayed) command stream.
-struct TraceSummary {
-  std::uint64_t activates = 0;
-  std::uint64_t precharges = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t refreshes = 0;
-  Ps first_issue = 0;
-  Ps last_issue = 0;
-  std::vector<std::uint64_t> per_bank_accesses;  ///< RD+WR per bank
-
-  /// Largest / smallest per-bank access count (load-balance check).
-  double bank_imbalance() const;
-};
-
-TraceSummary summarize_trace(const std::vector<Command>& commands,
-                             unsigned banks);
 
 }  // namespace tbi::dram

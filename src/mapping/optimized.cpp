@@ -14,6 +14,10 @@ OptimizedMapping::OptimizedMapping(const dram::DeviceConfig& device,
       cpp_(device.columns_per_page),
       rows_(device.rows_per_bank) {
   if (side == 0) throw std::invalid_argument("OptimizedMapping: side must be > 0");
+  if (!is_pow2(banks_) || !is_pow2(cpp_)) {
+    throw std::invalid_argument(
+        "OptimizedMapping: banks and columns per page must be powers of two");
+  }
   if (options_.column_offset && !(options_.diagonal_banks && options_.page_tiling)) {
     throw std::invalid_argument(
         "OptimizedMapping: column offset requires diagonal banks and page tiling");
@@ -66,14 +70,11 @@ OptimizedMapping::OptimizedMapping(const dram::DeviceConfig& device,
     throw std::invalid_argument("OptimizedMapping: interleaver exceeds device rows");
   }
 
-  // tile_w_/tile_h_ are powers of two by construction; NB and CPP are for
-  // every JEDEC geometry, enabling the pure add/shift/mask hot path.
-  pow2_ = is_pow2(banks_) && is_pow2(cpp_);
-  if (pow2_) {
-    bank_shift_ = ilog2(banks_);
-    tw_shift_ = ilog2(tile_w_);
-    th_shift_ = ilog2(tile_h_);
-  }
+  // NB, CPP and so tile_w_/tile_h_ are powers of two: the hot path is
+  // pure add/shift/mask.
+  bank_shift_ = ilog2(banks_);
+  tw_shift_ = ilog2(tile_w_);
+  th_shift_ = ilog2(tile_h_);
 }
 
 dram::Address OptimizedMapping::map(std::uint64_t i, std::uint64_t j) const {
@@ -102,34 +103,20 @@ void OptimizedMapping::map_run(std::uint64_t i, std::uint64_t j, bool along_row,
 }
 
 dram::Address OptimizedMapping::map_full(std::uint64_t x, std::uint64_t y) const {
-  if (pow2_) {
-    // Add/shift/mask form. The circular offsets stay reductions by one
-    // conditional subtract because bank*dx_ < Tw <= width (same for y).
-    const std::uint64_t bank = (x + y) & (banks_ - 1);             // optimization 1
-    std::uint64_t u = x + bank * dx_;                              // optimization 3
-    if (u >= space_.width) u -= space_.width;
-    std::uint64_t v = y + bank * dy_;
-    if (v >= space_.height) v -= space_.height;
-    const std::uint64_t tile_x = u >> tw_shift_;                   // optimization 2
-    const std::uint64_t tile_y = v >> th_shift_;
-    const std::uint64_t rank =
-        ((v & (tile_h_ - 1)) << tw_shift_) | (u & (tile_w_ - 1));
-    dram::Address a;
-    a.bank = static_cast<std::uint32_t>(bank);
-    a.row = static_cast<std::uint32_t>(tile_y * tiles_x_ + tile_x);
-    a.column = static_cast<std::uint32_t>(rank >> bank_shift_);
-    return a;
-  }
-  const std::uint64_t bank = (x + y) % banks_;                     // optimization 1
-  const std::uint64_t u = (x + bank * dx_) % space_.width;         // optimization 3
-  const std::uint64_t v = (y + bank * dy_) % space_.height;
-  const std::uint64_t tile_x = u / tile_w_;                        // optimization 2
-  const std::uint64_t tile_y = v / tile_h_;
-  const std::uint64_t rank = (v % tile_h_) * tile_w_ + (u % tile_w_);
+  // The circular offsets stay reductions by one conditional subtract
+  // because bank*dx_ < Tw <= width (same for y).
+  const std::uint64_t bank = (x + y) & (banks_ - 1);               // optimization 1
+  std::uint64_t u = x + bank * dx_;                                // optimization 3
+  if (u >= space_.width) u -= space_.width;
+  std::uint64_t v = y + bank * dy_;
+  if (v >= space_.height) v -= space_.height;
+  const std::uint64_t tile_x = u >> tw_shift_;                     // optimization 2
+  const std::uint64_t tile_y = v >> th_shift_;
+  const std::uint64_t rank = ((v & (tile_h_ - 1)) << tw_shift_) | (u & (tile_w_ - 1));
   dram::Address a;
   a.bank = static_cast<std::uint32_t>(bank);
   a.row = static_cast<std::uint32_t>(tile_y * tiles_x_ + tile_x);
-  a.column = static_cast<std::uint32_t>(rank / banks_);
+  a.column = static_cast<std::uint32_t>(rank >> bank_shift_);
   return a;
 }
 

@@ -17,7 +17,9 @@
 ///     bus simultaneously.
 ///
 /// Every step is an add / shift / mask — the mapping is hardware-friendly
-/// exactly as the paper claims; bench_mapping_cost measures it.
+/// exactly as the paper claims; bench_mapping_cost measures it. That needs
+/// a power-of-two bank count and page size, which every JEDEC device has;
+/// the constructor refuses any other geometry.
 #pragma once
 
 #include "dram/standards.hpp"
@@ -36,6 +38,9 @@ struct OptimizedOptions {
 
 class OptimizedMapping final : public IndexMapping {
  public:
+  /// Throws std::invalid_argument for side 0, for a bank count or page
+  /// size that is not a power of two, and for a geometry that does not
+  /// fit the device.
   OptimizedMapping(const dram::DeviceConfig& device, std::uint64_t side,
                    OptimizedOptions options = {});
 
@@ -70,12 +75,6 @@ class OptimizedMapping final : public IndexMapping {
   std::uint64_t dx_ = 0;       ///< per-bank shift in x (Tw / NB)
   std::uint64_t dy_ = 0;       ///< per-bank shift in y (Th / NB)
   std::uint32_t rows_ = 0;     ///< rows_per_bank (bounds check)
-
-  /// The paper's claim that every mapping step is an add / shift / mask
-  /// holds whenever NB and CPP are powers of two (all JEDEC geometries).
-  /// The constructor precomputes the shift/mask forms; map() keeps a
-  /// div/mod fallback for exotic geometries.
-  bool pow2_ = false;
   unsigned bank_shift_ = 0;   ///< log2(NB)
   unsigned tw_shift_ = 0;     ///< log2(Tw)
   unsigned th_shift_ = 0;     ///< log2(Th)

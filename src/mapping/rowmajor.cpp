@@ -7,22 +7,19 @@
 namespace tbi::mapping {
 
 RowMajorMapping::RowMajorMapping(const dram::DeviceConfig& device,
-                                 std::uint64_t side, dram::AddressLayout layout,
-                                 bool packed)
-    : decoder_(device, layout), packed_(packed) {
+                                 std::uint64_t side, dram::AddressLayout layout)
+    : decoder_(device, layout) {
   if (side == 0) throw std::invalid_argument("RowMajorMapping: side must be > 0");
   space_.side = side;
   space_.width = side;
   space_.height = side;
-  const std::uint64_t bursts =
-      packed_ ? triangular_number(side) : side * side;
-  if (bursts > decoder_.capacity_bursts()) {
+  if (triangular_number(side) > decoder_.capacity_bursts()) {
     throw std::invalid_argument("RowMajorMapping: interleaver exceeds device capacity");
   }
 }
 
 std::uint64_t RowMajorMapping::linear_index(std::uint64_t i, std::uint64_t j) const {
-  return packed_ ? tri_row_offset(space_.side, i) + j : i * space_.width + j;
+  return tri_row_offset(space_.side, i) + j;
 }
 
 dram::Address RowMajorMapping::map(std::uint64_t i, std::uint64_t j) const {
@@ -42,8 +39,8 @@ void RowMajorMapping::map_run(std::uint64_t i, std::uint64_t j, bool along_row,
 }
 
 std::string RowMajorMapping::name() const {
-  return std::string("row-major[") + dram::to_string(decoder_.layout()) +
-         (packed_ ? ",packed]" : ",square]");
+  // The ",packed" suffix names the linearization in committed records.
+  return std::string("row-major[") + dram::to_string(decoder_.layout()) + ",packed]";
 }
 
 }  // namespace tbi::mapping

@@ -15,13 +15,11 @@ namespace tbi::mapping {
 
 class RowMajorMapping final : public IndexMapping {
  public:
-  /// \p side is the triangle side in bursts. \p packed selects the packed
-  /// triangular linearization (row i starts at offset i*n - i(i-1)/2, no
-  /// wasted storage, like the SRAM implementation); when false, rows are
-  /// padded to the full square width (simpler hardware, 2x storage).
+  /// \p side is the triangle side in bursts. The linearization is packed
+  /// triangular: row i starts at offset i*n - i(i-1)/2, no wasted storage,
+  /// like the SRAM implementation.
   RowMajorMapping(const dram::DeviceConfig& device, std::uint64_t side,
-                  dram::AddressLayout layout = dram::AddressLayout::RoBaCoBg,
-                  bool packed = true);
+                  dram::AddressLayout layout = dram::AddressLayout::RoBaCoBg);
 
   dram::Address map(std::uint64_t i, std::uint64_t j) const override;
   void map_run(std::uint64_t i, std::uint64_t j, bool along_row, std::size_t count,
@@ -35,7 +33,6 @@ class RowMajorMapping final : public IndexMapping {
  private:
   IndexSpace space_;
   dram::AddressDecoder decoder_;
-  bool packed_;
 };
 
 }  // namespace tbi::mapping

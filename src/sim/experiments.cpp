@@ -29,7 +29,6 @@ std::vector<Table1Row> run_table1(const Table1Options& options) {
   sweep.max_bursts_per_phase = options.max_bursts_per_phase;
   sweep.refresh_disabled = options.refresh_disabled;
   sweep.check_protocol = options.check_protocol;
-  sweep.queue_depth = options.queue_depth;
 
   const auto records = run_bandwidth_sweep(grid, sweep);
 

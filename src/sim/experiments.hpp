@@ -37,7 +37,6 @@ struct Table1Options {
   std::vector<std::string> devices;
   /// Validate every command stream against the JEDEC checker.
   bool check_protocol = false;
-  unsigned queue_depth = 64;
   /// Worker threads for the sweep (0 = all hardware threads).
   unsigned threads = 0;
 };

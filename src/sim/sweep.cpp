@@ -184,7 +184,6 @@ std::vector<BandwidthRecord> run_bandwidth_sweep(const SweepGrid& grid,
     record.scenario = scenario;
     record.config.device = *device;
     record.config.mapping_spec = scenario.mapping_spec;
-    record.config.controller.queue_depth = options.queue_depth;
     if (options.refresh_disabled) {
       record.config.controller.use_device_default_refresh = false;
       record.config.controller.refresh_mode = dram::RefreshMode::Disabled;

@@ -166,7 +166,6 @@ struct BandwidthSweepOptions {
   std::uint64_t max_bursts_per_phase = 0;  ///< 0 = full triangle
   bool refresh_disabled = false;
   bool check_protocol = false;
-  unsigned queue_depth = 64;
 };
 
 /// One collected record: the scenario, the exact RunConfig executed, and

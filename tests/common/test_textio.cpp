@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/cli.hpp"
-#include "common/csv.hpp"
 #include "common/table.hpp"
 
 namespace tbi {
@@ -31,28 +32,22 @@ TEST(TextTable, MarkdownHasSeparator) {
   EXPECT_NE(md.find("| a  | b  |"), std::string::npos);
 }
 
-TEST(Csv, EscapesSpecials) {
-  CsvWriter w;
-  w.set_header({"a", "b"});
-  w.add_row({"plain", "with,comma"});
-  w.add_row({"quote\"inside", "line\nbreak"});
-  const std::string out = w.str();
-  EXPECT_NE(out.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(out.find("\"quote\"\"inside\""), std::string::npos);
-  EXPECT_NE(out.find("\"line\nbreak\""), std::string::npos);
-  EXPECT_EQ(out.find("plain,"), out.find("plain"));
-}
-
 TEST(Cli, ParsesFlagsValuesAndPositionals) {
   CliParser cli("prog", "test");
   cli.add_option("device", "name", "device name");
   cli.add_option("check", "", "boolean flag");
-  const char* argv[] = {"prog", "--device", "DDR4-3200", "--check", "pos1"};
-  ASSERT_TRUE(cli.parse(5, argv));
+  const char* argv[] = {"prog", "--device", "DDR4-3200", "--check"};
+  ASSERT_TRUE(cli.parse(4, argv));
   EXPECT_EQ(cli.get("device", ""), "DDR4-3200");
-  EXPECT_TRUE(cli.get_flag("check"));
-  ASSERT_EQ(cli.positional().size(), 1u);
-  EXPECT_EQ(cli.positional()[0], "pos1");
+  EXPECT_TRUE(cli.has("check"));
+}
+
+TEST(Cli, RejectsPositionalArgument) {
+  CliParser cli("prog", "test");
+  cli.add_option("frames", "n", "a count");
+  const char* argv[] = {"prog", "--frames", "1", "junk"};
+  EXPECT_FALSE(cli.parse(4, argv));
+  EXPECT_NE(cli.error().find("'junk'"), std::string::npos);
 }
 
 TEST(Cli, EqualsSyntaxAndNumbers) {
@@ -64,6 +59,8 @@ TEST(Cli, EqualsSyntaxAndNumbers) {
   EXPECT_EQ(cli.get_int("n", 0), 123);
   EXPECT_DOUBLE_EQ(cli.get_double("x", 0), 2.5);
   EXPECT_EQ(cli.get_int("missing", -7), -7);
+  EXPECT_EQ(cli.read_count<unsigned>("n", 7, 1), 123u);
+  EXPECT_EQ(cli.read_count<unsigned>("missing", 7, 1), 7u);
 }
 
 TEST(Cli, NonNumericValueExitsWithAnErrorLine) {
@@ -93,6 +90,29 @@ TEST(Cli, NonNumericValueExitsWithAnErrorLine) {
               "error: --n expects a number");
   EXPECT_EXIT(read("x", "0.5x", false), ExitedWithCode(1),
               "error: --x expects a number, got '0.5x'");
+}
+
+TEST(Cli, CountOutOfRangeExitsWithAnErrorLine) {
+  // Parse --n=VALUE and read it back as a count of type T with minimum 1;
+  // a value the reader accepts returns normally, which fails the death test.
+  auto read = [](const char* value, auto type_tag) {
+    using T = decltype(type_tag);
+    CliParser cli("prog", "test");
+    cli.add_option("n", "v", "a count");
+    const std::string arg = std::string("--n=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    if (!cli.parse(2, argv)) return;
+    cli.read_count<T>("n", 1, 1);
+  };
+  using ::testing::ExitedWithCode;
+  EXPECT_EXIT(read("0", 0u), ExitedWithCode(1),
+              "error: --n must be an integer in \\[1, 4294967295\\]");
+  EXPECT_EXIT(read("-1", 0u), ExitedWithCode(1),
+              "error: --n must be an integer in \\[1, 4294967295\\]");
+  EXPECT_EXIT(read("4294967296", 0u), ExitedWithCode(1),
+              "error: --n must be an integer in \\[1, 4294967295\\]");
+  EXPECT_EXIT(read("-1", std::uint64_t{0}), ExitedWithCode(1),
+              "error: --n must be an integer in \\[1, 9223372036854775807\\]");
 }
 
 TEST(Cli, RejectsUnknownOption) {

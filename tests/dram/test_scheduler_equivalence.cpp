@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "command_recorder.hpp"
 #include "common/rng.hpp"
 #include "dram/checker.hpp"
 #include "dram/standards.hpp"
@@ -22,12 +23,6 @@
 
 namespace tbi::dram {
 namespace {
-
-class CommandRecorder final : public CommandObserver {
- public:
-  void on_command(const Command& cmd) override { commands.push_back(cmd); }
-  std::vector<Command> commands;
-};
 
 bool same_command(const Command& a, const Command& b) {
   return a.kind == b.kind && a.issue == b.issue && a.bank == b.bank &&

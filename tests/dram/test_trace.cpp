@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "command_recorder.hpp"
 #include "dram/standards.hpp"
 #include "dram/stream.hpp"
 #include "interleaver/streams.hpp"
@@ -12,41 +19,27 @@
 namespace tbi::dram {
 namespace {
 
-TEST(Trace, FormatParseRoundTrip) {
-  Command cmd{.kind = CommandKind::Rd, .issue = 123456789, .bank = 7, .row = 42,
-              .column = 99, .data_start = 123470539, .data_end = 123473039};
-  Command back;
-  ASSERT_TRUE(parse_command(format_command(cmd), back));
-  EXPECT_EQ(back.kind, cmd.kind);
-  EXPECT_EQ(back.issue, cmd.issue);
-  EXPECT_EQ(back.bank, cmd.bank);
-  EXPECT_EQ(back.row, cmd.row);
-  EXPECT_EQ(back.column, cmd.column);
-  EXPECT_EQ(back.data_start, cmd.data_start);
-  EXPECT_EQ(back.data_end, cmd.data_end);
-}
-
 TEST(Trace, AllKindsRoundTrip) {
-  for (CommandKind kind : {CommandKind::Act, CommandKind::Pre, CommandKind::Rd,
-                           CommandKind::Wr, CommandKind::RefAb, CommandKind::RefGrp}) {
-    Command cmd{.kind = kind, .issue = 1, .bank = 2, .row = 3, .column = 4};
-    Command back;
-    ASSERT_TRUE(parse_command(format_command(cmd), back));
-    EXPECT_EQ(back.kind, kind);
+  const std::pair<CommandKind, const char*> kinds[] = {
+      {CommandKind::Act, "ACT"}, {CommandKind::Pre, "PRE"},
+      {CommandKind::Rd, "RD"},   {CommandKind::Wr, "WR"},
+      {CommandKind::RefAb, "REFab"}, {CommandKind::RefGrp, "REFgrp"}};
+  for (const auto& [kind, name] : kinds) {
+    const Command cmd{.kind = kind, .issue = 1, .bank = 2, .row = 3, .column = 4,
+                      .data_start = 5, .data_end = 6};
+    EXPECT_EQ(format_command(cmd), std::string("1 ") + name + " 2 3 4 5 6");
   }
 }
 
-TEST(Trace, SkipsCommentsAndBlankLines) {
-  Command out;
-  EXPECT_FALSE(parse_command("# a comment", out));
-  EXPECT_FALSE(parse_command("", out));
-  EXPECT_FALSE(parse_command("   \t", out));
-}
-
-TEST(Trace, RejectsMalformedLines) {
-  Command out;
-  EXPECT_THROW(parse_command("12 BOGUS 1 2 3 4 5", out), std::invalid_argument);
-  EXPECT_THROW(parse_command("not a trace line", out), std::invalid_argument);
+/// 2000 mixed requests over four rows of every bank.
+std::vector<Request> mixed_requests(const DeviceConfig& dev) {
+  std::vector<Request> reqs;
+  for (unsigned i = 0; i < 2000; ++i) {
+    reqs.push_back(Request{Address{i % dev.banks, (i / 512) % 4,
+                                   (i / dev.banks) % dev.columns_per_page},
+                           i % 2 == 0, 0});
+  }
+  return reqs;
 }
 
 TEST(Trace, RecorderCapturesControllerRun) {
@@ -54,27 +47,40 @@ TEST(Trace, RecorderCapturesControllerRun) {
   std::ostringstream sink;
   TraceRecorder recorder(sink);
   recorder.comment("write phase");
+  Controller traced(dev, {});
+  traced.set_observer(&recorder);
+  VectorStream traced_stream(mixed_requests(dev));
+  const PhaseStats stats = traced.run_phase(traced_stream, "trace-test");
 
-  Controller ctl(dev, {});
-  ctl.set_observer(&recorder);
-  std::vector<Request> reqs;
-  for (unsigned i = 0; i < 2000; ++i) {
-    reqs.push_back(Request{Address{i % dev.banks, (i / 512) % 4,
-                                   (i / dev.banks) % dev.columns_per_page},
-                           i % 2 == 0, 0});
+  // The same run seen by a collecting observer.
+  CommandRecorder collected;
+  Controller plain(dev, {});
+  plain.set_observer(&collected);
+  VectorStream plain_stream(mixed_requests(dev));
+  plain.run_phase(plain_stream, "trace-test");
+
+  std::istringstream lines(sink.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, "# write phase");
+  std::size_t n = 0;
+  while (std::getline(lines, line)) {
+    ASSERT_LT(n, collected.commands.size());
+    EXPECT_EQ(line, format_command(collected.commands[n])) << "command " << n;
+    ++n;
   }
-  VectorStream stream(std::move(reqs));
-  const auto stats = ctl.run_phase(stream, "trace-test");
+  EXPECT_EQ(n, collected.commands.size());
+  EXPECT_EQ(recorder.commands_written(), collected.commands.size());
 
-  std::istringstream src(sink.str());
-  const auto commands = parse_trace(src);
-  EXPECT_EQ(commands.size(), recorder.commands_written());
-  const auto summary = summarize_trace(commands, dev.banks);
-  EXPECT_EQ(summary.reads + summary.writes, stats.bursts);
-  EXPECT_EQ(summary.activates, stats.activates);
-  EXPECT_EQ(summary.precharges, stats.precharges);
-  EXPECT_EQ(summary.refreshes, stats.refreshes);
-  EXPECT_GT(summary.last_issue, summary.first_issue);
+  std::map<CommandKind, std::uint64_t> kinds;
+  for (const Command& c : collected.commands) ++kinds[c.kind];
+  EXPECT_EQ(kinds[CommandKind::Rd], stats.reads);
+  EXPECT_EQ(kinds[CommandKind::Wr], stats.writes);
+  EXPECT_EQ(kinds[CommandKind::Rd] + kinds[CommandKind::Wr], stats.bursts);
+  EXPECT_EQ(kinds[CommandKind::Act], stats.activates);
+  EXPECT_EQ(kinds[CommandKind::Pre], stats.precharges);
+  EXPECT_EQ(kinds[CommandKind::RefAb] + kinds[CommandKind::RefGrp], stats.refreshes);
+  EXPECT_GT(collected.commands.back().issue, collected.commands.front().issue);
 }
 
 TEST(Trace, DiagonalMappingBalancesBanks) {
@@ -84,8 +90,7 @@ TEST(Trace, DiagonalMappingBalancesBanks) {
   // side 200 / 16 banks that is ~14 %; what must never happen is a bank
   // being starved or doubly loaded (imbalance near 1).
   const DeviceConfig& dev = *find_config("DDR4-3200");
-  std::ostringstream sink;
-  TraceRecorder recorder(sink);
+  CommandRecorder recorder;
   Controller ctl(dev, {});
   ctl.set_observer(&recorder);
 
@@ -93,20 +98,15 @@ TEST(Trace, DiagonalMappingBalancesBanks) {
   interleaver::WritePhaseStream stream(*m);
   ctl.run_phase(stream, "balance");
 
-  std::istringstream src(sink.str());
-  const auto summary = summarize_trace(parse_trace(src), dev.banks);
-  EXPECT_LT(summary.bank_imbalance(), 0.25);
-  for (const auto n : summary.per_bank_accesses) EXPECT_GT(n, 0u);
-}
-
-TEST(Trace, SummaryHandlesEmptyAndForeignBanks) {
-  const auto empty = summarize_trace({}, 8);
-  EXPECT_EQ(empty.activates, 0u);
-  EXPECT_DOUBLE_EQ(empty.bank_imbalance(), 0.0);
-  // Banks beyond range are counted in kind totals but not per-bank.
-  const auto s = summarize_trace(
-      {Command{.kind = CommandKind::Rd, .issue = 5, .bank = 99}}, 8);
-  EXPECT_EQ(s.reads, 1u);
+  std::vector<std::uint64_t> bursts(dev.banks, 0);
+  for (const Command& c : recorder.commands) {
+    if (c.kind != CommandKind::Rd && c.kind != CommandKind::Wr) continue;
+    ASSERT_LT(c.bank, dev.banks);
+    ++bursts[c.bank];
+  }
+  const auto [lo, hi] = std::minmax_element(bursts.begin(), bursts.end());
+  EXPECT_GT(*lo, 0u);
+  EXPECT_LT(static_cast<double>(*hi - *lo) / static_cast<double>(*hi), 0.25);
 }
 
 }  // namespace

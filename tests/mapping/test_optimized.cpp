@@ -197,6 +197,24 @@ TEST(Optimized, RejectsOversizedInterleaver) {
   EXPECT_THROW(OptimizedMapping(small, 5000), std::invalid_argument);
 }
 
+TEST(Optimized, RejectsNonPowerOfTwoGeometry) {
+  // 3 banks, or 6-column pages: with those a tile of 2 banks would hold 4
+  // columns per bank, so two columns of every page would go unused.
+  dram::DeviceConfig banks3 = *find_config("DDR3-800");
+  banks3.banks = 3;
+  dram::DeviceConfig columns6 = *find_config("DDR3-800");
+  columns6.banks = 2;
+  columns6.columns_per_page = 6;
+  for (const auto& dev : {banks3, columns6}) {
+    for (const auto options :
+         {OptimizedOptions{}, OptimizedOptions{true, false, false},
+          OptimizedOptions{false, true, false}, OptimizedOptions{false, false, false}}) {
+      EXPECT_THROW(OptimizedMapping(dev, 48, options), std::invalid_argument)
+          << dev.banks << " banks, " << dev.columns_per_page << " columns";
+    }
+  }
+}
+
 TEST(Optimized, NameReflectsOptions) {
   const auto& dev = *find_config("DDR3-800");
   EXPECT_EQ(OptimizedMapping(dev, 10).name(), "optimized[diag,tile,offset]");

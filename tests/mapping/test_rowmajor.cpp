@@ -28,14 +28,6 @@ TEST(RowMajor, PackedLinearizationIsSequentialAcrossRows) {
   EXPECT_EQ(expected, triangular_number(side));
 }
 
-TEST(RowMajor, SquareModePadsRows) {
-  const auto& dev = *find_config("DDR4-3200");
-  const RowMajorMapping m(dev, 50, dram::AddressLayout::RoBaCoBg, false);
-  EXPECT_EQ(m.linear_index(0, 49), 49u);
-  EXPECT_EQ(m.linear_index(1, 0), 50u);
-  EXPECT_EQ(m.linear_index(2, 5), 105u);
-}
-
 TEST(RowMajor, BijectiveOverTheTriangle) {
   const auto& dev = *find_config("LPDDR4-4266");
   const std::uint64_t side = 180;
