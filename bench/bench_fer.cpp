@@ -7,13 +7,12 @@
 /// DRAM-resident implementation sustains the link rate only with the
 /// optimized mapping.
 ///
-/// Runs on the checkpointed sweep (sim/dsweep.hpp) with deterministic
-/// per-cell seeding: the records are identical for any --threads value.
-/// With `--json` every completed cell is checkpointed to
-/// `<file>.manifest`, `--resume` skips the cells already recorded there,
-/// and SIGINT/SIGTERM flush a valid partial document (plus the manifest)
-/// before exiting 130. `--stable-json` drops the host-timing fields so two
-/// runs of the same sweep can be compared with a plain diff.
+/// Runs run_fer_sweep with deterministic per-cell seeding: the records
+/// are identical for any --threads value. The grid is checked before any
+/// cell runs, and the `--json` document is written atomically once the
+/// sweep ends, so an interrupted run leaves no torn file. `--stable-json`
+/// drops the host-timing fields so two runs of the same sweep can be
+/// compared with a plain diff.
 ///
 /// The interleaver axis includes the paper's headline "two-stage" scheme
 /// (§II): those cells run the streaming frame path at the burst-granular
@@ -21,20 +20,11 @@
 /// their frames are spb x larger than the RS-255 triangle of the classic
 /// rows.
 ///
-/// Sharding: `--shard I/N` computes one contiguous range of the grid into
-/// its own manifest (one shard per host, say) and `--merge-shards
-/// M1,M2,..` reassembles the ranges into output byte-identical (under
-/// --stable-json) to an unsharded run.
-///
 /// Usage: bench_fer [--device NAME] [--frames N] [--seed S] [--threads T]
-///                  [--resume] [--fade-prob P] [--burst-symbols B]
-///                  [--side S] [--spb B]
-///                  [--shard I/N] [--merge-shards M1,M2,..]
+///                  [--fade-prob P] [--burst-symbols B] [--side S] [--spb B]
 ///                  [--markdown] [--progress] [--json FILE] [--stable-json]
 #include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
@@ -42,17 +32,7 @@
 #include "dram/standards.hpp"
 #include "perf/bench_compare.hpp"
 #include "perf/counters.hpp"
-#include "sim/dsweep.hpp"
-#include "sim/manifest.hpp"
 #include "sim/pipeline.hpp"
-
-namespace {
-
-volatile std::sig_atomic_t g_cancel = 0;
-
-void handle_signal(int) { g_cancel = 1; }
-
-}  // namespace
 
 int main(int argc, char** argv) {
   tbi::CliParser cli("bench_fer", "FER sweep: interleaver x channel x code rate");
@@ -60,14 +40,10 @@ int main(int argc, char** argv) {
   cli.add_option("frames", "n", "frames per scenario (default 40)");
   cli.add_option("seed", "s", "sweep base seed (default 1)");
   cli.add_option("threads", "T", "sweep threads (default: all cores)");
-  cli.add_option("resume", "", "skip cells recorded in the --json manifest");
   cli.add_option("fade-prob", "p", "stationary fade duty cycle (default 0.004)");
   cli.add_option("burst-symbols", "b", "mean fade length in symbols (default 300)");
   cli.add_option("side", "s", "interleaver side (0 = RS-255 triangle; bursts for two-stage)");
   cli.add_option("spb", "b", "two-stage symbols per DRAM burst (default 64)");
-  cli.add_option("shard", "i/n", "compute only shard i of n (needs --json)");
-  cli.add_option("merge-shards", "m1,m2,..",
-                 "merge shard manifests into the full result (no compute)");
   cli.add_option("markdown", "", "print GitHub markdown");
   cli.add_option("progress", "", "print sweep progress to stderr");
   cli.add_option("json", "file", "write config + wall time + records as JSON");
@@ -84,11 +60,6 @@ int main(int argc, char** argv) {
   const std::string device = cli.get("device", "LPDDR5-8533");
   if (tbi::dram::find_config(device) == nullptr) {
     std::fprintf(stderr, "error: unknown device '%s'\n", device.c_str());
-    return 1;
-  }
-  if (cli.has("resume") && !cli.has("json")) {
-    std::fprintf(stderr, "error: --resume needs --json (the manifest lives "
-                         "next to the JSON sink)\n");
     return 1;
   }
 
@@ -110,26 +81,6 @@ int main(int argc, char** argv) {
   options.base.error_probability = 2e-3;
   options.base.error_rate_bad = 0.95;
 
-  tbi::sim::DsweepOptions dist;
-  dist.resume = cli.has("resume");
-  if (cli.has("json")) {
-    dist.manifest_path = cli.get("json", "") + ".manifest";
-  }
-  if (cli.has("shard")) {
-    try {
-      tbi::sim::parse_shard_spec(cli.get("shard", ""), &dist.shard_index,
-                                 &dist.shard_count);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-    if (!cli.has("json")) {
-      std::fprintf(stderr, "error: --shard needs --json (the shard's output is "
-                           "its manifest)\n");
-      return 1;
-    }
-  }
-  dist.cancel = &g_cancel;
   if (cli.has("progress")) {
     options.sweep.progress = [](const tbi::sim::SweepProgress& p) {
       std::fprintf(stderr, "\r%llu/%llu scenarios",
@@ -139,30 +90,10 @@ int main(int argc, char** argv) {
     };
   }
 
-  std::signal(SIGINT, handle_signal);
-  std::signal(SIGTERM, handle_signal);
-
-  tbi::sim::DsweepResult sweep;
+  std::vector<tbi::sim::FerRecord> records;
   const auto wall_start = std::chrono::steady_clock::now();
   try {
-    if (cli.has("merge-shards")) {
-      // Reassemble shard manifests; the records then flow through the
-      // exact same formatting path as a computed sweep, so the merged
-      // document is byte-identical (under --stable-json) to an unsharded
-      // run.
-      std::vector<std::string> paths;
-      const std::string spec = cli.get("merge-shards", "");
-      for (std::size_t pos = 0; pos <= spec.size();) {
-        const auto comma = spec.find(',', pos);
-        const auto end = comma == std::string::npos ? spec.size() : comma;
-        if (end > pos) paths.push_back(spec.substr(pos, end - pos));
-        pos = end + 1;
-      }
-      sweep = tbi::sim::run_fer_merge_shards(grid, options, paths);
-    } else {
-      dist.abort_after = tbi::sim::parse_fault_inject(std::getenv("TBI_FAULT_INJECT"));
-      sweep = tbi::sim::run_fer_sweep_dist(grid, options, dist);
-    }
+    records = tbi::sim::run_fer_sweep(grid, options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
@@ -170,15 +101,12 @@ int main(int argc, char** argv) {
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
           .count();
-  const bool interrupted = sweep.stats.interrupted;
-  std::uint64_t completed = 0;
-  for (const bool d : sweep.done) completed += d ? 1 : 0;
 
   if (cli.has("json")) {
     // --stable-json drops everything that varies run to run (host timing,
-    // machine load, process bookkeeping), so clean, aborted-and-resumed
-    // and sharded runs of one sweep are literally diffable. The default
-    // document keeps it all for bench_compare.
+    // machine load, process bookkeeping), so two runs of one sweep are
+    // literally diffable. The default document keeps it all for
+    // bench_compare.
     const bool stable = cli.has("stable-json");
     tbi::Json doc;
     doc["bench"] = "bench_fer";
@@ -197,22 +125,17 @@ int main(int argc, char** argv) {
     if (!stable) {
       doc["wall_seconds"] = wall_seconds;
       doc["scenarios_per_second"] =
-          wall_seconds > 0 ? static_cast<double>(completed) / wall_seconds : 0.0;
+          wall_seconds > 0 ? static_cast<double>(records.size()) / wall_seconds : 0.0;
     }
-    if (interrupted) {
-      doc["interrupted"] = true;  // partial document: completed cells only
-    }
-    // Records are the journal's rows; --stable-json drops their host
-    // timing, the keys bench_compare only band-checks.
+    // --stable-json drops the rows' host timing, the keys bench_compare
+    // only band-checks.
     tbi::Json::Array rows;
-    for (std::size_t i = 0; i < sweep.records.size(); ++i) {
-      if (!sweep.done[i]) continue;
-      rows.push_back(stable ? tbi::perf::without_host_timing(sweep.records[i])
-                            : sweep.records[i]);
+    for (const auto& r : records) {
+      const tbi::Json row = tbi::sim::fer_record(r.scenario, r.result);
+      rows.push_back(stable ? tbi::perf::without_host_timing(row) : row);
     }
     doc["records"] = rows;
     if (!stable) {
-      doc["dsweep"] = sweep.stats.to_json();
       tbi::Json perf;
       perf["process_allocations"] = tbi::perf::process_alloc_count();
       doc["perf"] = perf;
@@ -220,44 +143,27 @@ int main(int argc, char** argv) {
     if (!tbi::Json::write_file(cli.get("json", ""), doc)) {
       return 1;
     }
-    // A completed shard's manifest IS its output (--merge-shards consumes
-    // it), so only unsharded compute runs discard the checkpoint.
-    if (!interrupted && !dist.manifest_path.empty() && dist.shard_count == 1 &&
-        !cli.has("merge-shards")) {
-      std::remove(dist.manifest_path.c_str());  // checkpoint served its purpose
-    }
   }
 
   tbi::TextTable t("End-to-end FER on " + device + " (" +
                    std::to_string(options.base.frames) + " frames per scenario)");
   t.set_header({"Interleaver", "Channel", "Code", "Word Errors", "WER", "FER",
                 "DRAM Gbit/s"});
-  for (std::size_t i = 0; i < sweep.records.size(); ++i) {
-    if (!sweep.done[i]) continue;
-    const tbi::Json& r = sweep.records[i];
+  for (const auto& r : records) {
     char code[24], wer[24], fer[24], gbps[24];
-    std::snprintf(code, sizeof code, "RS(255,%lld)",
-                  static_cast<long long>(r.at("rs_k").as_int()));
-    std::snprintf(wer, sizeof wer, "%.5f", r.at("wer").as_double());
-    std::snprintf(fer, sizeof fer, "%.3f", r.at("fer").as_double());
-    if (r.contains("dram_throughput_gbps")) {
-      std::snprintf(gbps, sizeof gbps, "%.1f", r.at("dram_throughput_gbps").as_double());
+    std::snprintf(code, sizeof code, "RS(255,%u)", r.scenario.rs_k);
+    std::snprintf(wer, sizeof wer, "%.5f", r.result.word_error_rate());
+    std::snprintf(fer, sizeof fer, "%.3f", r.result.frame_error_rate());
+    if (r.result.dram_ran) {
+      std::snprintf(gbps, sizeof gbps, "%.1f", r.result.dram_throughput_gbps);
     } else {
       std::snprintf(gbps, sizeof gbps, "-");
     }
-    t.add_row({r.at("interleaver").as_string(), r.at("channel").as_string(), code,
-               std::to_string(r.at("word_errors").as_int()), wer, fer, gbps});
+    t.add_row({r.scenario.interleaver, r.scenario.channel, code,
+               std::to_string(r.result.word_errors), wer, fer, gbps});
   }
   std::fputs(cli.has("markdown") ? t.render_markdown().c_str() : t.render().c_str(),
              stdout);
-  if (interrupted) {
-    std::fprintf(stderr,
-                 "interrupted: %llu/%llu scenarios completed (checkpointed%s)\n",
-                 static_cast<unsigned long long>(completed),
-                 static_cast<unsigned long long>(sweep.records.size()),
-                 cli.has("json") ? "; rerun with --resume to finish" : "");
-    return 130;
-  }
   std::puts(
       "\nExpected shape: the memoryless bsc rows are interleaver-neutral;\n"
       "on the bursty channels the triangular interleaver turns frame losses\n"

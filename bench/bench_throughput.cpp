@@ -36,6 +36,11 @@ int main(int argc, char** argv) {
     return 0;
   }
   const double target = cli.get_double("target-gbps", 100.0);
+  // The range throughput_planner accepts, which sizes channels from it.
+  if (!(target > 0 && target <= 1e6)) {
+    std::fprintf(stderr, "error: --target-gbps must be in (0, 1e6], got %g\n", target);
+    return 1;
+  }
 
   tbi::sim::BandwidthSweepOptions options;
   options.sweep.threads = cli.read_count<unsigned>("threads", 0, 0);

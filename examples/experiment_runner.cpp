@@ -4,10 +4,9 @@
 /// result document back — the scriptable front door to the library for
 /// parameter studies beyond the canned benches.
 ///
-/// Runs on the checkpointed sweep (sim/dsweep.hpp): with `--output`
-/// every finished run is checkpointed to `<file>.manifest` and `--resume`
-/// skips the runs already recorded there. Results are collected by run
-/// index, so the document is identical for any thread count.
+/// Both batches run on the sweep engine (sim/sweep.hpp): results are
+/// collected by run index, so the document is identical for any thread
+/// count.
 ///
 /// Config format (all fields except "runs" optional):
 /// {
@@ -39,16 +38,14 @@
 /// every key must be one of those read here. Any other value or key, like
 /// every other failure, prints an `error:` line and exits 1. Both batches
 /// check every run or cell (devices, mappings, interleavers, channels,
-/// codes) before the first one starts, so a bad config leaves no
-/// `.manifest` behind.
+/// codes) before the first one starts. `--output` is written atomically
+/// once the batch ends.
 ///
-/// Usage: experiment_runner --config FILE [--output FILE] [--resume]
+/// Usage: experiment_runner --config FILE [--output FILE]
 ///        experiment_runner --print-default-config
 #include <algorithm>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <initializer_list>
 #include <limits>
@@ -62,9 +59,9 @@
 #include "interleaver/streams.hpp"
 #include "mapping/factory.hpp"
 #include "perf/bench_compare.hpp"
-#include "sim/dsweep.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/runner.hpp"
+#include "sim/sweep.hpp"
 
 namespace {
 
@@ -79,10 +76,6 @@ const char* kDefaultConfig = R"({
     {"device": "LPDDR4-4266", "mapping": "optimized", "refresh": "disabled"}
   ]
 })";
-
-volatile std::sig_atomic_t g_cancel = 0;
-
-void handle_signal(int) { g_cancel = 1; }
 
 /// \p value of config key \p key as a count of type T, at least \p min.
 /// A non-number, or a negative, fractional, non-finite or too large
@@ -134,7 +127,7 @@ void check_keys(const tbi::Json& obj, std::initializer_list<std::string_view> kn
 /// The RunConfig of one bandwidth run. Throws for an unknown device,
 /// mapping or refresh value ("default" or "disabled"), and for a symbol
 /// count that burst_triangle_side refuses, so the batch can check every
-/// run before its journal opens.
+/// run before the first one starts.
 tbi::sim::RunConfig bandwidth_config(const tbi::Json& run_cfg, std::uint64_t symbols,
                                      std::uint64_t max_bursts, unsigned queue_depth) {
   check_keys(run_cfg, {"device", "mapping", "refresh", "check"});
@@ -190,11 +183,10 @@ tbi::Json bandwidth_run(const tbi::sim::RunConfig& rc) {
   return r;
 }
 
-/// FER batch: the "fer" config object drives run_fer_sweep_dist. Axis
-/// arrays select the grid, scalar fields fill the pipeline template with
-/// the bench_fer defaults.
-tbi::Json run_fer_experiment(const tbi::Json& fer, const tbi::sim::DsweepOptions& dist,
-                             bool& interrupted) {
+/// FER batch: the "fer" config object drives run_fer_sweep. Axis arrays
+/// select the grid, scalar fields fill the pipeline template with the
+/// bench_fer defaults.
+tbi::Json run_fer_experiment(const tbi::Json& fer) {
   check_keys(fer, {"devices", "mapping_specs", "interleavers", "channels", "rs_ks",
                    "symbols_per_bursts", "threads", "seed", "frames", "side", "spb",
                    "fade_prob", "burst_symbols", "error_probability", "error_rate_bad"});
@@ -225,20 +217,15 @@ tbi::Json run_fer_experiment(const tbi::Json& fer, const tbi::sim::DsweepOptions
   options.base.error_probability = fer.get_or("error_probability", 2e-3);
   options.base.error_rate_bad = fer.get_or("error_rate_bad", 0.95);
 
-  const auto sweep = tbi::sim::run_fer_sweep_dist(grid, options, dist);
-  interrupted = sweep.stats.interrupted;
-
-  const auto cells = grid.expand();
-  tbi::Json results;
   tbi::Json rows;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!sweep.done[i]) continue;
-    tbi::Json row = tbi::perf::without_host_timing(sweep.records[i]);
-    row["scenario"] = cells[i].label();
+  for (const auto& r : tbi::sim::run_fer_sweep(grid, options)) {
+    tbi::Json row =
+        tbi::perf::without_host_timing(tbi::sim::fer_record(r.scenario, r.result));
+    row["scenario"] = r.scenario.label();
     rows.push_back(row);
   }
+  tbi::Json results;
   results["fer"] = rows;
-  if (interrupted) results["interrupted"] = true;
   return results;
 }
 
@@ -248,7 +235,6 @@ int main(int argc, char** argv) {
   tbi::CliParser cli("experiment_runner", "JSON-driven simulation batches");
   cli.add_option("config", "file", "JSON experiment description");
   cli.add_option("output", "file", "write results to file (default stdout)");
-  cli.add_option("resume", "", "skip runs recorded in the --output manifest");
   cli.add_option("print-default-config", "", "emit a starter config and exit");
   if (!cli.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n%s", cli.error().c_str(), cli.usage().c_str());
@@ -261,11 +247,6 @@ int main(int argc, char** argv) {
   if (cli.has("print-default-config")) {
     std::puts(kDefaultConfig);
     return 0;
-  }
-  if (cli.has("resume") && !cli.has("output")) {
-    std::fprintf(stderr, "error: --resume needs --output (the manifest lives "
-                         "next to the output file)\n");
-    return 1;
   }
 
   std::string text;
@@ -283,21 +264,10 @@ int main(int argc, char** argv) {
     text = kDefaultConfig;
   }
 
-  std::signal(SIGINT, handle_signal);
-  std::signal(SIGTERM, handle_signal);
-
   tbi::Json results;
-  tbi::sim::DsweepOptions dist;
-  bool interrupted = false;
   try {
     const tbi::Json config = tbi::Json::parse(text);
     check_keys(config, {"symbols", "max_bursts", "queue_depth", "runs", "fer"});
-    dist.resume = cli.has("resume");
-    if (cli.has("output")) {
-      dist.manifest_path = cli.get("output", "") + ".manifest";
-    }
-    dist.cancel = &g_cancel;
-    dist.abort_after = tbi::sim::parse_fault_inject(std::getenv("TBI_FAULT_INJECT"));
 
     if (config.contains("fer")) {
       // The FER batch reads none of the bandwidth keys: refuse them
@@ -308,43 +278,27 @@ int main(int argc, char** argv) {
                                       "' key");
         }
       }
-      results = run_fer_experiment(config.at("fer"), dist, interrupted);
+      results = run_fer_experiment(config.at("fer"));
     } else {
       const auto symbols = read_count<std::uint64_t>(config, "symbols", 12'500'000, 1);
       const auto max_bursts = read_count<std::uint64_t>(config, "max_bursts", 0);
       const auto queue_depth = read_count(config, "queue_depth", 64u, 1u);
       const tbi::Json::Array& runs = config.at("runs").as_array();
-      // Every run is checked before the journal opens.
+      // Every run is checked before the first one starts.
       std::vector<tbi::sim::RunConfig> run_configs;
       for (const auto& run_cfg : runs) {
         run_configs.push_back(bandwidth_config(run_cfg, symbols, max_bursts, queue_depth));
       }
-      // Canonical job config for the "bandwidth" sweep: built from parsed
-      // values, never from the raw file text, so whitespace/key-order
-      // changes in the config file don't invalidate a resume manifest.
-      tbi::Json job;
-      job["symbols"] = symbols;
-      job["max_bursts"] = max_bursts;
-      job["queue_depth"] = static_cast<std::uint64_t>(queue_depth);
-      job["runs"] = runs;
-      const auto cells = static_cast<std::uint64_t>(runs.size());
-
-      // The runs draw nothing; base seed 0 only enters the fingerprint.
-      tbi::sim::SweepOptions sweep;
-      sweep.base_seed = 0;
-      const auto run = tbi::sim::dsweep_run(
-          "bandwidth", job, cells, sweep, dist, [&](std::uint64_t index, std::uint64_t) {
+      // The runs draw nothing, so the per-run seed goes unused.
+      const auto records = tbi::sim::sweep_map(
+          run_configs.size(), tbi::sim::SweepOptions{},
+          [&](std::uint64_t index, std::uint64_t) {
             return bandwidth_run(run_configs[static_cast<std::size_t>(index)]);
           });
-      interrupted = run.stats.interrupted;
-
       tbi::Json runs_out;
-      for (std::uint64_t i = 0; i < cells; ++i) {
-        if (run.done[i]) runs_out.push_back(run.records[i]);
-      }
+      for (const auto& record : records) runs_out.push_back(record);
       results["runs"] = runs_out;
       results["symbols"] = symbols;
-      if (interrupted) results["interrupted"] = true;
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
@@ -355,17 +309,9 @@ int main(int argc, char** argv) {
     if (!tbi::Json::write_file(cli.get("output", ""), results)) {
       return 1;
     }
-    if (!interrupted && !dist.manifest_path.empty()) {
-      std::remove(dist.manifest_path.c_str());
-    }
   } else {
     const std::string out = results.dump(2) + "\n";
     std::fputs(out.c_str(), stdout);
-  }
-  if (interrupted) {
-    std::fprintf(stderr, "interrupted: partial results%s\n",
-                 cli.has("output") ? "; rerun with --resume to finish" : "");
-    return 130;
   }
   return 0;
 }

@@ -30,6 +30,12 @@ int main(int argc, char** argv) {
     return 0;
   }
   const double target = cli.get_double("target-gbps", 100.0);
+  // The bound keeps a channel count (2 * target / achieved Gbit/s) far
+  // inside unsigned.
+  if (!(target > 0 && target <= 1e6)) {
+    std::fprintf(stderr, "error: --target-gbps must be in (0, 1e6], got %g\n", target);
+    return 1;
+  }
   const auto max_bursts = cli.read_count<std::uint64_t>("max-bursts", 40000, 0);
 
   std::printf("Sizing DRAM for a %.0f Gbit/s optical downlink\n", target);

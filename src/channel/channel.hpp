@@ -28,6 +28,10 @@
 /// window and walks only faded windows. Each carries its pending event (or sample
 /// phase) across calls, so a walk or a skip costs O(events), not
 /// O(symbols), and a split walk draws exactly what one pass draws.
+///
+/// One seed yields the same events for as long as a model's draws stay
+/// unchanged. A change to any model's draws changes the FER records, so
+/// it regenerates BENCH_FER.json and BENCH_FER_PAPER.json.
 #pragma once
 
 #include <cstdint>
@@ -130,15 +134,6 @@ class Channel {
  private:
   std::uint64_t position_ = 0;
 };
-
-/// Revision of the models' RNG draws: one seed yields the same events
-/// under one revision. Bump it whenever a model changes its draws; the
-/// FER sweep's job config carries it (`channel_draws`, sim/dsweep.hpp),
-/// so a checkpoint written under another revision is refused rather than
-/// mixed into a run.
-/// 1: one Bernoulli per symbol. 2: BSC and Gilbert-Elliott draw gaps.
-/// 3: LEO draws its power samples by ziggurat, not Marsaglia's polar method.
-inline constexpr unsigned kDrawRevision = 3;
 
 /// Wire position \p gap symbols past \p pos, saturating at Rng::kNever
 /// (the gap of a p = 0 event never ends).

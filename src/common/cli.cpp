@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -65,10 +66,11 @@ std::string CliParser::get(const std::string& name, const std::string& fallback)
 namespace {
 
 /// Exit 1 with an error: line unless strtoll/strtod, which left \p end
-/// and errno behind, read all of a non-empty \p value without overflow.
+/// and errno behind, read all of a non-empty \p value without overflow,
+/// and the value read is \p finite.
 void require_number(const std::string& name, const std::string& value,
-                    const char* end) {
-  if (value.empty() || *end != '\0' || errno == ERANGE) {
+                    const char* end, bool finite = true) {
+  if (value.empty() || *end != '\0' || errno == ERANGE || !finite) {
     std::fprintf(stderr, "error: --%s expects a number, got '%s'\n", name.c_str(),
                  value.c_str());
     std::exit(1);
@@ -100,7 +102,8 @@ double CliParser::get_double(const std::string& name, double fallback) const {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(it->second.c_str(), &end);
-  require_number(name, it->second, end);
+  // strtod reads "nan" and "inf" whole; neither is a usable setting.
+  require_number(name, it->second, end, std::isfinite(v));
   return v;
 }
 

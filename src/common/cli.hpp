@@ -31,9 +31,10 @@ class CliParser {
 
   bool has(const std::string& name) const { return values_.count(name) != 0; }
   std::string get(const std::string& name, const std::string& fallback) const;
-  /// Numeric lookups. A value that is empty, has trailing characters or
-  /// is out of range prints `error: --NAME expects a number, got 'VALUE'`
-  /// and exits 1, so a typo never runs with a silently truncated number.
+  /// Numeric lookups. A value that is empty, has trailing characters, is
+  /// out of range or (get_double) is not finite prints `error: --NAME
+  /// expects a number, got 'VALUE'` and exits 1, so a typo never runs
+  /// with a silently truncated number.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   /// Integer option \p name as a count of unsigned type T, \p fallback

@@ -55,38 +55,4 @@ bool write_file_atomic(const std::string& path, const std::string& contents) {
   return true;
 }
 
-AppendLog::~AppendLog() { close(); }
-
-bool AppendLog::open(const std::string& path, bool truncate) {
-  close();
-  int flags = O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC;
-  if (truncate) flags |= O_TRUNC;
-  fd_ = ::open(path.c_str(), flags, 0644);
-  if (fd_ < 0) {
-    std::fprintf(stderr, "error: cannot open '%s': %s\n", path.c_str(),
-                 std::strerror(errno));
-    return false;
-  }
-  return true;
-}
-
-bool AppendLog::append_line(const std::string& line) {
-  if (fd_ < 0) return false;
-  std::string buf = line;
-  buf += '\n';
-  if (!write_all_fd(fd_, buf.data(), buf.size())) return false;
-#if defined(__APPLE__)
-  return ::fsync(fd_) == 0;
-#else
-  return ::fdatasync(fd_) == 0;
-#endif
-}
-
-void AppendLog::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
 }  // namespace tbi

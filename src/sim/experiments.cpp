@@ -1,33 +1,17 @@
 #include "sim/experiments.hpp"
 
-#include <algorithm>
-
 #include "interleaver/streams.hpp"
 #include "sim/sweep.hpp"
 
 namespace tbi::sim {
 
-namespace {
-
-bool device_selected(const Table1Options& o, const std::string& name) {
-  if (o.devices.empty()) return true;
-  return std::find(o.devices.begin(), o.devices.end(), name) != o.devices.end();
-}
-
-}  // namespace
-
 std::vector<Table1Row> run_table1(const Table1Options& options) {
-  SweepGrid grid;
-  for (const auto& device : dram::standard_configs()) {
-    if (device_selected(options, device.name)) grid.devices.push_back(device.name);
-  }
-  grid.mapping_specs = {"row-major", "optimized"};
+  const SweepGrid grid = SweepGrid::paper_bandwidth_grid();
 
   BandwidthSweepOptions sweep;
   sweep.sweep.threads = options.threads;
   sweep.total_symbols = options.total_symbols;
   sweep.max_bursts_per_phase = options.max_bursts_per_phase;
-  sweep.refresh_disabled = options.refresh_disabled;
   sweep.check_protocol = options.check_protocol;
 
   const auto records = run_bandwidth_sweep(grid, sweep);

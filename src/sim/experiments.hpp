@@ -31,18 +31,14 @@ struct Table1Options {
   std::uint64_t total_symbols = 0;
   /// 0 = full phases; otherwise truncate each phase (faster smoke runs).
   std::uint64_t max_bursts_per_phase = 0;
-  /// Refresh override; when false the device default applies.
-  bool refresh_disabled = false;
-  /// Restrict to these device names (empty = all ten).
-  std::vector<std::string> devices;
   /// Validate every command stream against the JEDEC checker.
   bool check_protocol = false;
   /// Worker threads for the sweep (0 = all hardware threads).
   unsigned threads = 0;
 };
 
-/// E1 / E3: run row-major and optimized mappings over the configured
-/// devices and report write/read bandwidth utilizations.
+/// E1 / E3: run row-major and optimized mappings over all ten devices
+/// and report write/read bandwidth utilizations.
 std::vector<Table1Row> run_table1(const Table1Options& options);
 
 /// Render Table-I rows in the paper's format.

@@ -395,4 +395,35 @@ std::vector<FerRecord> run_fer_sweep(const SweepGrid& grid, const FerSweepOption
                    });
 }
 
+Json fer_record(const Scenario& scenario, const PipelineResult& result) {
+  Json row;
+  row["interleaver"] = scenario.interleaver;
+  row["channel"] = scenario.channel;
+  row["rs_k"] = static_cast<std::uint64_t>(scenario.rs_k);
+  row["frame_symbols"] = result.frame_symbols;
+  row["code_words"] = result.code_words;
+  row["word_errors"] = result.word_errors;
+  row["frame_errors"] = result.frame_errors;
+  row["channel_symbol_errors"] = result.channel_symbol_errors;
+  row["corrected_symbols"] = result.corrected_symbols;
+  row["wer"] = result.word_error_rate();
+  row["fer"] = result.frame_error_rate();
+  // Perf counters (src/perf/counters.hpp): exact fields pin the
+  // zero-allocation hot-path invariant, *_ns / *_per_second fields are
+  // host timing and only band-checked by bench_compare.
+  row["workspace_peak_bytes"] = result.workspace_peak_bytes;
+  row["steady_allocations"] = result.steady_allocations;
+  row["steady_frames"] = result.steady_frames;
+  row["allocations_per_frame"] = result.allocations_per_frame();
+  row["host_ns"] = result.host_ns;
+  row["channel_symbols"] = result.channel_symbols;
+  row["channel_symbols_per_second"] = result.channel_symbols_per_second();
+  if (result.dram_ran) {
+    row["dram_throughput_gbps"] = result.dram_throughput_gbps;
+    row["dram_bursts"] = result.dram.total_bursts();
+    row["dram_sched_ns_per_pick"] = result.dram.sched_ns_per_pick();
+  }
+  return row;
+}
+
 }  // namespace tbi::sim

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "channel/channel.hpp"
+#include "common/json.hpp"
 #include "dram/standards.hpp"
 #include "fec/reed_solomon.hpp"
 #include "sim/runner.hpp"
@@ -165,10 +166,9 @@ PipelineConfig fer_cell_config(const PipelineConfig& base, const Scenario& scena
 /// Reject a FER grid before any of its cells runs: every cell must name
 /// a valid RS(base.rs_n, k) code, a known interleaver and channel, a
 /// known device when it names one, and a device and a known mapping when
-/// it runs the DRAM stage. FerCells calls it first, so
-/// run_fer_sweep and the checkpointed sweep (sim/dsweep.hpp) both reject
-/// a grid before any cell runs, the latter before its journal opens.
-/// Throws std::invalid_argument.
+/// it runs the DRAM stage. FerCells calls it first, so run_fer_sweep
+/// rejects a bad grid before its first cell. Throws
+/// std::invalid_argument.
 void check_fer_cells(const std::vector<Scenario>& cells, const PipelineConfig& base);
 
 /// The frame loop alone: \p config.frames frames through the interleaver,
@@ -214,8 +214,7 @@ struct FerRecord {
   PipelineResult result;
 };
 
-/// The cells of one FER sweep and the one cell body that run_fer_sweep
-/// and run_fer_sweep_dist (sim/dsweep.hpp) both run.
+/// The cells of one FER sweep and the cell body run_fer_sweep runs.
 ///
 /// A cell's DRAM stage has no random input: it is run_interleaver on the
 /// RunConfig built from the cell's device, mapping, burst-triangle side,
@@ -223,11 +222,9 @@ struct FerRecord {
 /// seed. The sweep keeps one slot per distinct RunConfig, compared on
 /// every field (device timing and energy included), not by device name.
 /// The first cell that needs a slot runs the stage after its frame loop,
-/// under the slot's own lock; later cells copy the stored run. A cell
-/// that never runs (resumed from the journal, or in another shard)
-/// starts no DRAM run. So every record equals run_pipeline(record.config)
-/// except for the DRAM phases' host_ns: cells sharing a run report its
-/// dram_sched_ns_per_pick.
+/// under the slot's own lock; later cells copy the stored run. So every
+/// record equals run_pipeline(record.config) except for the DRAM phases'
+/// host_ns: cells sharing a run report its dram_sched_ns_per_pick.
 class FerCells {
  public:
   /// Expand \p grid and check it (check_fer_cells). Throws
@@ -259,5 +256,10 @@ class FerCells {
 /// are index-ordered and independent of the thread count. Cells with the
 /// same DRAM input share one run of it (FerCells).
 std::vector<FerRecord> run_fer_sweep(const SweepGrid& grid, const FerSweepOptions& options);
+
+/// The one FER row: bench_fer's and experiment_runner's output record for
+/// one cell, host timing included. The front ends drop the host timing
+/// (perf::without_host_timing) for stable output.
+Json fer_record(const Scenario& scenario, const PipelineResult& result);
 
 }  // namespace tbi::sim

@@ -184,10 +184,6 @@ std::vector<BandwidthRecord> run_bandwidth_sweep(const SweepGrid& grid,
     record.scenario = scenario;
     record.config.device = *device;
     record.config.mapping_spec = scenario.mapping_spec;
-    if (options.refresh_disabled) {
-      record.config.controller.use_device_default_refresh = false;
-      record.config.controller.refresh_mode = dram::RefreshMode::Disabled;
-    }
     record.config.side = interleaver::burst_triangle_side(
         symbols, kPaperSymbolBits, device->burst_bytes);
     record.config.max_bursts_per_phase = options.max_bursts_per_phase;

@@ -97,8 +97,8 @@ auto sweep_map(std::uint64_t count, const SweepOptions& options, Fn&& fn)
                 "sweep_map: concurrent writes to std::vector<bool> race on "
                 "packed bits; return an int or a struct instead");
   std::vector<Result> results(count);
-  // Empty grids (an empty axis, a fully resumed run) must not spin up a
-  // pool just to tear it down — and ThreadPool itself rejects 0 threads.
+  // An empty grid (an empty axis) must not spin up a pool just to tear
+  // it down — and ThreadPool itself rejects 0 threads.
   if (count == 0) return results;
   ThreadPool pool(effective_threads(options.threads, count));
 
@@ -164,7 +164,6 @@ struct BandwidthSweepOptions {
   SweepOptions sweep;
   std::uint64_t total_symbols = 0;         ///< 0 = the paper's 12.5 M
   std::uint64_t max_bursts_per_phase = 0;  ///< 0 = full triangle
-  bool refresh_disabled = false;
   bool check_protocol = false;
 };
 

@@ -92,6 +92,25 @@ TEST(Cli, NonNumericValueExitsWithAnErrorLine) {
               "error: --x expects a number, got '0.5x'");
 }
 
+TEST(Cli, NonFiniteDoubleExitsWithAnErrorLine) {
+  // strtod reads "nan" and "inf" whole, so the text alone does not refuse
+  // them; a value the getter accepts returns normally, which fails the
+  // death test.
+  auto read = [](const char* value) {
+    CliParser cli("prog", "test");
+    cli.add_option("x", "v", "a number");
+    const std::string arg = std::string("--x=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    if (cli.parse(2, argv)) cli.get_double("x", 0);
+  };
+  using ::testing::ExitedWithCode;
+  for (const char* value : {"nan", "inf", "-inf", "infinity", "1e999"}) {
+    EXPECT_EXIT(read(value), ExitedWithCode(1),
+                std::string("error: --x expects a number, got '") + value + "'")
+        << value;
+  }
+}
+
 TEST(Cli, CountOutOfRangeExitsWithAnErrorLine) {
   // Parse --n=VALUE and read it back as a count of type T with minimum 1;
   // a value the reader accepts returns normally, which fails the death test.

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <functional>
+#include <set>
 #include <stdexcept>
 #include <string>
 
 #include "../channel/per_symbol_channels.hpp"
 #include "fec/reed_solomon.hpp"
+#include "perf/bench_compare.hpp"
 #include "source/source.hpp"
 
 namespace tbi::sim {
@@ -603,6 +605,134 @@ TEST(FerSweep, RunDramNarrowedToDramResidentCells) {
   EXPECT_TRUE(records[2].result.dram_ran);   // triangular
   EXPECT_TRUE(records[3].result.dram_ran);   // two-stage
   EXPECT_GT(records[3].result.dram.write.stats.bursts, 0u);
+}
+
+TEST(FerSweep, GridIsCheckedBeforeAnyCellRuns) {
+  // Each bad grid is refused with the text the bad cell itself would
+  // throw, before the first cell runs: the progress callback, which
+  // fires after every finished cell, never fires.
+  SweepGrid grid;
+  FerSweepOptions options;
+  options.sweep.threads = 2;
+  std::uint64_t cells_run = 0;
+  options.sweep.progress = [&](const SweepProgress&) { ++cells_run; };
+  options.base.frames = 1;
+  const auto expect_refused = [&](const std::string& text) {
+    try {
+      run_fer_sweep(grid, options);
+      ADD_FAILURE() << "grid accepted; expected " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), text);
+    }
+    EXPECT_EQ(cells_run, 0u) << text;
+  };
+
+  grid.devices = {"LPDDR5-8533"};
+  grid.channels = {"bsc"};
+  grid.rs_ks = {223, 224};
+  expect_refused("fer sweep: invalid RS(255, 224)");
+  grid.rs_ks = {223};
+  grid.devices = {"NO-SUCH-DEVICE"};
+  expect_refused("fer sweep: unknown device 'NO-SUCH-DEVICE'");
+
+  // A DRAM-resident cell with run_dram set and no device ("" falls back
+  // to the template's device, which is unset), behind a cell that would
+  // run.
+  grid.devices = {"", "DDR4-3200"};
+  grid.interleavers = {"block", "triangular"};
+  options.base.side = 64;
+  options.base.symbols_per_burst = 8;
+  ASSERT_TRUE(options.base.run_dram);
+  expect_refused(
+      "fer sweep: cell '/optimized/triangular/bsc/RS(255,223)' runs the DRAM stage "
+      "but names no device");
+
+  // An unknown interleaver, an unknown channel ("trace" among them), and
+  // an unknown mapping on a cell that runs the DRAM stage, each behind a
+  // good cell.
+  grid.devices = {"DDR4-3200"};
+  grid.interleavers = {"triangular", "bogus"};
+  expect_refused("pipeline: unknown interleaver 'bogus'");
+  grid.interleavers = {"triangular"};
+  grid.channels = {"bsc", "trace"};
+  expect_refused("pipeline: unknown channel 'trace'");
+  grid.channels = {"bsc"};
+  grid.mapping_specs = {"optimized", "bogus"};
+  expect_refused("make_mapping: unknown spec 'bogus'");
+}
+
+TEST(FerRecord, RowCarriesTheRecordAndStableRowDropsOnlyHostTiming) {
+  SweepGrid grid;
+  grid.devices = {"LPDDR5-8533"};
+  grid.interleavers = {"none", "block", "triangular", "two-stage"};
+  grid.channels = {"bsc", "gilbert-elliott"};
+  FerSweepOptions o;
+  o.base.frames = 2;
+  o.base.side = 64;
+  o.base.symbols_per_burst = 8;
+  o.base.dram_max_bursts_per_phase = 500;
+  o.base.fade_fraction = 0.01;
+  o.base.mean_burst_symbols = 200;
+  o.sweep.threads = 2;
+  const auto records = run_fer_sweep(grid, o);
+  ASSERT_EQ(records.size(), 8u);
+
+  std::uint64_t word_errors = 0;
+  for (const FerRecord& r : records) {
+    const Scenario& scenario = r.scenario;
+    const PipelineResult& result = r.result;
+    const std::string label = scenario.label();
+    const Json row = fer_record(scenario, result);
+    EXPECT_EQ(row.at("interleaver").as_string(), scenario.interleaver) << label;
+    EXPECT_EQ(row.at("channel").as_string(), scenario.channel) << label;
+    const auto expect_count = [&](const char* key, std::uint64_t value) {
+      EXPECT_EQ(row.at(key).as_double(), static_cast<double>(value))
+          << label << " " << key;
+    };
+    expect_count("rs_k", scenario.rs_k);
+    expect_count("frame_symbols", result.frame_symbols);
+    expect_count("code_words", result.code_words);
+    expect_count("word_errors", result.word_errors);
+    expect_count("frame_errors", result.frame_errors);
+    expect_count("channel_symbol_errors", result.channel_symbol_errors);
+    expect_count("corrected_symbols", result.corrected_symbols);
+    expect_count("workspace_peak_bytes", result.workspace_peak_bytes);
+    expect_count("steady_allocations", result.steady_allocations);
+    expect_count("steady_frames", result.steady_frames);
+    expect_count("channel_symbols", result.channel_symbols);
+    expect_count("host_ns", result.host_ns);
+    EXPECT_EQ(row.at("wer").as_double(), result.word_error_rate()) << label;
+    EXPECT_EQ(row.at("fer").as_double(), result.frame_error_rate()) << label;
+    word_errors += result.word_errors;
+
+    // The DRAM keys belong to the DRAM-resident cells alone.
+    const bool dram = dram_resident_interleaver(scenario.interleaver);
+    EXPECT_EQ(result.dram_ran, dram) << label;
+    for (const char* key :
+         {"dram_throughput_gbps", "dram_bursts", "dram_sched_ns_per_pick"}) {
+      EXPECT_EQ(row.contains(key), dram) << label << " " << key;
+    }
+    if (dram) {
+      expect_count("dram_bursts", result.dram.total_bursts());
+      EXPECT_EQ(row.at("dram_throughput_gbps").as_double(), result.dram_throughput_gbps)
+          << label;
+    }
+
+    // The stable row is the row less exactly its host timing.
+    std::set<std::string> dropped;
+    const Json stable = perf::without_host_timing(row);
+    for (const auto& [key, value] : row.as_object()) {
+      if (!stable.contains(key)) {
+        dropped.insert(key);
+      } else {
+        EXPECT_EQ(stable.at(key).dump(0), value.dump(0)) << label << " " << key;
+      }
+    }
+    std::set<std::string> host_timing = {"host_ns", "channel_symbols_per_second"};
+    if (dram) host_timing.insert("dram_sched_ns_per_pick");
+    EXPECT_EQ(dropped, host_timing) << label;
+  }
+  EXPECT_GT(word_errors, 0u) << "no cell exercises a nonzero word count";
 }
 
 // ---------------------------------------------------------------------------

@@ -229,19 +229,22 @@ TEST(BandwidthSweep, GoldenDdr4Counters) {
 TEST(BandwidthSweep, GoldenTable1Utilizations) {
   // Same pin at the Table-1 row level, both mappings, two devices.
   Table1Options o;
-  o.devices = {"DDR4-3200", "LPDDR4-4266"};
   o.max_bursts_per_phase = 12000;
   o.threads = 2;
   const auto rows = run_table1(o);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_NEAR(rows[0].row_major_write, 0.9696969697, 1e-9);
-  EXPECT_NEAR(rows[0].row_major_read, 0.6338809360, 1e-9);
-  EXPECT_NEAR(rows[0].optimized_write, 0.9688357823, 1e-9);
-  EXPECT_NEAR(rows[0].optimized_read, 0.9232544720, 1e-9);
-  EXPECT_NEAR(rows[1].row_major_write, 1.0000000000, 1e-9);
-  EXPECT_NEAR(rows[1].row_major_read, 0.4124392756, 1e-9);
-  EXPECT_NEAR(rows[1].optimized_write, 0.9717095272, 1e-9);
-  EXPECT_NEAR(rows[1].optimized_read, 0.9948938640, 1e-9);
+  ASSERT_EQ(rows.size(), 10u);
+  const Table1Row& ddr4 = rows[3];
+  const Table1Row& lpddr4 = rows[7];
+  ASSERT_EQ(ddr4.config, "DDR4-3200");
+  ASSERT_EQ(lpddr4.config, "LPDDR4-4266");
+  EXPECT_NEAR(ddr4.row_major_write, 0.9696969697, 1e-9);
+  EXPECT_NEAR(ddr4.row_major_read, 0.6338809360, 1e-9);
+  EXPECT_NEAR(ddr4.optimized_write, 0.9688357823, 1e-9);
+  EXPECT_NEAR(ddr4.optimized_read, 0.9232544720, 1e-9);
+  EXPECT_NEAR(lpddr4.row_major_write, 1.0000000000, 1e-9);
+  EXPECT_NEAR(lpddr4.row_major_read, 0.4124392756, 1e-9);
+  EXPECT_NEAR(lpddr4.optimized_write, 0.9717095272, 1e-9);
+  EXPECT_NEAR(lpddr4.optimized_read, 0.9948938640, 1e-9);
 }
 
 TEST(BandwidthSweep, UnknownDeviceThrows) {
