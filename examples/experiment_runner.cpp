@@ -8,7 +8,7 @@
 /// collected by run index, so the document is identical for any thread
 /// count.
 ///
-/// Config format (all fields except "runs" optional):
+/// Config format (all fields except a non-empty "runs" optional):
 /// {
 ///   "symbols": 12500000,
 ///   "max_bursts": 40000,
@@ -139,7 +139,8 @@ tbi::sim::RunConfig bandwidth_config(const tbi::Json& run_cfg, std::uint64_t sym
   tbi::sim::RunConfig rc;
   rc.device = *device;
   rc.mapping_spec = run_cfg.get_or("mapping", std::string("optimized"));
-  rc.side = tbi::interleaver::burst_triangle_side(symbols, 3, device->burst_bytes);
+  rc.side = tbi::interleaver::burst_triangle_side(symbols, tbi::sim::kPaperSymbolBits,
+                                                 device->burst_bytes);
   rc.max_bursts_per_phase = max_bursts;
   rc.controller.queue_depth = queue_depth;
   const std::string refresh = run_cfg.get_or("refresh", std::string("default"));
@@ -284,6 +285,7 @@ int main(int argc, char** argv) {
       const auto max_bursts = read_count<std::uint64_t>(config, "max_bursts", 0);
       const auto queue_depth = read_count(config, "queue_depth", 64u, 1u);
       const tbi::Json::Array& runs = config.at("runs").as_array();
+      if (runs.empty()) throw std::invalid_argument("\"runs\" is empty");
       // Every run is checked before the first one starts.
       std::vector<tbi::sim::RunConfig> run_configs;
       for (const auto& run_cfg : runs) {

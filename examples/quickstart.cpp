@@ -43,7 +43,8 @@ int main(int argc, char** argv) try {
   const auto symbols = cli.read_count<std::uint64_t>("symbols", 12'500'000, 1);
   const auto queue_depth = cli.read_count<unsigned>("queue-depth", 64, 1);
   const std::uint64_t side =
-      tbi::interleaver::burst_triangle_side(symbols, 3, device->burst_bytes);
+      tbi::interleaver::burst_triangle_side(symbols, tbi::sim::kPaperSymbolBits,
+                                            device->burst_bytes);
 
   std::printf("device        : %s (%.1f Gbit/s peak, %u banks / %u groups)\n",
               device->name.c_str(), device->peak_bandwidth_gbps(), device->banks,

@@ -130,8 +130,17 @@ class Parser {
     skip_ws();
     char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Each level recurses once, so an unbounded depth would let a small
+        // document overflow the stack.
+        if (++depth_ > Json::kMaxDepth) {
+          fail("nested deeper than " + std::to_string(Json::kMaxDepth) + " levels");
+        }
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -267,6 +276,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 void dump_string(std::string& out, const std::string& s) {

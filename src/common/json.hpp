@@ -69,7 +69,11 @@ class Json {
   Json& operator[](const std::string& key);
   void push_back(Json v);
 
-  /// Parse a complete JSON document (throws JsonError on any trailing junk).
+  /// Deepest nesting of arrays and objects parse() accepts.
+  static constexpr int kMaxDepth = 256;
+
+  /// Parse a complete JSON document (throws JsonError on any trailing junk
+  /// and on nesting deeper than kMaxDepth).
   static Json parse(const std::string& text);
 
   /// Serialize; \p indent > 0 pretty-prints with that many spaces.

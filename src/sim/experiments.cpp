@@ -36,18 +36,6 @@ std::vector<Table1Row> run_table1(const Table1Options& options) {
   return rows;
 }
 
-TextTable format_table1(const std::vector<Table1Row>& rows, const std::string& title) {
-  TextTable t(title);
-  t.set_header({"DRAM Configuration", "Row-Major Write", "Row-Major Read",
-                "Optimized Write", "Optimized Read"});
-  for (const auto& r : rows) {
-    t.add_row({r.config, TextTable::pct(r.row_major_write),
-               TextTable::pct(r.row_major_read), TextTable::pct(r.optimized_write),
-               TextTable::pct(r.optimized_read)});
-  }
-  return t;
-}
-
 std::vector<AblationRow> run_ablation(const dram::DeviceConfig& device,
                                       std::uint64_t total_symbols,
                                       std::uint64_t max_bursts_per_phase,

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/table.hpp"
 #include "dram/standards.hpp"
 #include "sim/runner.hpp"
 
@@ -40,9 +39,6 @@ struct Table1Options {
 /// E1 / E3: run row-major and optimized mappings over all ten devices
 /// and report write/read bandwidth utilizations.
 std::vector<Table1Row> run_table1(const Table1Options& options);
-
-/// Render Table-I rows in the paper's format.
-TextTable format_table1(const std::vector<Table1Row>& rows, const std::string& title);
 
 /// E5: ablation of the three optimizations on one device.
 struct AblationRow {

@@ -175,8 +175,13 @@ struct BandwidthRecord {
   InterleaverRun run;
 };
 
-/// Run the DRAM write/read phases for every (device, mapping) cell of the
-/// grid in parallel. Interleaver/channel/code axes are ignored here.
+/// Run the DRAM write/read phases of one (device, mapping) cell with the
+/// RunConfig \p options give it. Throws std::invalid_argument for an
+/// unknown device. Interleaver/channel/code axes are ignored here.
+BandwidthRecord run_bandwidth_cell(const Scenario& scenario,
+                                   const BandwidthSweepOptions& options);
+
+/// run_bandwidth_cell for every cell of the grid, in parallel.
 std::vector<BandwidthRecord> run_bandwidth_sweep(const SweepGrid& grid,
                                                  const BandwidthSweepOptions& options);
 

@@ -48,6 +48,29 @@ TEST(Json, RejectsMalformed) {
   EXPECT_THROW(Json::parse("\"unterminated"), JsonError);
 }
 
+TEST(Json, NestingIsCappedAtMaxDepth) {
+  // The parser recurses once per level: uncapped, a 60 KB document of
+  // 30,000 nested arrays overflowed the default 8 MiB stack.
+  const auto arrays = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const Json at_cap = Json::parse(arrays(Json::kMaxDepth));
+  const Json* inner = &at_cap;
+  for (int level = 1; level < Json::kMaxDepth; ++level) {
+    ASSERT_EQ(inner->as_array().size(), 1u) << level;
+    inner = &inner->as_array()[0];
+  }
+  EXPECT_TRUE(inner->as_array().empty());
+
+  EXPECT_THROW(Json::parse(arrays(Json::kMaxDepth + 1)), JsonError);
+  EXPECT_THROW(Json::parse(arrays(100'000)), JsonError);
+  // Objects count as levels too.
+  std::string objects;
+  for (int level = 0; level < Json::kMaxDepth; ++level) objects += "{\"k\":";
+  objects += "[]" + std::string(Json::kMaxDepth, '}');
+  EXPECT_THROW(Json::parse(objects), JsonError);
+}
+
 TEST(Json, TypeErrorsThrow) {
   const Json j = Json::parse("{\"a\": 1}");
   EXPECT_THROW(j.as_array(), JsonError);

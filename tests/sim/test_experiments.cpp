@@ -43,11 +43,14 @@ TEST(Table1, PaperShapeHolds) {
   EXPECT_LT(ddr4_fast->row_major_read, 0.70);
 }
 
-TEST(Table1, RefreshDisabledLiftsOptimizedAbove97) {
-  // Paper §III: with refresh disabled the optimized mapping exceeds 99 %
-  // on every configuration (we assert a slightly relaxed bound on the
-  // truncated phases used in unit tests; bench_refresh runs the full
-  // claim the same way).
+TEST(Table1, RefreshDisabledLiftsOptimizedAbove96) {
+  // Paper §III reads the optimized mapping's missing percentages as
+  // refresh. Refresh off, full phases do not reach 99 % everywhere
+  // (bench_table1, write / read): DDR3-1600 98.97 / 99.96 %, DDR4-3200
+  // 98.26 / 94.34 %, LPDDR4-4266 96.73 / 98.06 %, LPDDR5-4267
+  // 95.47 / 95.48 % and LPDDR5-8533 94.46 / 94.99 %; the other five reach
+  // 99.55-100 %. On these 12,000-burst phases the minimum is 96.92 %
+  // (DDR4-3200 read).
   for (const auto& device : dram::standard_configs()) {
     RunConfig rc;
     rc.device = device;
@@ -56,18 +59,8 @@ TEST(Table1, RefreshDisabledLiftsOptimizedAbove97) {
     rc.max_bursts_per_phase = quick_options().max_bursts_per_phase;
     rc.controller.use_device_default_refresh = false;
     rc.controller.refresh_mode = dram::RefreshMode::Disabled;
-    EXPECT_GT(run_interleaver(rc).min_utilization(), 0.90) << device.name;
+    EXPECT_GT(run_interleaver(rc).min_utilization(), 0.96) << device.name;
   }
-}
-
-TEST(Table1, FormatMatchesPaperLayout) {
-  const auto table = format_table1(run_table1(quick_options()), "Table I");
-  const std::string text = table.render();
-  EXPECT_EQ(table.row_count(), 10u);
-  for (const auto& device : dram::standard_configs()) {
-    EXPECT_NE(text.find(device.name), std::string::npos) << device.name;
-  }
-  EXPECT_NE(text.find("%"), std::string::npos);
 }
 
 TEST(Ablation, FullMappingWinsOnFastDevice) {
