@@ -9,6 +9,7 @@
 /// Usage: bench_compare --baseline FILE --candidate FILE
 ///                      [--time-tol-pct P] [--size-tol-pct P]
 #include <cstdio>
+#include <utility>
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
@@ -42,6 +43,14 @@ int main(int argc, char** argv) {
   tbi::perf::CompareOptions options;
   options.time_tol_pct = cli.get_double("time-tol-pct", options.time_tol_pct);
   options.size_tol_pct = cli.get_double("size-tol-pct", options.size_tol_pct);
+  // A negative band would fail a candidate identical to its baseline.
+  for (const auto& [name, pct] : {std::pair{"time-tol-pct", options.time_tol_pct},
+                                  std::pair{"size-tol-pct", options.size_tol_pct}}) {
+    if (pct < 0) {
+      std::fprintf(stderr, "error: --%s must be >= 0, got %g\n", name, pct);
+      return 2;
+    }
+  }
 
   tbi::Json baseline, candidate;
   try {

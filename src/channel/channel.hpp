@@ -15,12 +15,12 @@
 /// channel's whole effect on a stream is its list of (wire position,
 /// flip) events, and the one primitive a subclass implements, advance(),
 /// emits exactly that list to an EventSink. Everything else is a thin
-/// sink over it: apply() XORs the events into a buffer, skip() discards
-/// them while consuming the identical RNG draws — the deterministic
-/// skip-ahead behind events() and apply_range(), which lets a fresh
-/// channel fast-forward to any wire position and continue byte-identically
-/// to a sequential walk. The FER pipeline walks one channel forward per
-/// cell (source::ErrorSource, src/source/).
+/// sink over it: apply_range() XORs the events into a buffer, skip()
+/// discards them while consuming the identical RNG draws — the
+/// deterministic skip-ahead behind events() and apply_range(), which lets
+/// a fresh channel fast-forward to any wire position and continue
+/// byte-identically to a sequential walk. The FER pipeline walks one
+/// channel forward per cell (source::ErrorSource, src/source/).
 ///
 /// Clean stretches cost no per-symbol draws. The BSC draws the geometric
 /// gap to its next error, Gilbert-Elliott draws each good-state sojourn in
@@ -38,7 +38,6 @@
 #include <memory>
 #include <span>
 #include <type_traits>
-#include <vector>
 
 #include "common/rng.hpp"
 
@@ -95,30 +94,23 @@ class Channel {
   std::uint64_t events(std::uint64_t start, std::uint64_t span, Rng& rng,
                        EventSink sink);
 
-  /// Corrupt \p symbols in place as the next symbols.size() wire
-  /// positions; a corrupted symbol is XORed with a non-zero random value
-  /// (so it is guaranteed to differ). Returns the number of corrupted
-  /// symbols and advances position().
-  std::uint64_t apply(std::vector<std::uint8_t>& symbols, Rng& rng) {
-    return apply(std::span<std::uint8_t>(symbols), rng);
-  }
-  std::uint64_t apply(std::span<std::uint8_t> symbols, Rng& rng) {
-    return apply_range(position_, symbols, rng);
-  }
-
   /// Fast-forward the channel over \p span symbols, discarding their
-  /// events: consumes exactly the RNG draws apply() would, so a
-  /// subsequent apply() continues byte-identically to an uninterrupted
+  /// events: consumes exactly the RNG draws events() would, so a
+  /// subsequent call continues byte-identically to an uninterrupted
   /// sequential walk. Costs O(events) for every model (see the file
   /// comment).
   void skip(std::uint64_t span, Rng& rng);
 
   /// events() XORed into \p symbols, which stand for the wire range
-  /// [start, start + symbols.size()).
+  /// [start, start + symbols.size()): a corrupted symbol is XORed with a
+  /// non-zero random value, so it is guaranteed to differ. Returns the
+  /// number of corrupted symbols. apply_range(position(), ...) corrupts
+  /// the next symbols.size() symbols of a sequential walk.
   std::uint64_t apply_range(std::uint64_t start, std::span<std::uint8_t> symbols,
                             Rng& rng);
 
-  /// Wire position of the next symbol events()/apply()/skip() will consume.
+  /// Wire position of the next symbol events()/apply_range()/skip() will
+  /// consume.
   std::uint64_t position() const { return position_; }
 
   virtual const char* name() const = 0;

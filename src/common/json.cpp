@@ -52,18 +52,6 @@ bool Json::contains(const std::string& key) const {
   return type_ == Type::Object && obj_.count(key) != 0;
 }
 
-double Json::get_or(const std::string& key, double fallback) const {
-  return contains(key) ? at(key).as_double() : fallback;
-}
-
-std::string Json::get_or(const std::string& key, const std::string& fallback) const {
-  return contains(key) ? at(key).as_string() : fallback;
-}
-
-bool Json::get_or(const std::string& key, bool fallback) const {
-  return contains(key) ? at(key).as_bool() : fallback;
-}
-
 Json& Json::operator[](const std::string& key) {
   if (type_ == Type::Null) type_ = Type::Object;
   if (type_ != Type::Object) throw JsonError("json: not an object");

@@ -1,9 +1,10 @@
 /// \file json.hpp
 /// Minimal self-contained JSON value, parser and serializer.
 ///
-/// Used for experiment configuration files and machine-readable result
-/// dumps. Supports the full JSON grammar except surrogate-pair escapes
-/// (sufficient for config/result data, which is ASCII).
+/// Used for the benches' machine-readable result records, which
+/// bench_compare reads back to diff a run against a committed baseline.
+/// Supports the full JSON grammar except surrogate-pair escapes
+/// (sufficient for result data, which is ASCII).
 #pragma once
 
 #include <cstdint>
@@ -60,10 +61,6 @@ class Json {
   const Json& at(const std::string& key) const;
   /// True iff this is an object containing \p key.
   bool contains(const std::string& key) const;
-  /// Object member with fallback.
-  double get_or(const std::string& key, double fallback) const;
-  std::string get_or(const std::string& key, const std::string& fallback) const;
-  bool get_or(const std::string& key, bool fallback) const;
 
   /// Mutable object/array builders.
   Json& operator[](const std::string& key);

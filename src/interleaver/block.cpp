@@ -58,18 +58,4 @@ void BlockInterleaver::deinterleave_into(std::span<const std::uint8_t> in,
   }
 }
 
-std::vector<std::uint8_t> BlockInterleaver::interleave(
-    const std::vector<std::uint8_t>& in) const {
-  std::vector<std::uint8_t> out(in.size());
-  interleave_into(in, out);
-  return out;
-}
-
-std::vector<std::uint8_t> BlockInterleaver::deinterleave(
-    const std::vector<std::uint8_t>& in) const {
-  std::vector<std::uint8_t> out(in.size());
-  deinterleave_into(in, out);
-  return out;
-}
-
 }  // namespace tbi::interleaver

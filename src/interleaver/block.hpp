@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "common/mathutil.hpp"
 
@@ -31,12 +30,9 @@ class BlockInterleaver {
   /// Inverse permutation.
   std::uint64_t inverse(std::uint64_t k) const;
 
-  /// Apply the permutation to a full block (in.size() == capacity()).
-  std::vector<std::uint8_t> interleave(const std::vector<std::uint8_t>& in) const;
-  std::vector<std::uint8_t> deinterleave(const std::vector<std::uint8_t>& in) const;
-
-  /// Allocation-free variants writing into a caller-owned buffer; both
-  /// spans must be capacity() long and must not alias.
+  /// Apply the permutation (or its inverse) to a full block, writing into
+  /// a caller-owned buffer; both spans must be capacity() long and must
+  /// not alias.
   void interleave_into(std::span<const std::uint8_t> in,
                        std::span<std::uint8_t> out) const;
   void deinterleave_into(std::span<const std::uint8_t> in,

@@ -48,18 +48,4 @@ void TriangularInterleaver::deinterleave_into(std::span<const std::uint8_t> in,
   }
 }
 
-std::vector<std::uint8_t> TriangularInterleaver::interleave(
-    const std::vector<std::uint8_t>& in) const {
-  std::vector<std::uint8_t> out(in.size());
-  interleave_into(in, out);
-  return out;
-}
-
-std::vector<std::uint8_t> TriangularInterleaver::deinterleave(
-    const std::vector<std::uint8_t>& in) const {
-  std::vector<std::uint8_t> out(in.size());
-  deinterleave_into(in, out);
-  return out;
-}
-
 }  // namespace tbi::interleaver

@@ -48,11 +48,9 @@ class TriangularInterleaver {
   /// itself yields the identity (tested property).
   std::uint64_t permute(std::uint64_t k) const;
 
-  std::vector<std::uint8_t> interleave(const std::vector<std::uint8_t>& in) const;
-  std::vector<std::uint8_t> deinterleave(const std::vector<std::uint8_t>& in) const;
-
-  /// Allocation-free variants writing into a caller-owned buffer; both
-  /// spans must be capacity() long and must not alias.
+  /// Apply the permutation (or its inverse) to a full block, writing into
+  /// a caller-owned buffer; both spans must be capacity() long and must
+  /// not alias.
   void interleave_into(std::span<const std::uint8_t> in,
                        std::span<std::uint8_t> out) const;
   void deinterleave_into(std::span<const std::uint8_t> in,

@@ -10,9 +10,7 @@ std::vector<Table1Row> run_table1(const Table1Options& options) {
 
   BandwidthSweepOptions sweep;
   sweep.sweep.threads = options.threads;
-  sweep.total_symbols = options.total_symbols;
   sweep.max_bursts_per_phase = options.max_bursts_per_phase;
-  sweep.check_protocol = options.check_protocol;
 
   const auto records = run_bandwidth_sweep(grid, sweep);
 
@@ -29,8 +27,6 @@ std::vector<Table1Row> run_table1(const Table1Options& options) {
     row.row_major_read = rm.read.stats.utilization();
     row.optimized_write = opt.write.stats.utilization();
     row.optimized_read = opt.read.stats.utilization();
-    row.row_major_ns_per_pick = rm.sched_ns_per_pick();
-    row.optimized_ns_per_pick = opt.sched_ns_per_pick();
     rows.push_back(row);
   }
   return rows;

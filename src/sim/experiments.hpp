@@ -20,24 +20,18 @@ struct Table1Row {
   double row_major_read = 0;
   double optimized_write = 0;
   double optimized_read = 0;
-  /// Host scheduling cost (perf counter, both phases pooled), per mapping.
-  double row_major_ns_per_pick = 0;
-  double optimized_ns_per_pick = 0;
 };
 
 struct Table1Options {
-  /// 0 = the paper's 12.5 M symbols; otherwise total symbol count.
-  std::uint64_t total_symbols = 0;
   /// 0 = full phases; otherwise truncate each phase (faster smoke runs).
   std::uint64_t max_bursts_per_phase = 0;
-  /// Validate every command stream against the JEDEC checker.
-  bool check_protocol = false;
   /// Worker threads for the sweep (0 = all hardware threads).
   unsigned threads = 0;
 };
 
-/// E1 / E3: run row-major and optimized mappings over all ten devices
-/// and report write/read bandwidth utilizations.
+/// E1 / E3: run row-major and optimized mappings over all ten devices,
+/// each on the paper's 12.5 M-symbol triangle, and report write/read
+/// bandwidth utilizations.
 std::vector<Table1Row> run_table1(const Table1Options& options);
 
 /// E5: ablation of the three optimizations on one device.

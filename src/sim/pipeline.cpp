@@ -249,21 +249,15 @@ PipelineConfig fer_cell_config(const PipelineConfig& base, const Scenario& scena
   config.channel = scenario.channel;
   config.rs_k = scenario.rs_k;
   config.mapping_spec = scenario.mapping_spec;
-  if (scenario.symbols_per_burst != 0) {
-    config.symbols_per_burst = scenario.symbols_per_burst;
-  }
   // The DRAM stage only exists for DRAM-resident interleavers; narrow the
   // template's run_dram so mixed grids stay valid.
   config.run_dram = base.run_dram && dram_resident_interleaver(scenario.interleaver);
   config.seed = seed;
-  if (!scenario.device.empty()) {
-    const auto* device = dram::find_config(scenario.device);
-    if (device == nullptr) {
-      throw std::invalid_argument("fer sweep: unknown device '" + scenario.device +
-                                  "'");
-    }
-    config.device = *device;
+  const auto* device = dram::find_config(scenario.device);
+  if (device == nullptr) {
+    throw std::invalid_argument("fer sweep: unknown device '" + scenario.device + "'");
   }
+  config.device = *device;
   return config;
 }
 
@@ -341,10 +335,6 @@ void check_fer_cells(const std::vector<Scenario>& cells, const PipelineConfig& b
     const PipelineConfig config = fer_cell_config(base, cell, base.seed);
     StreamInterleaver(config.interleaver, frame_side(config), config.symbols_per_burst);
     make_channel(config);
-    if (config.run_dram && config.device.name.empty()) {
-      throw std::invalid_argument("fer sweep: cell '" + cell.label() +
-                                  "' runs the DRAM stage but names no device");
-    }
     if (const auto rc = dram_run_config(config)) {
       mapping::make_mapping(rc->mapping_spec, rc->device, rc->side);
     }

@@ -155,20 +155,19 @@ std::unique_ptr<source::ErrorSource> make_source(const PipelineConfig& config);
 bool dram_resident_interleaver(const std::string& kind);
 
 /// The exact per-cell PipelineConfig a FER sweep runs for \p scenario:
-/// \p base with the scenario axes, the per-cell \p seed, and run_dram
-/// narrowed to DRAM-resident interleavers. FerCells builds every record's
-/// config with it, and run_pipeline on that config alone reproduces the
-/// record (the DRAM stage's host timing aside). Throws
-/// std::invalid_argument for an unknown scenario device.
+/// \p base with the scenario axes (its device looked up by name), the
+/// per-cell \p seed, and run_dram narrowed to DRAM-resident interleavers.
+/// FerCells builds every record's config with it, and run_pipeline on
+/// that config alone reproduces the record (the DRAM stage's host timing
+/// aside). Throws std::invalid_argument for an unknown scenario device.
 PipelineConfig fer_cell_config(const PipelineConfig& base, const Scenario& scenario,
                                std::uint64_t seed);
 
 /// Reject a FER grid before any of its cells runs: every cell must name
-/// a valid RS(base.rs_n, k) code, a known interleaver and channel, a
-/// known device when it names one, and a device and a known mapping when
-/// it runs the DRAM stage. FerCells calls it first, so run_fer_sweep
-/// rejects a bad grid before its first cell. Throws
-/// std::invalid_argument.
+/// a valid RS(base.rs_n, k) code, a known device, interleaver and channel,
+/// and a known mapping when it runs the DRAM stage. FerCells calls it
+/// first, so run_fer_sweep rejects a bad grid before its first cell.
+/// Throws std::invalid_argument.
 void check_fer_cells(const std::vector<Scenario>& cells, const PipelineConfig& base);
 
 /// The frame loop alone: \p config.frames frames through the interleaver,
@@ -200,11 +199,12 @@ bool pipeline_streams(const PipelineConfig& config);
 
 struct FerSweepOptions {
   SweepOptions sweep;
-  /// Template for every cell; device / mapping_spec / interleaver /
-  /// channel / rs_k / symbols_per_burst are overridden per scenario, the
-  /// seed is replaced by the deterministic per-job seed, and run_dram is
-  /// narrowed to the cells whose interleaver is DRAM-resident. The sweep
-  /// runs each distinct DRAM stage once (see FerCells).
+  /// Template for every cell. The grid names each cell's device,
+  /// mapping_spec, interleaver, channel and rs_k, so the template's device
+  /// is never read; the seed is replaced by the deterministic per-job
+  /// seed, and run_dram is narrowed to the cells whose interleaver is
+  /// DRAM-resident. The sweep runs each distinct DRAM stage once (see
+  /// FerCells).
   PipelineConfig base;
 };
 
@@ -257,9 +257,9 @@ class FerCells {
 /// same DRAM input share one run of it (FerCells).
 std::vector<FerRecord> run_fer_sweep(const SweepGrid& grid, const FerSweepOptions& options);
 
-/// The one FER row: bench_fer's and experiment_runner's output record for
-/// one cell, host timing included. The front ends drop the host timing
-/// (perf::without_host_timing) for stable output.
+/// The one FER row: bench_fer's output record for one cell, host timing
+/// included. bench_fer --stable-json drops the host timing
+/// (perf::without_host_timing).
 Json fer_record(const Scenario& scenario, const PipelineResult& result);
 
 }  // namespace tbi::sim

@@ -113,12 +113,9 @@ std::string Scenario::label() const {
   // Injective over the full tuple: every axis is always spelled out, so
   // two distinct cells can never share a label (eliding "triangular" or
   // the rs_k of channel-free cells used to collide e.g. distinct rs_k
-  // cells under channel == "none"). Only the optional symbols_per_burst
-  // axis is elided, and only in its "unset" state (0).
-  std::string s = device + "/" + mapping_spec + "/" + interleaver;
-  if (symbols_per_burst != 0) s += "/spb" + std::to_string(symbols_per_burst);
-  s += "/" + channel + "/RS(255," + std::to_string(rs_k) + ")";
-  return s;
+  // cells under channel == "none").
+  return device + "/" + mapping_spec + "/" + interleaver + "/" + channel + "/RS(255," +
+         std::to_string(rs_k) + ")";
 }
 
 SweepGrid SweepGrid::paper_bandwidth_grid() {
@@ -132,8 +129,7 @@ SweepGrid SweepGrid::paper_bandwidth_grid() {
 
 std::uint64_t SweepGrid::size() const {
   return static_cast<std::uint64_t>(devices.size()) * mapping_specs.size() *
-         interleavers.size() * channels.size() * rs_ks.size() *
-         symbols_per_bursts.size();
+         interleavers.size() * channels.size() * rs_ks.size();
 }
 
 std::vector<Scenario> SweepGrid::expand() const {
@@ -144,16 +140,13 @@ std::vector<Scenario> SweepGrid::expand() const {
       for (const auto& il : interleavers) {
         for (const auto& ch : channels) {
           for (const unsigned k : rs_ks) {
-            for (const std::uint64_t spb : symbols_per_bursts) {
-              Scenario s;
-              s.device = device;
-              s.mapping_spec = mapping;
-              s.interleaver = il;
-              s.channel = ch;
-              s.rs_k = k;
-              s.symbols_per_burst = spb;
-              cells.push_back(std::move(s));
-            }
+            Scenario s;
+            s.device = device;
+            s.mapping_spec = mapping;
+            s.interleaver = il;
+            s.channel = ch;
+            s.rs_k = k;
+            cells.push_back(std::move(s));
           }
         }
       }
@@ -178,8 +171,7 @@ BandwidthRecord run_bandwidth_cell(const Scenario& scenario,
   record.config.device = *device;
   record.config.mapping_spec = scenario.mapping_spec;
   record.config.side = interleaver::burst_triangle_side(
-      options.total_symbols ? options.total_symbols : kPaperSymbols, kPaperSymbolBits,
-      device->burst_bytes);
+      options.total_symbols, kPaperSymbolBits, device->burst_bytes);
   record.config.max_bursts_per_phase = options.max_bursts_per_phase;
   record.config.check_protocol = options.check_protocol;
   record.run = run_interleaver(record.config);

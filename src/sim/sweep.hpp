@@ -129,15 +129,12 @@ struct Scenario {
   std::string interleaver = "triangular";  ///< "none" | "triangular" | "block" | "two-stage"
   std::string channel = "none";            ///< "none" | "bsc" | "gilbert-elliott" | "leo"
   unsigned rs_k = 223;                     ///< RS(255, k) data symbols
-  /// Symbols per DRAM burst for "two-stage" cells; 0 = keep the sweep
-  /// template's value (the axis is off).
-  std::uint64_t symbols_per_burst = 0;
 
   std::string label() const;
 };
 
 /// Cartesian scenario grid; expand() enumerates cells in row-major axis
-/// order (devices outermost, symbols_per_bursts innermost) — the job-index order that
+/// order (devices outermost, rs_ks innermost) — the job-index order that
 /// deterministic seeding keys on.
 struct SweepGrid {
   std::vector<std::string> devices;
@@ -145,9 +142,6 @@ struct SweepGrid {
   std::vector<std::string> interleavers = {"triangular"};
   std::vector<std::string> channels = {"none"};
   std::vector<unsigned> rs_ks = {223};
-  /// The {0} default keeps existing grids' cell order and per-index seeds
-  /// unchanged (0 = inherit the sweep template's value).
-  std::vector<std::uint64_t> symbols_per_bursts = {0};
 
   /// All ten Table-I devices, both paper mappings.
   static SweepGrid paper_bandwidth_grid();
@@ -162,8 +156,8 @@ struct SweepGrid {
 
 struct BandwidthSweepOptions {
   SweepOptions sweep;
-  std::uint64_t total_symbols = 0;         ///< 0 = the paper's 12.5 M
-  std::uint64_t max_bursts_per_phase = 0;  ///< 0 = full triangle
+  std::uint64_t total_symbols = kPaperSymbols;  ///< 3-bit symbols per frame
+  std::uint64_t max_bursts_per_phase = 0;       ///< 0 = full triangle
   bool check_protocol = false;
 };
 

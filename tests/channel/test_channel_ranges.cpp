@@ -1,7 +1,7 @@
 /// Counter-based random access (Channel::apply_range / skip): chunking a
 /// stream through apply_range at arbitrary boundaries — including one
-/// symbol at a time — must be byte-identical to a single sequential
-/// apply() over the whole stream, for every channel model. The FER
+/// symbol at a time — must be byte-identical to a single apply_range()
+/// over the whole stream, for every channel model. The FER
 /// pipeline's forward walk (source::ErrorSource) builds on it. The gap-sampled
 /// models carry a pending event (BSC, Gilbert-Elliott) or a sample phase
 /// (LEO) across calls, so the boundaries that matter most are the ones
@@ -51,7 +51,7 @@ TEST_P(ChannelRanges, ChunkedApplyRangeMatchesSequentialApply) {
   auto whole = make_named(GetParam());
   Rng rng_whole(42);
   std::vector<std::uint8_t> data_whole(kTotal, 0);
-  const auto errors_whole = whole->apply(data_whole, rng_whole);
+  const auto errors_whole = whole->apply_range(whole->position(), data_whole, rng_whole);
   ASSERT_GT(errors_whole, 0u);
 
   // Random chunk boundaries, no divisor relationship with any internal
@@ -80,7 +80,7 @@ TEST_P(ChannelRanges, SingleSymbolChunksMatchSequentialApply) {
   auto whole = make_named(GetParam());
   Rng rng_whole(9);
   std::vector<std::uint8_t> data_whole(kTotal, 0);
-  const auto errors_whole = whole->apply(data_whole, rng_whole);
+  const auto errors_whole = whole->apply_range(whole->position(), data_whole, rng_whole);
 
   auto stepped = make_named(GetParam());
   Rng rng_stepped(9);
@@ -97,13 +97,13 @@ TEST_P(ChannelRanges, SingleSymbolChunksMatchSequentialApply) {
 TEST_P(ChannelRanges, SparseRangesMatchSequentialPattern) {
   // Reading disjoint windows with gaps: the skipped spans must consume
   // exactly the draws a full walk would, so the windows land on the same
-  // corruption pattern a sequential apply produces.
+  // corruption pattern one sequential pass produces.
   constexpr std::size_t kTotal = 60'000;
 
   auto whole = make_named(GetParam());
   Rng rng_whole(31);
   std::vector<std::uint8_t> reference(kTotal, 0);
-  whole->apply(reference, rng_whole);
+  whole->apply_range(whole->position(), reference, rng_whole);
 
   auto sparse = make_named(GetParam());
   Rng rng_sparse(31);
@@ -141,13 +141,14 @@ Factory named(const std::string& which) {
   return [which] { return make_named(which); };
 }
 
-/// The whole stream in one apply(): the reference every split must match.
+/// The whole stream in one apply_range(): the reference every split must
+/// match.
 std::vector<std::uint8_t> sequential(const Factory& make, std::size_t total,
                                      std::uint64_t seed) {
   auto ch = make();
   Rng rng(seed);
   std::vector<std::uint8_t> data(total, 0);
-  ch->apply(data, rng);
+  ch->apply_range(ch->position(), data, rng);
   return data;
 }
 
@@ -264,10 +265,10 @@ TEST(ErrorSource, CorruptMatchesRawChannelApply) {
 
 TEST(ErrorSource, EventsMatchCorruptPattern) {
   // Splitting a range into sub-ranges, down to one symbol each, must emit
-  // exactly the events of one call, which must be the corruption apply()
-  // writes into a zeroed buffer. Every channel model; the random split
-  // lengths bear no relation to the LEO sample window or the GE burst
-  // length.
+  // exactly the events of one call, which must be the corruption that one
+  // apply_range() writes into a zeroed buffer. Every channel model; the
+  // random split lengths bear no relation to the LEO sample window or the
+  // GE burst length.
   constexpr std::size_t kTotal = 40'000;
   for (const std::string name : {"bsc", "ge", "leo"}) {
     const auto expected = events_of(sequential(named(name), kTotal, 11));
@@ -328,7 +329,7 @@ TEST(ChannelRangesBsc, CertainAndImpossibleErrorsSplitLikeOnePass) {
   SymmetricChannel never(0.0, 8);
   Rng rng(6);
   std::vector<std::uint8_t> data(kTotal, 0);
-  EXPECT_EQ(never.apply(data, rng), 0u);
+  EXPECT_EQ(never.apply_range(never.position(), data, rng), 0u);
   EXPECT_EQ(rng.next_u64(), Rng(6).next_u64());
 }
 
@@ -354,9 +355,9 @@ TEST(ChannelSkipAhead, LeoFixedSeedGolden) {
     LeoFadingChannel seq(p);
     Rng rng_seq(seed);
     std::vector<std::uint8_t> prefix(kSkip, 0);
-    seq.apply(prefix, rng_seq);
+    seq.apply_range(seq.position(), prefix, rng_seq);
     std::vector<std::uint8_t> expected(kWindow, 0);
-    const auto expected_errors = seq.apply(expected, rng_seq);
+    const auto expected_errors = seq.apply_range(seq.position(), expected, rng_seq);
 
     LeoFadingChannel skip(p);
     Rng rng_skip(seed);

@@ -28,7 +28,7 @@ TEST(Symmetric, ErrorRateMatches) {
   SymmetricChannel ch(0.1, 3);
   Rng rng(7);
   std::vector<std::uint8_t> data(100000, 0);
-  const auto errors = ch.apply(data, rng);
+  const auto errors = ch.apply_range(ch.position(), data, rng);
   EXPECT_NEAR(static_cast<double>(errors) / data.size(), 0.1, 0.01);
   std::uint64_t nonzero = 0;
   for (auto s : data) nonzero += s != 0;
@@ -39,9 +39,9 @@ TEST(Symmetric, ZeroAndOneProbabilities) {
   Rng rng(2);
   std::vector<std::uint8_t> data(1000, 0);
   SymmetricChannel none(0.0, 3);
-  EXPECT_EQ(none.apply(data, rng), 0u);
+  EXPECT_EQ(none.apply_range(none.position(), data, rng), 0u);
   SymmetricChannel all(1.0, 3);
-  EXPECT_EQ(all.apply(data, rng), data.size());
+  EXPECT_EQ(all.apply_range(all.position(), data, rng), data.size());
 }
 
 TEST(Symmetric, RejectsBadParams) {
@@ -64,7 +64,7 @@ TEST(GilbertElliott, ProducesBurstsNotUniformErrors) {
   GilbertElliottChannel ge(p);
   Rng rng(11);
   std::vector<std::uint8_t> data(200000, 0);
-  const auto ge_errors = ge.apply(data, rng);
+  const auto ge_errors = ge.apply_range(ge.position(), data, rng);
   ASSERT_GT(ge_errors, 1000u);
 
   std::uint64_t transitions = 0;
@@ -84,7 +84,7 @@ TEST(GilbertElliott, MeanBurstLengthRoughlyMatches) {
   GilbertElliottChannel ge(p);
   Rng rng(23);
   std::vector<std::uint8_t> data(500000, 0);
-  ge.apply(data, rng);
+  ge.apply_range(ge.position(), data, rng);
   // Measure mean run length of corrupted symbols.
   std::uint64_t runs = 0, in_run = 0, total = 0;
   for (auto s : data) {
@@ -121,7 +121,7 @@ TEST(Leo, FadeDutyCycleMatchesTarget) {
   LeoFadingChannel ch(p);
   Rng rng(5);
   std::vector<std::uint8_t> data(4'000'000, 0);
-  const auto errors = ch.apply(data, rng);
+  const auto errors = ch.apply_range(ch.position(), data, rng);
   EXPECT_NEAR(static_cast<double>(errors) / data.size(), 0.1, 0.05);
 }
 
@@ -146,7 +146,7 @@ TEST(Leo, ShortStreamsStartFromStationaryState) {
     LeoFadingChannel ch(p);  // fresh channel: each stream is a cold start
     Rng rng(1000 + s);
     std::vector<std::uint8_t> data(2048, 0);  // 32 samples << coherence
-    errors += ch.apply(data, rng);
+    errors += ch.apply_range(ch.position(), data, rng);
     total += data.size();
   }
   const double duty = static_cast<double>(errors) / static_cast<double>(total);
@@ -163,7 +163,7 @@ TEST(Leo, CoherenceProducesLongFades) {
   EXPECT_GT(ch.rho(), 0.99) << "power process must be strongly correlated";
   Rng rng(17);
   std::vector<std::uint8_t> data(4'000'000, 0);
-  ch.apply(data, rng);
+  ch.apply_range(ch.position(), data, rng);
   // Longest error run should be large when any fade occurs.
   std::uint64_t longest = 0, cur = 0;
   for (auto s : data) {
@@ -190,7 +190,7 @@ TEST(Leo, SplitApplyMatchesWholeStream) {
   LeoFadingChannel whole(p);
   Rng rng_whole(9);
   std::vector<std::uint8_t> data_whole(kTotal, 0);
-  const auto errors_whole = whole.apply(data_whole, rng_whole);
+  const auto errors_whole = whole.apply_range(whole.position(), data_whole, rng_whole);
 
   LeoFadingChannel split(p);
   Rng rng_split(9);
@@ -201,7 +201,7 @@ TEST(Leo, SplitApplyMatchesWholeStream) {
     const std::size_t len =
         std::min(kTotal - pos, static_cast<std::size_t>(1 + chunk_rng.uniform(7777)));
     std::vector<std::uint8_t> chunk(len, 0);
-    errors_split += split.apply(chunk, rng_split);
+    errors_split += split.apply_range(split.position(), chunk, rng_split);
     data_split.insert(data_split.end(), chunk.begin(), chunk.end());
     pos += len;
   }

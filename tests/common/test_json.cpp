@@ -78,16 +78,6 @@ TEST(Json, TypeErrorsThrow) {
   EXPECT_THROW(j.at("a").as_string(), JsonError);
 }
 
-TEST(Json, GetOrFallbacks) {
-  const Json j = Json::parse(R"({"x": 2.5, "s": "v", "b": true})");
-  EXPECT_DOUBLE_EQ(j.get_or("x", 0.0), 2.5);
-  EXPECT_DOUBLE_EQ(j.get_or("y", 7.0), 7.0);
-  EXPECT_EQ(j.get_or("s", std::string("d")), "v");
-  EXPECT_EQ(j.get_or("t", std::string("d")), "d");
-  EXPECT_TRUE(j.get_or("b", false));
-  EXPECT_TRUE(j.get_or("nope", true));
-}
-
 TEST(Json, BuilderInterface) {
   Json j;
   j["name"] = "DDR4";

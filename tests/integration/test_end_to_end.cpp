@@ -99,12 +99,14 @@ unsigned run_single_burst(bool use_interleaver, std::uint64_t burst_len,
                           Rng& rng) {
   const interleaver::TriangularInterleaver tri(kSide);
   Frame f = make_frame(rng);
-  auto tx = use_interleaver ? tri.interleave(f.stream) : f.stream;
+  auto tx = f.stream;
+  if (use_interleaver) tri.interleave_into(f.stream, tx);
   const std::uint64_t start = tx.size() / 3;
   for (std::uint64_t k = start; k < start + burst_len && k < tx.size(); ++k) {
     tx[k] ^= 0xA5;
   }
-  const auto rx = use_interleaver ? tri.deinterleave(tx) : tx;
+  auto rx = tx;
+  if (use_interleaver) tri.deinterleave_into(tx, rx);
   return count_failures(f, rx);
 }
 
@@ -144,12 +146,14 @@ TEST(EndToEnd, GilbertElliottChannelStatisticsWithInterleaver) {
   auto run_channel = [&](bool interleave) {
     Rng noise(77);  // identical channel noise for both systems
     Frame f = make_frame(rng);
-    auto tx = interleave ? tri.interleave(f.stream) : f.stream;
+    auto tx = f.stream;
+    if (interleave) tri.interleave_into(f.stream, tx);
     auto params =
         channel::GilbertElliottParams::from_burst_profile(300, 0.03, 0.5, 8);
     channel::GilbertElliottChannel ch(params);
-    ch.apply(tx, noise);
-    const auto rx = interleave ? tri.deinterleave(tx) : tx;
+    ch.apply_range(ch.position(), tx, noise);
+    auto rx = tx;
+    if (interleave) tri.deinterleave_into(tx, rx);
     return count_failures(f, rx);
   };
 

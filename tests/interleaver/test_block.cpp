@@ -31,9 +31,11 @@ TEST(Block, InterleaveDeinterleaveRoundTrip) {
   const BlockInterleaver b(16, 32);
   std::vector<std::uint8_t> data(b.capacity());
   std::iota(data.begin(), data.end(), 0);
-  const auto mixed = b.interleave(data);
+  std::vector<std::uint8_t> mixed(data.size()), back(data.size());
+  b.interleave_into(data, mixed);
   EXPECT_NE(mixed, data);
-  EXPECT_EQ(b.deinterleave(mixed), data);
+  b.deinterleave_into(mixed, back);
+  EXPECT_EQ(back, data);
 }
 
 TEST(Block, SpreadsBurstErrorsAcrossRows) {
@@ -64,7 +66,9 @@ TEST(Block, RejectsBadInput) {
   EXPECT_THROW(BlockInterleaver(4, 0), std::invalid_argument);
   const BlockInterleaver b(4, 4);
   EXPECT_THROW(b.permute(16), std::out_of_range);
-  EXPECT_THROW(b.interleave(std::vector<std::uint8_t>(15)), std::invalid_argument);
+  std::vector<std::uint8_t> out(b.capacity());
+  EXPECT_THROW(b.interleave_into(std::vector<std::uint8_t>(15), out),
+               std::invalid_argument);
 }
 
 }  // namespace

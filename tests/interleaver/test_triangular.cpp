@@ -44,11 +44,13 @@ TEST(Triangular, KnownSmallExample) {
   //                   col 1: (0,1)(1,1)      -> 1,4
   //                   col 2: (0,2)           -> 2
   const TriangularInterleaver t(3);
-  std::vector<std::uint8_t> in = {10, 11, 12, 13, 14, 15};
-  const auto out = t.interleave(in);
+  const std::vector<std::uint8_t> in = {10, 11, 12, 13, 14, 15};
+  std::vector<std::uint8_t> out(in.size()), back(in.size());
+  t.interleave_into(in, out);
   const std::vector<std::uint8_t> expected = {10, 13, 15, 11, 14, 12};
   EXPECT_EQ(out, expected);
-  EXPECT_EQ(t.deinterleave(out), in);
+  t.deinterleave_into(out, back);
+  EXPECT_EQ(back, in);
 }
 
 TEST(Triangular, InterleaveDeinterleaveRoundTripLarge) {
@@ -57,14 +59,18 @@ TEST(Triangular, InterleaveDeinterleaveRoundTripLarge) {
   for (std::size_t k = 0; k < data.size(); ++k) {
     data[k] = static_cast<std::uint8_t>(k * 2654435761u >> 24);
   }
-  EXPECT_EQ(t.deinterleave(t.interleave(data)), data);
+  std::vector<std::uint8_t> mixed(data.size()), back(data.size());
+  t.interleave_into(data, mixed);
+  t.deinterleave_into(mixed, back);
+  EXPECT_EQ(back, data);
 }
 
 TEST(Triangular, ApplyMatchesPermute) {
   const TriangularInterleaver t(64);
   std::vector<std::uint8_t> data(t.capacity());
   std::iota(data.begin(), data.end(), 0);
-  const auto out = t.interleave(data);
+  std::vector<std::uint8_t> out(data.size());
+  t.interleave_into(data, out);
   for (std::uint64_t k = 0; k < t.capacity(); ++k) {
     EXPECT_EQ(out[t.permute(k)], data[k] & 0xFF);
   }
@@ -109,7 +115,9 @@ TEST(Triangular, RejectsBadInput) {
   EXPECT_THROW(TriangularInterleaver(0), std::invalid_argument);
   const TriangularInterleaver t(10);
   EXPECT_THROW(t.write_position(t.capacity()), std::out_of_range);
-  EXPECT_THROW(t.interleave(std::vector<std::uint8_t>(3)), std::invalid_argument);
+  std::vector<std::uint8_t> out(t.capacity());
+  EXPECT_THROW(t.interleave_into(std::vector<std::uint8_t>(3), out),
+               std::invalid_argument);
 }
 
 }  // namespace

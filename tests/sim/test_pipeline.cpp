@@ -461,21 +461,21 @@ TEST(FerSweep, GridRecordsMatchScenarios) {
 }
 
 TEST(FerSweep, DeterministicAcrossThreadCounts) {
-  // Covers the full interleaver axis including "two-stage" and the
-  // symbols_per_burst axis: records must be identical for any thread
-  // count. The 24 DRAM-resident cells share two DRAM inputs, so on 4
-  // threads several cells wait on one input's run.
+  // Covers the full interleaver axis including "two-stage": records must
+  // be identical for any thread count. The 12 DRAM-resident cells share
+  // two DRAM inputs, so on 4 threads several cells wait on one input's
+  // run.
   SweepGrid grid;
   grid.devices = {"DDR4-3200"};
   grid.interleavers = {"none", "triangular", "block", "two-stage"};
   grid.channels = {"bsc", "gilbert-elliott", "leo"};
   grid.rs_ks = {223, 239};
-  grid.symbols_per_bursts = {4, 8};
   FerSweepOptions o;
   o.base.frames = 2;
   o.base.run_dram = true;
   o.base.dram_max_bursts_per_phase = 200;
   o.base.side = 64;  // streaming path for every cell, small frames
+  o.base.symbols_per_burst = 8;
   o.base.fade_fraction = 0.01;
   o.base.mean_burst_symbols = 200;
   o.sweep.base_seed = 5;
@@ -484,7 +484,7 @@ TEST(FerSweep, DeterministicAcrossThreadCounts) {
   const auto serial = run_fer_sweep(grid, o);
   o.sweep.threads = 4;
   const auto parallel = run_fer_sweep(grid, o);
-  ASSERT_EQ(serial.size(), 48u);
+  ASSERT_EQ(serial.size(), 24u);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].config.seed, parallel[i].config.seed) << i;
@@ -497,10 +497,10 @@ TEST(FerSweep, DeterministicAcrossThreadCounts) {
     EXPECT_EQ(serial[i].result.frame_symbols, parallel[i].result.frame_symbols) << i;
     expect_same_dram(serial[i].result, parallel[i].result, serial[i].scenario.label());
   }
-  // Index: interleaver * 12 + channel * 4 + rs_k * 2 + spb.
+  // Index: interleaver * 6 + channel * 2 + rs_k.
   EXPECT_FALSE(serial[0].result.dram_ran);  // none
-  EXPECT_TRUE(serial[12].result.dram_ran);  // triangular
-  EXPECT_TRUE(serial[36].result.dram_ran);  // two-stage
+  EXPECT_TRUE(serial[6].result.dram_ran);   // triangular
+  EXPECT_TRUE(serial[18].result.dram_ran);  // two-stage
 }
 
 TEST(FerSweep, CellsWithOneDramInputShareOneRun) {
@@ -566,25 +566,6 @@ TEST(FerSweep, CellsWithOneDramInputShareOneRun) {
   EXPECT_FALSE(a == b);
 }
 
-TEST(FerSweep, SymbolsPerBurstAxisReachesTwoStageCells) {
-  SweepGrid grid;
-  grid.devices = {"DDR4-3200"};
-  grid.interleavers = {"two-stage"};
-  grid.channels = {"gilbert-elliott"};
-  grid.symbols_per_bursts = {4, 8};
-  FerSweepOptions o;
-  o.base.frames = 2;
-  o.base.run_dram = false;
-  o.base.side = 64;
-  const auto records = run_fer_sweep(grid, o);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].config.symbols_per_burst, 4u);
-  EXPECT_EQ(records[1].config.symbols_per_burst, 8u);
-  EXPECT_EQ(records[0].result.frame_symbols, 2080u * 4u);
-  EXPECT_EQ(records[1].result.frame_symbols, 2080u * 8u);
-  EXPECT_NE(records[0].scenario.label(), records[1].scenario.label());
-}
-
 TEST(FerSweep, RunDramNarrowedToDramResidentCells) {
   // A mixed grid with run_dram set in the template must not trip the
   // SRAM-interleaver error: the sweep narrows run_dram per cell.
@@ -635,17 +616,13 @@ TEST(FerSweep, GridIsCheckedBeforeAnyCellRuns) {
   grid.devices = {"NO-SUCH-DEVICE"};
   expect_refused("fer sweep: unknown device 'NO-SUCH-DEVICE'");
 
-  // A DRAM-resident cell with run_dram set and no device ("" falls back
-  // to the template's device, which is unset), behind a cell that would
-  // run.
-  grid.devices = {"", "DDR4-3200"};
-  grid.interleavers = {"block", "triangular"};
+  // A cell that names no device, behind a good one: the grid names every
+  // cell's device, even for an interleaver that never touches DRAM.
+  grid.devices = {"DDR4-3200", ""};
+  grid.interleavers = {"block"};
   options.base.side = 64;
   options.base.symbols_per_burst = 8;
-  ASSERT_TRUE(options.base.run_dram);
-  expect_refused(
-      "fer sweep: cell '/optimized/triangular/bsc/RS(255,223)' runs the DRAM stage "
-      "but names no device");
+  expect_refused("fer sweep: unknown device ''");
 
   // An unknown interleaver, an unknown channel ("trace" among them), and
   // an unknown mapping on a cell that runs the DRAM stage, each behind a

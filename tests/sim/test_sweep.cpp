@@ -144,16 +144,14 @@ TEST(SweepGrid, PaperGridCoversTableI) {
 TEST(Scenario, LabelIsInjectiveOverTheFullGrid) {
   // Regression: the label used to elide the "triangular" interleaver and
   // the rs_k of channel-free cells, so e.g. RS(255,223) and RS(255,191)
-  // cells with channel == "none" collided, and a label names its cell in
-  // experiment_runner's rows. Every axis value must produce a distinct
-  // label.
+  // cells with channel == "none" collided. Every axis value must produce
+  // a distinct label.
   SweepGrid grid;
   grid.devices = {"DDR4-3200", "LPDDR5-8533"};
   grid.mapping_specs = {"row-major", "optimized"};
   grid.interleavers = {"none", "block", "triangular", "two-stage"};
   grid.channels = {"none", "bsc", "gilbert-elliott", "leo"};
   grid.rs_ks = {239, 223, 191};
-  grid.symbols_per_bursts = {0, 64, 170};
   const auto cells = grid.expand();
   ASSERT_EQ(cells.size(), grid.size());
   std::set<std::string> labels;
