@@ -41,15 +41,18 @@ int main(int argc, char** argv) {
   }
 
   tbi::perf::CompareOptions options;
-  options.time_tol_pct = cli.get_double("time-tol-pct", options.time_tol_pct);
-  options.size_tol_pct = cli.get_double("size-tol-pct", options.size_tol_pct);
-  // A negative band would fail a candidate identical to its baseline.
-  for (const auto& [name, pct] : {std::pair{"time-tol-pct", options.time_tol_pct},
-                                  std::pair{"size-tol-pct", options.size_tol_pct}}) {
-    if (pct < 0) {
-      std::fprintf(stderr, "error: --%s must be >= 0, got %g\n", name, pct);
+  // A band that is not a number is a usage error (exit 2), not a
+  // regression (exit 1); a negative band would fail a candidate identical
+  // to its baseline.
+  for (const auto& [name, pct] : {std::pair{"time-tol-pct", &options.time_tol_pct},
+                                  std::pair{"size-tol-pct", &options.size_tol_pct}}) {
+    const auto value = cli.read_double(name, *pct);
+    if (!value) return 2;
+    if (*value < 0) {
+      std::fprintf(stderr, "error: --%s must be >= 0, got %g\n", name, *value);
       return 2;
     }
+    *pct = *value;
   }
 
   tbi::Json baseline, candidate;

@@ -65,16 +65,15 @@ std::string CliParser::get(const std::string& name, const std::string& fallback)
 
 namespace {
 
-/// Exit 1 with an error: line unless strtoll/strtod, which left \p end
-/// and errno behind, read all of a non-empty \p value without overflow,
-/// and the value read is \p finite.
-void require_number(const std::string& name, const std::string& value,
-                    const char* end, bool finite = true) {
-  if (value.empty() || *end != '\0' || errno == ERANGE || !finite) {
-    std::fprintf(stderr, "error: --%s expects a number, got '%s'\n", name.c_str(),
-                 value.c_str());
-    std::exit(1);
-  }
+/// True when strtoll/strtod, which left \p end and errno behind, read all
+/// of a non-empty \p value without overflow and the value read is
+/// \p finite; otherwise prints an error: line and returns false.
+bool number_read(const std::string& name, const std::string& value, const char* end,
+                 bool finite = true) {
+  if (!value.empty() && *end == '\0' && errno != ERANGE && finite) return true;
+  std::fprintf(stderr, "error: --%s expects a number, got '%s'\n", name.c_str(),
+               value.c_str());
+  return false;
 }
 
 }  // namespace
@@ -85,7 +84,7 @@ std::int64_t CliParser::get_int(const std::string& name, std::int64_t fallback) 
   char* end = nullptr;
   errno = 0;
   const std::int64_t v = std::strtoll(it->second.c_str(), &end, 0);
-  require_number(name, it->second, end);
+  if (!number_read(name, it->second, end)) std::exit(1);
   return v;
 }
 
@@ -97,13 +96,20 @@ void CliParser::count_out_of_range(const std::string& name, std::uint64_t min,
 }
 
 double CliParser::get_double(const std::string& name, double fallback) const {
+  const auto v = read_double(name, fallback);
+  if (!v) std::exit(1);
+  return *v;
+}
+
+std::optional<double> CliParser::read_double(const std::string& name,
+                                             double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(it->second.c_str(), &end);
   // strtod reads "nan" and "inf" whole; neither is a usable setting.
-  require_number(name, it->second, end, std::isfinite(v));
+  if (!number_read(name, it->second, end, std::isfinite(v))) return std::nullopt;
   return v;
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -37,6 +38,9 @@ class CliParser {
   /// with a silently truncated number.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
+  /// get_double without the exit: prints the same error line and returns
+  /// nullopt, so a program can exit with its own usage-error code.
+  std::optional<double> read_double(const std::string& name, double fallback) const;
   /// Integer option \p name as a count of unsigned type T, \p fallback
   /// when absent. A value below \p min or above what T (and get_int)
   /// holds prints `error: --NAME must be an integer in [MIN, MAX]` and

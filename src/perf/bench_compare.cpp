@@ -164,7 +164,9 @@ class Comparer {
         }
         break;
       case MetricKind::TimeDown:
-        if (b > 0.0 && c < b * (1.0 - opt_.time_tol_pct / 100.0)) {
+        // The mirror of TimeUp: a rate may fall by the factor a time may
+        // grow by, so the floor stays above 0 for any band.
+        if (b > 0.0 && c < b / (1.0 + opt_.time_tol_pct / 100.0)) {
           report_.failures.push_back(
               {path, "rate dropped " + fmt(b) + " -> " + fmt(c) + " (-" +
                          fmt(100.0 * (b - c) / b) + "%, band " +

@@ -40,7 +40,8 @@ MetricKind classify_metric(const std::string& key);
 Json without_host_timing(const Json& record);
 
 struct CompareOptions {
-  /// One-sided band for TimeUp/TimeDown metrics, percent of baseline.
+  /// One-sided band for TimeUp/TimeDown metrics, percent of baseline:
+  /// a time may grow to b * (1 + p/100), a rate fall to b / (1 + p/100).
   double time_tol_pct = 50.0;
   /// One-sided band for Size metrics, percent of baseline.
   double size_tol_pct = 10.0;

@@ -7,10 +7,7 @@
 #include "channel/gilbert_elliott.hpp"
 #include "channel/leo.hpp"
 #include "common/mathutil.hpp"
-#include "interleaver/block.hpp"
 #include "interleaver/streams.hpp"
-#include "interleaver/triangular.hpp"
-#include "interleaver/twostage.hpp"
 #include "mapping/factory.hpp"
 #include "perf/counters.hpp"
 
@@ -20,102 +17,14 @@ namespace {
 
 constexpr unsigned kChannelSymbolBits = 8;  // RS symbols are bytes
 
-/// Stream permutation for the pipeline's interleaver axis. The block
-/// variant reshapes the packed triangle into an exact rows x cols
-/// rectangle (classic SRAM interleaver) as the non-triangular baseline;
-/// the two-stage variant is the paper's SRAM-block-into-DRAM-triangle
-/// composition. The frame loop only ever needs the inverse, per event.
-class StreamInterleaver {
- public:
-  StreamInterleaver(const std::string& kind, std::uint64_t side,
-                    std::uint64_t symbols_per_burst) {
-    if (kind == "none") {
-      capacity_ = triangular_number(side);
-      return;
-    }
-    if (kind == "triangular") {
-      tri_ = std::make_unique<interleaver::TriangularInterleaver>(side);
-      capacity_ = tri_->capacity();
-      return;
-    }
-    if (kind == "block") {
-      // T(side) = side*(side+1)/2 factors exactly as rows x cols with
-      // rows = side (side odd) or side+1 (side even).
-      const std::uint64_t rows = (side % 2 == 1) ? side : side + 1;
-      block_ = std::make_unique<interleaver::BlockInterleaver>(
-          rows, triangular_number(side) / rows);
-      capacity_ = block_->capacity();
-      return;
-    }
-    if (kind == "two-stage") {
-      two_ = std::make_unique<interleaver::TwoStageInterleaver>(side,
-                                                                symbols_per_burst);
-      capacity_ = two_->capacity_symbols();
-      return;
-    }
-    throw std::invalid_argument("pipeline: unknown interleaver '" + kind + "'");
-  }
-
-  /// Frame size in symbols.
-  std::uint64_t capacity_symbols() const { return capacity_; }
-
-  /// Input (code-word stream) position of the symbol at wire position
-  /// \p p — the inverse permutation, O(1) for every kind.
-  std::uint64_t wire_to_input(std::uint64_t p) const {
-    if (tri_) return tri_->permute(p);  // involution: inverse == forward
-    if (block_) return block_->inverse(p);
-    if (two_) return two_->inverse(p);
-    return p;
-  }
-
- private:
-  std::unique_ptr<interleaver::TriangularInterleaver> tri_;
-  std::unique_ptr<interleaver::BlockInterleaver> block_;
-  std::unique_ptr<interleaver::TwoStageInterleaver> two_;
-  std::uint64_t capacity_ = 0;
-};
-
 std::uint64_t frame_side(const PipelineConfig& config) {
   return config.side != 0 ? config.side : config.rs_n;
 }
 
-/// Which code word of a frame carries each input (code-word stream)
-/// position, for the two layouts of pipeline.hpp:
-///
-/// * packed (pipeline_streams): full RS(n, k) words back to back, so
-///   position k is in word k / n; the sub-word tail behind the last of
-///   the capacity / n words is zero padding.
-/// * rows (side == rs_n): row i of the packed triangle carries one
-///   shortened word, its symbols [i, n) (the leading i zeros are
-///   implicit). A row no longer than the parity carries no data, so the
-///   rows i >= side - parity are zero padding.
-///
-/// word_of() maps every padding position to words(), one slot past the
-/// last word, so the frame loop counts padding events without a branch.
-class WordLayout {
- public:
-  WordLayout(const PipelineConfig& config, std::uint64_t capacity)
-      : rows_(!pipeline_streams(config)),
-        side_(frame_side(config)),
-        n_(config.rs_n),
-        words_(rows_ ? side_ - (config.rs_n - config.rs_k) : capacity / config.rs_n) {}
-
-  std::uint64_t words() const { return words_; }
-
-  std::uint64_t word_of(std::uint64_t k) const {
-    return std::min(rows_ ? tri_row_of(side_, k) : k / n_, words_);
-  }
-
- private:
-  bool rows_;
-  std::uint64_t side_;
-  Divisor n_;
-  std::uint64_t words_;
-};
-
-/// run_pipeline's frame loop. \p add_events(f, weights) adds 1 to
-/// weights[layout.word_of(k)] for every corrupted input position k of
-/// frame f; then every word is judged by its error weight alone.
+/// run_pipeline's frame loop over frames of \p words code words.
+/// \p add_events(f, weights) adds 1 to weights[w] for every corrupted
+/// symbol of frame f, w being its word (WireCursor::word_of); then every
+/// word is judged by its error weight alone.
 ///
 /// That is exact, not a model: RS is linear and the channel's flips do
 /// not depend on the data, so a bounded-distance decoder given
@@ -130,10 +39,9 @@ class WordLayout {
 /// distinct positions, so a word collects at most n <= 255 of them. The
 /// padding slot may wrap, but it is never judged.
 template <typename AddEvents>
-void count_frames(const PipelineConfig& config, const WordLayout& layout,
+void count_frames(const PipelineConfig& config, std::uint64_t words,
                   PipelineResult& result, AddEvents&& add_events) {
   const unsigned t = (config.rs_n - config.rs_k) / 2;
-  const std::uint64_t words = layout.words();
   std::vector<std::uint8_t> weights(words + 1, 0);
 
   const std::uint64_t host_start = perf::now_ns();
@@ -205,6 +113,73 @@ void attach_dram(PipelineResult& result, const InterleaverRun& run,
 
 }  // namespace
 
+WireCursor::WireCursor(const PipelineConfig& config)
+    : rows_(!pipeline_streams(config)),
+      side_(frame_side(config)),
+      n_(config.rs_n),
+      spb_(std::max<std::uint64_t>(config.symbols_per_burst, 1)) {
+  using U128 = unsigned __int128;
+  const U128 symbols = U128{side_} * (U128{side_} + 1) / 2;  // T(side)
+  if (symbols >> 64 != 0) throw std::invalid_argument("pipeline: side too large");
+  capacity_ = static_cast<std::uint64_t>(symbols);
+  first_len_ = side_;
+  shrink_ = 1;
+  if (config.interleaver == "none") {
+    kind_ = Kind::None;
+  } else if (config.interleaver == "triangular") {
+    kind_ = Kind::Triangular;
+  } else if (config.interleaver == "block") {
+    // T(side) = side*(side+1)/2 factors exactly as rows x cols with
+    // rows = side (side odd) or side+1 (side even); the wire reads the
+    // rows x cols array column by column.
+    kind_ = Kind::Block;
+    first_len_ = side_ % 2 == 1 ? side_ : side_ + 1;
+    cols_ = capacity_ / first_len_;
+    shrink_ = 0;
+  } else if (config.interleaver == "two-stage") {
+    kind_ = Kind::TwoStage;
+    if (config.symbols_per_burst == 0) {
+      throw std::invalid_argument("pipeline: symbols_per_burst must be > 0");
+    }
+    const std::uint64_t spb = spb_.value();
+    if (__builtin_mul_overflow(capacity_, spb, &capacity_)) {
+      throw std::invalid_argument("pipeline: side too large");
+    }
+    // The stage-2 triangle counts bursts; its columns are bursts of spb
+    // symbols. Stage 1 transposes only full super-blocks of spb bursts.
+    tail_burst_ = triangular_number(side_) / spb * spb;
+    first_len_ = side_ * spb;
+    shrink_ = spb;
+    burst_start_ = capacity_;  // no burst cached: p - capacity_ wraps past spb
+  } else {
+    throw std::invalid_argument("pipeline: unknown interleaver '" + config.interleaver +
+                                "'");
+  }
+  if (!rows_ && capacity_ < config.rs_n) {
+    throw std::invalid_argument("pipeline: side too small for one RS code word");
+  }
+  words_ = rows_ ? side_ - (config.rs_n - config.rs_k) : capacity_ / config.rs_n;
+  line_len_ = first_len_;
+}
+
+void WireCursor::enter_burst(std::uint64_t p) {
+  seek(p);
+  const std::uint64_t spb = spb_.value();
+  const std::uint64_t i = (p - line_start_) / spb_;  // row of column line_
+  const std::uint64_t burst = tri_row_offset(side_, i) + line_;  // stage-2 input
+  burst_start_ = line_start_ + i * spb;
+  if (burst < tail_burst_) {
+    // Burst r of super-block sb: the stage-1 transpose sent its symbol o
+    // from input position sb * spb^2 + o * spb + r.
+    const std::uint64_t sb = burst / spb_;
+    burst_base_ = sb * spb * spb + (burst - sb * spb);
+    burst_stride_ = spb;
+  } else {
+    burst_base_ = burst * spb;  // the partial tail keeps its order
+    burst_stride_ = 1;
+  }
+}
+
 PipelineResult run_frames(const PipelineConfig& config, source::ErrorSource* src) {
   if (config.rs_n > 255 || config.rs_k == 0 || config.rs_k >= config.rs_n ||
       (config.rs_n - config.rs_k) % 2 != 0) {
@@ -213,24 +188,21 @@ PipelineResult run_frames(const PipelineConfig& config, source::ErrorSource* src
   if (config.frames == 0) {
     throw std::invalid_argument("pipeline: frames must be > 0");
   }
-  const StreamInterleaver il(config.interleaver, frame_side(config),
-                             config.symbols_per_burst);
-  const std::uint64_t capacity = il.capacity_symbols();
-  if (pipeline_streams(config) && capacity < config.rs_n) {
-    throw std::invalid_argument("pipeline: side too small for one RS code word");
-  }
-  const WordLayout layout(config, capacity);
+  WireCursor cursor(config);
+  const std::uint64_t capacity = cursor.capacity();
 
   PipelineResult result;
   result.frames = config.frames;
   result.frame_symbols = capacity;
-  count_frames(config, layout, result, [&](unsigned f, std::uint8_t* weights) {
+  count_frames(config, cursor.words(), result, [&](unsigned f, std::uint8_t* weights) {
     if (src == nullptr) return;
     // The wire position advances contiguously frame to frame, so the
-    // source's channel state stays continuous in symbol time.
+    // source's channel state stays continuous in symbol time. Every
+    // frame has the same map, so the cursor carries on from frame to
+    // frame: a frame's first event restarts it if it lies behind.
     const std::uint64_t frame_base = static_cast<std::uint64_t>(f) * capacity;
     auto count = [&](const source::Corruption& e) {
-      ++weights[layout.word_of(il.wire_to_input(e.wire_pos - frame_base))];
+      ++weights[cursor.word_of(e.wire_pos - frame_base)];
     };
     result.channel_symbols += capacity;
     result.channel_symbol_errors += src->events(frame_base, capacity, count);
@@ -330,10 +302,11 @@ void check_fer_cells(const std::vector<Scenario>& cells, const PipelineConfig& b
       throw std::invalid_argument("fer sweep: invalid RS(" + std::to_string(base.rs_n) +
                                   ", " + std::to_string(cell.rs_k) + ")");
     }
-    // Throws for an unknown device, interleaver or channel, and below
-    // for an unknown mapping, with the texts the cell itself would throw.
+    // Throws for an unknown device, interleaver or channel, a frame that
+    // holds no code word, and below for an unknown mapping, with the
+    // texts the cell itself would throw.
     const PipelineConfig config = fer_cell_config(base, cell, base.seed);
-    StreamInterleaver(config.interleaver, frame_side(config), config.symbols_per_burst);
+    WireCursor{config};
     make_channel(config);
     if (const auto rc = dram_run_config(config)) {
       mapping::make_mapping(rc->mapping_spec, rc->device, rc->side);

@@ -22,15 +22,19 @@
 /// bounded-distance decoder's verdict on a word depends only on the
 /// word's error weight: it recovers the word, with one correction per
 /// error, iff the weight is <= t = (n - k) / 2. The frame loop therefore
-/// takes the source's (wire position, flip) events, maps each back to
-/// its code-word stream position through the interleaver's O(1) inverse
-/// permutation, adds 1 to that word's byte in a fixed weight array, and
-/// judges every word by its weight after the frame. Memory is the weight
-/// array — capacity / n bytes, 3.1 MB for the paper's side-5000,
-/// 64-symbol-per-burst two-stage frame — and never grows with the event
-/// count. Events in padding count toward channel_symbol_errors only.
+/// takes the source's (wire position, flip) events, which arrive in
+/// increasing wire position, and a WireCursor walks the frame's
+/// interleaver columns forward to each event's code word, by additions
+/// instead of an inverse permutation per event. It adds 1 to that word's
+/// byte in a fixed weight array and judges every word by its weight after
+/// the frame. Memory is the weight array — capacity / n bytes, 3.1 MB for
+/// the paper's side-5000, 64-symbol-per-burst two-stage frame — and never
+/// grows with the event count. Events in padding count toward
+/// channel_symbol_errors only.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -41,6 +45,7 @@
 
 #include "channel/channel.hpp"
 #include "common/json.hpp"
+#include "common/mathutil.hpp"
 #include "dram/standards.hpp"
 #include "fec/reed_solomon.hpp"
 #include "sim/runner.hpp"
@@ -165,10 +170,127 @@ PipelineConfig fer_cell_config(const PipelineConfig& base, const Scenario& scena
 
 /// Reject a FER grid before any of its cells runs: every cell must name
 /// a valid RS(base.rs_n, k) code, a known device, interleaver and channel,
-/// and a known mapping when it runs the DRAM stage. FerCells calls it
+/// a frame that holds a code word (WireCursor), and a known mapping when
+/// it runs the DRAM stage. FerCells calls it
 /// first, so run_fer_sweep rejects a bad grid before its first cell.
 /// Throws std::invalid_argument.
 void check_fer_cells(const std::vector<Scenario>& cells, const PipelineConfig& base);
+
+/// Which code word of a frame carries the symbol at each wire position,
+/// walked forward: the frame loop's map from a channel event to its word.
+///
+/// Every interleaver here sends its array column by column, so the wire
+/// is a run of lines whose lengths fall by a fixed step: 1 for the
+/// triangle's columns (and for its rows, which the "none" row layout
+/// walks), 0 for the block array's columns, spb for the two-stage
+/// interleaver's stage-2 burst columns. The cursor keeps the line of the
+/// last position it mapped and reaches a later one by adding line
+/// lengths. A symbol's input (code-word stream) position then follows
+/// from its line j and its offset i in that line: tri_row_offset(side, i)
+/// + j in the triangle, i * cols + j in the block array. Two-stage caches
+/// the burst of the last position: its symbol o lands at base + o * spb
+/// inside a full super-block (the stage-1 transpose) and at base + o in
+/// the partial tail. The word is then input / n (packed layout) or the
+/// input's triangle row (row layout), and padding maps to words(). Only
+/// the block row layout still takes tri_row_of: its input positions do
+/// not rise along the wire.
+///
+/// Channels emit a frame's events in increasing wire position. A position
+/// behind the cursor restarts it from the first line, so a word never
+/// depends on the order of the calls, only their cost: one pass over the
+/// lines per frame plus O(1) per event.
+class WireCursor {
+ public:
+  /// Throws std::invalid_argument for an unknown interleaver, a zero
+  /// symbols_per_burst, a frame past 2^64 symbols, or a streaming frame
+  /// shorter than one code word. \p config's RS(n, k) must be valid.
+  explicit WireCursor(const PipelineConfig& config);
+
+  /// Frame size in symbols.
+  std::uint64_t capacity() const { return capacity_; }
+  /// Code words per frame; word_of() maps padding to words().
+  std::uint64_t words() const { return words_; }
+
+  /// The code word that carries wire position \p p (< capacity()) of a
+  /// frame, or words() for padding.
+  std::uint64_t word_of(std::uint64_t p) {
+    assert(p < capacity_);  // else seek() would run past the last line
+    std::uint64_t word = 0;
+    switch (kind_) {
+      case Kind::None:
+        if (!rows_) {
+          word = p / n_;
+          break;
+        }
+        seek(p);
+        word = line_;
+        break;
+      case Kind::Triangular: {
+        seek(p);
+        const std::uint64_t i = p - line_start_;
+        word = rows_ ? i : (tri_row_offset(side_, i) + line_) / n_;
+        break;
+      }
+      case Kind::Block: {
+        seek(p);
+        const std::uint64_t k = (p - line_start_) * cols_ + line_;
+        word = rows_ ? tri_row_of(side_, k) : k / n_;
+        break;
+      }
+      case Kind::TwoStage:
+        // Unsigned: a position before the cached burst fails the test too.
+        if (p - burst_start_ >= spb_.value()) enter_burst(p);
+        word = (burst_base_ + (p - burst_start_) * burst_stride_) / n_;
+        break;
+    }
+    return std::min(word, words_);
+  }
+
+ private:
+  enum class Kind { None, Triangular, Block, TwoStage };
+
+  /// Move to the line that holds \p p.
+  void seek(std::uint64_t p) {
+    if (p < line_start_) {
+      line_ = 0;
+      line_start_ = 0;
+      line_len_ = first_len_;
+    }
+    while (p - line_start_ >= line_len_) {
+      line_start_ += line_len_;
+      line_len_ -= shrink_;
+      ++line_;
+    }
+  }
+
+  /// Two-stage: cache the burst that holds \p p.
+  void enter_burst(std::uint64_t p);
+
+  Kind kind_ = Kind::None;
+  bool rows_ = false;          ///< row layout (else packed)
+  std::uint64_t side_ = 0;     ///< triangle side: symbols, or bursts for two-stage
+  Divisor n_;                  ///< code word length
+  std::uint64_t words_ = 0;
+  std::uint64_t capacity_ = 0;
+  std::uint64_t cols_ = 0;     ///< block: columns of the rows x cols array
+
+  // The line walk: line_ starts at wire position line_start_ and holds
+  // line_len_ symbols; the next line is shrink_ symbols shorter.
+  std::uint64_t first_len_ = 0;
+  std::uint64_t shrink_ = 0;
+  std::uint64_t line_ = 0;
+  std::uint64_t line_start_ = 0;
+  std::uint64_t line_len_ = 0;
+
+  // Two-stage: the cached burst holds wire positions
+  // [burst_start_, burst_start_ + spb); its symbol o has input position
+  // burst_base_ + o * burst_stride_.
+  Divisor spb_;
+  std::uint64_t tail_burst_ = 0;  ///< first stage-2 input burst of the partial tail
+  std::uint64_t burst_start_ = 0;
+  std::uint64_t burst_base_ = 0;
+  std::uint64_t burst_stride_ = 0;
+};
 
 /// The frame loop alone: \p config.frames frames through the interleaver,
 /// each word judged by the error weight that \p source's events put on

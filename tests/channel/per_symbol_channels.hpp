@@ -150,8 +150,8 @@ class PolarLeoChannel final : public Channel {
   double spare_ = 0.0;
 };
 
-/// Emits a fixed list of events, sorted by wire position with no position
-/// twice, and draws nothing.
+/// Emits a fixed list of events in the order given, no position twice,
+/// and draws nothing.
 class FixedEventsChannel final : public Channel {
  public:
   explicit FixedEventsChannel(std::vector<Corruption> events) : events_(std::move(events)) {}

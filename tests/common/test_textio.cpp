@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -109,6 +111,34 @@ TEST(Cli, NonFiniteDoubleExitsWithAnErrorLine) {
                 std::string("error: --x expects a number, got '") + value + "'")
         << value;
   }
+}
+
+TEST(Cli, ReadDoubleRefusesWithoutExiting) {
+  // The same values get_double exits on come back as nullopt, after the
+  // same error line; a program then exits with its own code.
+  const auto read = [](const char* value) {
+    CliParser cli("prog", "test");
+    cli.add_option("x", "v", "a number");
+    const std::string arg = std::string("--x=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_TRUE(cli.parse(2, argv));
+    testing::internal::CaptureStderr();
+    const auto v = cli.read_double("x", 7.0);
+    return std::pair{v, testing::internal::GetCapturedStderr()};
+  };
+  for (const char* bad : {"abc", "nan", "0.5x", "", "inf"}) {
+    const auto [v, err] = read(bad);
+    EXPECT_FALSE(v.has_value()) << bad;
+    EXPECT_EQ(err, std::string("error: --x expects a number, got '") + bad + "'\n");
+  }
+  const auto [v, err] = read("-2.5");
+  EXPECT_EQ(v, -2.5);
+  EXPECT_EQ(err, "");
+  CliParser cli("prog", "test");
+  cli.add_option("x", "v", "a number");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(cli.parse(1, argv));
+  EXPECT_EQ(cli.read_double("x", 7.0), 7.0);
 }
 
 TEST(Cli, CountOutOfRangeExitsWithAnErrorLine) {

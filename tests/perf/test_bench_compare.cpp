@@ -140,11 +140,23 @@ TEST(CompareBench, TimeBandIsLooseAndOneSided) {
   slower["wall_seconds"] = 3.2;  // +60%: outside
   EXPECT_FALSE(compare_bench(baseline, slower, opt).ok());
 
+  // A rate may fall by the factor a time may grow by: to 18 / 1.5 = 12.
   Json slow_rate = fixture_doc();
-  slow_rate["scenarios_per_second"] = 10.0;  // -44%: inside
+  slow_rate["scenarios_per_second"] = 12.5;  // -31%: inside
   EXPECT_TRUE(compare_bench(baseline, slow_rate, opt).ok());
+  slow_rate["scenarios_per_second"] = 10.0;  // -44%: outside
+  EXPECT_FALSE(compare_bench(baseline, slow_rate, opt).ok());
   slow_rate["scenarios_per_second"] = 8.0;  // -56%: outside
   EXPECT_FALSE(compare_bench(baseline, slow_rate, opt).ok());
+
+  // At CI's 400% the floor is a fifth of the baseline, not 1 - 4 < 0.
+  opt.time_tol_pct = 400.0;
+  slow_rate["scenarios_per_second"] = 18.0 / 4;  // 4x drop: inside
+  EXPECT_TRUE(compare_bench(baseline, slow_rate, opt).ok());
+  slow_rate["scenarios_per_second"] = 18.0 / 1e6;  // 10^6-fold drop: outside
+  const auto report = compare_bench(baseline, slow_rate, opt);
+  ASSERT_EQ(report.failures.size(), 1u) << report.render();
+  EXPECT_NE(report.failures[0].what.find("rate dropped"), std::string::npos);
 }
 
 TEST(CompareBench, SizeBandIsOneSided) {

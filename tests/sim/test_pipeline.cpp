@@ -4,12 +4,17 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 
 #include "../channel/per_symbol_channels.hpp"
+#include "common/rng.hpp"
 #include "fec/reed_solomon.hpp"
+#include "interleaver/block.hpp"
+#include "interleaver/triangular.hpp"
+#include "interleaver/twostage.hpp"
 #include "perf/bench_compare.hpp"
 #include "source/source.hpp"
 
@@ -710,6 +715,219 @@ TEST(FerRecord, RowCarriesTheRecordAndStableRowDropsOnlyHostTiming) {
     EXPECT_EQ(dropped, host_timing) << label;
   }
   EXPECT_GT(word_errors, 0u) << "no cell exercises a nonzero word count";
+}
+
+// ---------------------------------------------------------------------------
+// Wire cursor
+// ---------------------------------------------------------------------------
+
+/// The word of each wire position from the interleavers' own inverse
+/// permutations, one position at a time: the map WireCursor walks.
+class InverseWords {
+ public:
+  explicit InverseWords(const PipelineConfig& c)
+      : side_(c.side != 0 ? c.side : c.rs_n), n_(c.rs_n), rows_(!pipeline_streams(c)) {
+    capacity_ = triangular_number(side_);
+    if (c.interleaver == "triangular") {
+      tri_.emplace(side_);
+    } else if (c.interleaver == "block") {
+      const std::uint64_t rows = side_ % 2 == 1 ? side_ : side_ + 1;
+      block_.emplace(rows, capacity_ / rows);
+    } else if (c.interleaver == "two-stage") {
+      two_.emplace(side_, c.symbols_per_burst);
+      capacity_ = two_->capacity_symbols();
+    }
+    words_ = rows_ ? side_ - (c.rs_n - c.rs_k) : capacity_ / n_;
+  }
+
+  std::uint64_t capacity() const { return capacity_; }
+  std::uint64_t words() const { return words_; }
+
+  std::uint64_t word_of(std::uint64_t p) const {
+    const std::uint64_t k = tri_     ? tri_->permute(p)  // an involution
+                            : block_ ? block_->inverse(p)
+                            : two_   ? two_->inverse(p)
+                                     : p;
+    return std::min(rows_ ? tri_row_of(side_, k) : k / n_, words_);
+  }
+
+ private:
+  std::uint64_t side_;
+  std::uint64_t n_;
+  bool rows_;
+  std::uint64_t capacity_ = 0;
+  std::uint64_t words_ = 0;
+  std::optional<interleaver::TriangularInterleaver> tri_;
+  std::optional<interleaver::BlockInterleaver> block_;
+  std::optional<interleaver::TwoStageInterleaver> two_;
+};
+
+PipelineConfig cursor_config(const std::string& interleaver, std::uint64_t side,
+                             unsigned n, unsigned k, std::uint64_t spb = 64) {
+  PipelineConfig c;
+  c.interleaver = interleaver;
+  c.side = side;
+  c.rs_n = n;
+  c.rs_k = k;
+  c.symbols_per_burst = spb;
+  c.run_dram = false;
+  return c;
+}
+
+std::string describe(const PipelineConfig& c) {
+  return c.interleaver + " side " + std::to_string(c.side) + " spb " +
+         std::to_string(c.symbols_per_burst) + " RS(" + std::to_string(c.rs_n) + ", " +
+         std::to_string(c.rs_k) + ")" + (pipeline_streams(c) ? " packed" : " rows");
+}
+
+/// Every kind in both layouts (two-stage is always packed), odd and even
+/// block sides, and two-stage geometries with and without a partial tail
+/// at power-of-two and other symbols per burst.
+std::vector<PipelineConfig> cursor_geometries() {
+  std::vector<PipelineConfig> out;
+  for (const char* kind : {"none", "triangular", "block"}) {
+    out.push_back(cursor_config(kind, 15, 15, 7));      // rows, t = 4
+    out.push_back(cursor_config(kind, 255, 255, 223));  // rows, the default
+    out.push_back(cursor_config(kind, 40, 15, 7));      // packed, sub-word tail
+    out.push_back(cursor_config(kind, 41, 15, 7));      // packed, odd side
+    out.push_back(cursor_config(kind, 300, 255, 223));  // packed, several words
+  }
+  out.push_back(cursor_config("two-stage", 64, 255, 223, 170));  // 40-burst tail
+  out.push_back(cursor_config("two-stage", 64, 255, 191, 64));   // 32-burst tail
+  out.push_back(cursor_config("two-stage", 9, 15, 7, 5));        // no tail
+  out.push_back(cursor_config("two-stage", 10, 7, 3, 3));        // 1-burst tail
+  out.push_back(cursor_config("two-stage", 20, 15, 7, 1));       // no transpose
+  return out;
+}
+
+TEST(PipelineCursor, EveryWirePositionMatchesTheInterleaversInverses) {
+  for (const PipelineConfig& c : cursor_geometries()) {
+    const InverseWords ref(c);
+    WireCursor cursor(c);
+    ASSERT_EQ(cursor.capacity(), ref.capacity()) << describe(c);
+    ASSERT_EQ(cursor.words(), ref.words()) << describe(c);
+    std::uint64_t mismatches = 0;
+    std::uint64_t padding = 0;
+    for (std::uint64_t p = 0; p < ref.capacity(); ++p) {
+      const std::uint64_t want = ref.word_of(p);
+      const std::uint64_t got = cursor.word_of(p);
+      padding += want == ref.words();
+      if (got != want && mismatches++ == 0) {
+        ADD_FAILURE() << describe(c) << ": position " << p << " maps to word " << got
+                      << ", the inverse says " << want;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << describe(c);
+    // Padding: the packed layout's sub-word tail, or the row layout's
+    // n - k parity rows, whose lengths run 1..n - k.
+    EXPECT_EQ(padding, pipeline_streams(c) ? ref.capacity() - ref.words() * c.rs_n
+                                           : triangular_number(c.rs_n - c.rs_k))
+        << describe(c);
+  }
+}
+
+TEST(PipelineCursor, RisingSubsetsAcrossFramesAndBackwardSteps) {
+  // One cursor serves a whole run: each frame's events rise, the next
+  // frame starts behind the last event, and any position behind the
+  // cursor restarts it. Sparse, dense and fade-like runs of consecutive
+  // positions, over four frames per geometry.
+  Rng rng(20240417);
+  for (const PipelineConfig& c : cursor_geometries()) {
+    const InverseWords ref(c);
+    WireCursor cursor(c);
+    const std::uint64_t capacity = ref.capacity();
+    std::uint64_t checked = 0;
+    std::uint64_t mismatches = 0;
+    const auto check = [&](std::uint64_t p) {
+      ++checked;
+      const std::uint64_t want = ref.word_of(p);
+      const std::uint64_t got = cursor.word_of(p);
+      if (got != want && mismatches++ == 0) {
+        ADD_FAILURE() << describe(c) << ": position " << p << " maps to word " << got
+                      << ", the inverse says " << want;
+      }
+    };
+    for (int frame = 0; frame < 4; ++frame) {
+      const std::uint64_t mean_gap = std::uint64_t{1} << rng.uniform(12);
+      std::uint64_t last = 0;
+      for (std::uint64_t p = rng.uniform(mean_gap); p < capacity;
+           p += 1 + rng.uniform(2 * mean_gap)) {
+        // A fade: a run of consecutive positions.
+        const std::uint64_t run = rng.bernoulli(0.2) ? 1 + rng.uniform(300) : 1;
+        for (std::uint64_t r = 0; r < run && p < capacity; ++r, ++p) check(p);
+        last = p - 1;
+      }
+      // A step back inside the frame, then forward again.
+      const std::uint64_t back = rng.uniform(last + 1);
+      check(back);
+      for (std::uint64_t p = back; p < capacity && p < back + 50; ++p) check(p);
+    }
+    EXPECT_EQ(mismatches, 0u) << describe(c);
+    EXPECT_GT(checked, 4u) << describe(c);
+  }
+}
+
+TEST(PipelineCursor, RecordsDoNotDependOnEventOrder) {
+  // FixedEventsChannel emits its events in the order given, so the same
+  // events sorted and reversed must give the same record.
+  for (const char* kind : {"none", "triangular", "block", "two-stage"}) {
+    for (const std::uint64_t side : {std::uint64_t{0}, std::uint64_t{300}}) {
+      PipelineConfig c;
+      c.interleaver = kind;
+      c.side = side;
+      c.symbols_per_burst = 8;
+      c.frames = 3;
+      c.run_dram = false;
+      const std::uint64_t capacity = WireCursor(c).capacity();
+      Rng rng(7);
+      std::vector<source::Corruption> events;
+      for (std::uint64_t p = rng.uniform(400); p < c.frames * capacity;
+           p += 1 + rng.uniform(400)) {
+        const std::uint64_t run = rng.bernoulli(0.1) ? 1 + rng.uniform(200) : 1;
+        for (std::uint64_t r = 0; r < run && p < c.frames * capacity; ++r, ++p) {
+          events.push_back({p, 1});
+        }
+      }
+      source::ErrorSource sorted(std::make_unique<channel::FixedEventsChannel>(events), 0);
+      std::reverse(events.begin(), events.end());
+      source::ErrorSource reversed(std::make_unique<channel::FixedEventsChannel>(events),
+                                   0);
+      const PipelineResult a = run_frames(c, &sorted);
+      const PipelineResult b = run_frames(c, &reversed);
+      const std::string what = describe(c);
+      EXPECT_EQ(a.channel_symbol_errors, events.size()) << what;
+      EXPECT_EQ(b.channel_symbol_errors, events.size()) << what;
+      EXPECT_EQ(a.word_errors, b.word_errors) << what;
+      EXPECT_EQ(a.frame_errors, b.frame_errors) << what;
+      EXPECT_EQ(a.corrected_symbols, b.corrected_symbols) << what;
+      EXPECT_GT(a.corrected_symbols + a.word_errors, 0u) << what;
+    }
+  }
+}
+
+TEST(PipelineCursor, RefusesWhatNoFrameCanHold) {
+  const auto expect_refused = [](const PipelineConfig& c, const std::string& text) {
+    try {
+      WireCursor cursor(c);
+      ADD_FAILURE() << describe(c) << " accepted; expected " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), text);
+    }
+  };
+  expect_refused(cursor_config("helical", 0, 255, 223),
+                 "pipeline: unknown interleaver 'helical'");
+  expect_refused(cursor_config("two-stage", 64, 255, 223, 0),
+                 "pipeline: symbols_per_burst must be > 0");
+  // T(10) = 55 symbols, T(2) bursts of 8 = 24 symbols: under one word.
+  expect_refused(cursor_config("triangular", 10, 255, 223),
+                 "pipeline: side too small for one RS code word");
+  expect_refused(cursor_config("two-stage", 2, 255, 223, 8),
+                 "pipeline: side too small for one RS code word");
+  // T(2^33) symbols, and T(2^31) bursts of 2^10 symbols, pass 2^64.
+  expect_refused(cursor_config("none", std::uint64_t{1} << 33, 255, 223),
+                 "pipeline: side too large");
+  expect_refused(cursor_config("two-stage", std::uint64_t{1} << 31, 255, 223, 1024),
+                 "pipeline: side too large");
 }
 
 // ---------------------------------------------------------------------------
