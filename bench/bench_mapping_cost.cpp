@@ -3,22 +3,23 @@
 /// "only consist of additions, logical shifts and bitwise operations,
 /// which enables a hardware implementation with low complexity."
 ///
-/// Software proxy for that claim: google-benchmark timing of the address
-/// computation itself. The optimized mapping must stay within a small
-/// factor of the trivial row-major linearization (a few ns per address),
-/// i.e. nothing in it needs division trees, tables or iteration.
+/// Software proxy for that claim: the host time per map() call over the
+/// triangle's write-phase walk, the walk's own index steps included. The
+/// optimized mapping must stay within a small factor of the trivial
+/// row-major linearization, i.e. nothing in it needs division trees,
+/// tables or iteration.
 ///
-/// `--json FILE` bypasses google-benchmark and times the same cases with
-/// the in-process perf counters, emitting the shared bench JSON schema
-/// (config + records + perf) for bench_compare / the bench-trend CI step.
-/// All other arguments go to google-benchmark as usual.
-#include <benchmark/benchmark.h>
-
+/// Usage: bench_mapping_cost [--json FILE]
+///
+/// `--json FILE` also writes the cases in the shared bench JSON schema
+/// (config + records + perf).
 #include <chrono>
 #include <cstdio>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/json.hpp"
+#include "common/table.hpp"
 #include "dram/standards.hpp"
 #include "mapping/factory.hpp"
 #include "perf/counters.hpp"
@@ -28,88 +29,12 @@ namespace {
 using tbi::dram::find_config;
 
 constexpr std::uint64_t kSide = 383;  // paper geometry on 64 B bursts
+constexpr std::uint64_t kIters = 2'000'000;
 
-void BM_RowMajorMapping(benchmark::State& state) {
-  const auto& dev = *find_config("DDR4-3200");
-  const auto m = tbi::mapping::make_mapping("row-major", dev, kSide);
-  std::uint64_t i = 0, j = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m->map(i, j));
-    j = (j + 1) % (kSide - i);
-    if (j == 0) i = (i + 1) % kSide;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RowMajorMapping);
+volatile std::uint64_t g_sink = 0;  ///< keeps the timing loops honest
 
-void BM_OptimizedMapping(benchmark::State& state) {
-  const auto& dev = *find_config("DDR4-3200");
-  const auto m = tbi::mapping::make_mapping("optimized", dev, kSide);
-  std::uint64_t i = 0, j = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m->map(i, j));
-    j = (j + 1) % (kSide - i);
-    if (j == 0) i = (i + 1) % kSide;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_OptimizedMapping);
-
-void BM_OptimizedMappingAllDevices(benchmark::State& state) {
-  const auto& dev = tbi::dram::standard_configs()[static_cast<std::size_t>(
-      state.range(0))];
-  const auto m = tbi::mapping::make_mapping("optimized", dev, kSide);
-  std::uint64_t i = 0, j = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m->map(i, j));
-    j = (j + 1) % (kSide - i);
-    if (j == 0) i = (i + 1) % kSide;
-  }
-  state.SetLabel(dev.name);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_OptimizedMappingAllDevices)->DenseRange(0, 9);
-
-void BM_OptimizedAblationVariants(benchmark::State& state) {
-  static const char* kSpecs[] = {"optimized/none", "optimized/diag",
-                                 "optimized/tile", "optimized/diag+tile",
-                                 "optimized"};
-  const char* spec = kSpecs[state.range(0)];
-  const auto& dev = *find_config("DDR4-3200");
-  const auto m = tbi::mapping::make_mapping(spec, dev, kSide);
-  std::uint64_t i = 0, j = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m->map(i, j));
-    j = (j + 1) % (kSide - i);
-    if (j == 0) i = (i + 1) % kSide;
-  }
-  state.SetLabel(spec);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_OptimizedAblationVariants)->DenseRange(0, 4);
-
-void BM_FullPhaseAddressGeneration(benchmark::State& state) {
-  // Amortized cost of generating a complete write-phase address stream —
-  // what a streaming hardware block would have to sustain per burst.
-  const auto& dev = *find_config("LPDDR5-8533");
-  const auto m = tbi::mapping::make_mapping("optimized", dev, 541);
-  for (auto _ : state) {
-    std::uint64_t acc = 0;
-    for (std::uint64_t i = 0; i < 541; ++i) {
-      for (std::uint64_t j = 0; j < 541 - i; ++j) {
-        const auto a = m->map(i, j);
-        acc += a.bank + a.row + a.column;
-      }
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * 146'611);
-}
-BENCHMARK(BM_FullPhaseAddressGeneration);
-
-volatile std::uint64_t g_sink = 0;  ///< keeps the --json timing loops honest
-
-/// ns per map() over the same triangular walk the benchmark cases use.
+/// ns per map() over \p iters steps of the write-phase walk of a side
+/// \p side triangle (row by row, wrapping at the end).
 double time_mapping_ns(const char* spec, const tbi::dram::DeviceConfig& dev,
                        std::uint64_t side, std::uint64_t iters) {
   const auto m = tbi::mapping::make_mapping(spec, dev, side);
@@ -126,61 +51,76 @@ double time_mapping_ns(const char* spec, const tbi::dram::DeviceConfig& dev,
   return static_cast<double>(ns) / static_cast<double>(iters);
 }
 
-int run_json(const char* path) {
-  constexpr std::uint64_t kIters = 2'000'000;
+}  // namespace
+
+int main(int argc, char** argv) {
+  tbi::CliParser cli("bench_mapping_cost", "address-mapping cost (paper §II)");
+  cli.add_option("json", "file", "write config + wall time + cases as JSON");
+  if (!cli.parse(argc, argv)) {
+    std::fprintf(stderr, "error: %s\n%s", cli.error().c_str(), cli.usage().c_str());
+    return 1;
+  }
+  if (cli.has("help")) {
+    std::fputs(cli.usage().c_str(), stdout);
+    return 0;
+  }
   const auto& ddr4 = *find_config("DDR4-3200");
 
+  tbi::TextTable t("Address-mapping cost (host ns per map() call)");
+  t.set_header({"Case", "Device", "Mapping", "Side", "ns/address"});
   const auto wall_start = std::chrono::steady_clock::now();
   tbi::Json::Array rows;
-  const auto add_row = [&rows](const std::string& label, const char* spec,
-                               const tbi::dram::DeviceConfig& dev,
-                               std::uint64_t iters) {
+  const auto add_row = [&](const std::string& label, const char* spec,
+                           const tbi::dram::DeviceConfig& dev, std::uint64_t side,
+                           std::uint64_t iters) {
+    time_mapping_ns(spec, dev, side, iters / 4);  // warm-up, untimed
+    const double ns = time_mapping_ns(spec, dev, side, iters);
+    t.add_row({label, dev.name, spec, std::to_string(side), tbi::TextTable::num(ns)});
     tbi::Json row;
     row["case"] = label;
     row["device"] = dev.name;
     row["mapping"] = spec;
-    time_mapping_ns(spec, dev, kSide, iters / 4);  // warm-up, untimed
-    row["map_ns"] = time_mapping_ns(spec, dev, kSide, iters);
+    row["side"] = side;
+    row["map_ns"] = ns;
     rows.push_back(row);
   };
-  add_row("row-major", "row-major", ddr4, kIters);
-  add_row("optimized", "optimized", ddr4, kIters);
+  add_row("row-major", "row-major", ddr4, kSide, kIters);
+  add_row("optimized", "optimized", ddr4, kSide, kIters);
   for (const char* spec : {"optimized/none", "optimized/diag", "optimized/tile",
                            "optimized/diag+tile"}) {
-    add_row(std::string("ablation:") + spec, spec, ddr4, kIters);
+    add_row(std::string("ablation:") + spec, spec, ddr4, kSide, kIters);
   }
   for (const auto& dev : tbi::dram::standard_configs()) {
-    add_row(std::string("device:") + dev.name, "optimized", dev, kIters / 4);
+    add_row(std::string("device:") + dev.name, "optimized", dev, kSide, kIters / 4);
   }
+  // Whole write phases of LPDDR5-8533's paper triangle, side 541 (146,611
+  // addresses), walked four times: what a streaming hardware block would
+  // have to sustain per burst.
+  constexpr std::uint64_t kFullSide = 541;
+  add_row("full-phase", "optimized", *find_config("LPDDR5-8533"), kFullSide,
+          4 * (kFullSide * (kFullSide + 1) / 2));
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
           .count();
 
-  tbi::Json doc;
-  doc["bench"] = "bench_mapping_cost";
-  tbi::Json config;
-  config["side"] = kSide;
-  config["iterations"] = kIters;
-  doc["config"] = config;
-  doc["wall_seconds"] = wall_seconds;
-  doc["records"] = rows;
-  tbi::Json perf;
-  perf["process_allocations"] = tbi::perf::process_alloc_count();
-  doc["perf"] = perf;
-  return tbi::Json::write_file(path, doc) ? 0 : 1;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) return run_json(argv[i + 1]);
-    if (arg.rfind("--json=", 0) == 0) return run_json(argv[i] + 7);
+  if (cli.has("json")) {
+    tbi::Json doc;
+    doc["bench"] = "bench_mapping_cost";
+    tbi::Json config;
+    config["side"] = kSide;
+    config["iterations"] = kIters;
+    doc["config"] = config;
+    doc["wall_seconds"] = wall_seconds;
+    doc["records"] = rows;
+    tbi::Json perf;
+    perf["process_allocations"] = tbi::perf::process_alloc_count();
+    doc["perf"] = perf;
+    if (!tbi::Json::write_file(cli.get("json", ""), doc)) return 1;
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+
+  std::fputs(t.render().c_str(), stdout);
+  std::puts(
+      "\nExpected shape: every optimized case within a small factor of\n"
+      "row-major.");
   return 0;
 }

@@ -7,7 +7,11 @@
 /// to float round-off). Host-timing fields (`*_seconds`, `*_ns`,
 /// `*_per_second`, `ns_per_pick`) are machine-dependent and only checked
 /// with a loose one-sided percentage band: getting faster never fails,
-/// regressing past the band does. Byte-size fields get their own
+/// regressing past the band does. Host timing inside an array element (a
+/// record's `host_ns`, `sched_ns_per_pick`, ...) counts as ignored: a
+/// sub-millisecond cell swings several-fold with scheduler noise, so only
+/// the document's own wall time and rates are banded, and records are
+/// gated on their counts. Byte-size fields get their own
 /// (tighter) one-sided band, and a few fields that legitimately vary run
 /// to run (`threads`, `process_allocations`, `generated_*`) are ignored.
 /// Structural drift — missing keys, extra keys, record-count changes —

@@ -1,6 +1,7 @@
 #include "sim/pipeline.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "channel/bsc.hpp"
@@ -100,7 +101,6 @@ std::optional<RunConfig> dram_run_config(const PipelineConfig& config) {
                                                    kChannelSymbolBits,
                                                    config.device.burst_bytes);
   rc.max_bursts_per_phase = config.dram_max_bursts_per_phase;
-  rc.check_protocol = config.check_protocol;
   return rc;
 }
 
@@ -314,48 +314,45 @@ void check_fer_cells(const std::vector<Scenario>& cells, const PipelineConfig& b
   }
 }
 
-FerCells::FerCells(const SweepGrid& grid, const PipelineConfig& base)
-    : base_(base), cells_(grid.expand()) {
-  check_fer_cells(cells_, base_);
-  slot_of_.reserve(cells_.size());
-  for (const Scenario& cell : cells_) {
-    // The seed never reaches the DRAM stage.
-    const auto key = dram_run_config(fer_cell_config(base_, cell, base_.seed));
-    DramSlot* slot = nullptr;
-    if (key) {
-      const auto same = std::find_if(slots_.begin(), slots_.end(),
-                                     [&](const DramSlot& s) { return s.key == *key; });
-      if (same != slots_.end()) {
-        slot = &*same;
-      } else {
-        slot = &slots_.emplace_back();
-        slot->key = *key;
-      }
-    }
-    slot_of_.push_back(slot);
-  }
-}
-
-FerRecord FerCells::run(std::uint64_t index, std::uint64_t seed) {
-  FerRecord record;
-  record.scenario = cells_[index];
-  record.config = fer_cell_config(base_, record.scenario, seed);
-  record.result = run_frames(record.config, make_source(record.config).get());
-  if (DramSlot* slot = slot_of_[index]) {
-    // Cells of one key wait here for the first one's run, not run it again.
-    std::lock_guard<std::mutex> lock(slot->mutex);
-    if (!slot->run) slot->run = run_interleaver(slot->key);
-    attach_dram(record.result, *slot->run, slot->key.device);
-  }
-  return record;
-}
-
 std::vector<FerRecord> run_fer_sweep(const SweepGrid& grid, const FerSweepOptions& options) {
-  FerCells cells(grid, options.base);
-  return sweep_map(cells.size(), options.sweep,
-                   [&](std::uint64_t index, std::uint64_t seed) {
-                     return cells.run(index, seed);
-                   });
+  const PipelineConfig& base = options.base;
+  const std::vector<Scenario> cells = grid.expand();
+  check_fer_cells(cells, base);
+
+  // Each cell's index into the distinct DRAM inputs, kNoDram without a
+  // DRAM stage. The seed never reaches the DRAM stage.
+  constexpr std::size_t kNoDram = SIZE_MAX;
+  std::vector<RunConfig> inputs;
+  std::vector<std::size_t> input_of;
+  input_of.reserve(cells.size());
+  for (const Scenario& cell : cells) {
+    const auto rc = dram_run_config(fer_cell_config(base, cell, base.seed));
+    std::size_t input = kNoDram;
+    if (rc) {
+      input = static_cast<std::size_t>(std::find(inputs.begin(), inputs.end(), *rc) -
+                                       inputs.begin());
+      if (input == inputs.size()) inputs.push_back(*rc);
+    }
+    input_of.push_back(input);
+  }
+
+  SweepOptions dram_pass = options.sweep;
+  dram_pass.progress = nullptr;  // progress counts cells
+  const std::vector<InterleaverRun> runs =
+      sweep_map(inputs.size(), dram_pass, [&](std::uint64_t input, std::uint64_t) {
+        return run_interleaver(inputs[input]);
+      });
+
+  return sweep_map(cells.size(), options.sweep, [&](std::uint64_t index, std::uint64_t seed) {
+    FerRecord record;
+    record.scenario = cells[index];
+    record.config = fer_cell_config(base, record.scenario, seed);
+    record.result = run_frames(record.config, make_source(record.config).get());
+    if (const std::size_t input = input_of[index]; input != kNoDram) {
+      attach_dram(record.result, runs[input], inputs[input].device);
+    }
+    return record;
+  });
 }
 
 Json fer_record(const Scenario& scenario, const PipelineResult& result) {

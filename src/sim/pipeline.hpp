@@ -36,10 +36,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,7 +89,6 @@ struct PipelineConfig {
   dram::DeviceConfig device;        ///< required when run_dram is set
   std::string mapping_spec = "optimized";
   std::uint64_t dram_max_bursts_per_phase = 20000;  ///< 0 = full triangle
-  bool check_protocol = false;
 };
 
 struct PipelineResult {
@@ -162,7 +158,7 @@ bool dram_resident_interleaver(const std::string& kind);
 /// The exact per-cell PipelineConfig a FER sweep runs for \p scenario:
 /// \p base with the scenario axes (its device looked up by name), the
 /// per-cell \p seed, and run_dram narrowed to DRAM-resident interleavers.
-/// FerCells builds every record's config with it, and run_pipeline on
+/// run_fer_sweep builds every record's config with it, and run_pipeline on
 /// that config alone reproduces the record (the DRAM stage's host timing
 /// aside). Throws std::invalid_argument for an unknown scenario device.
 PipelineConfig fer_cell_config(const PipelineConfig& base, const Scenario& scenario,
@@ -171,9 +167,8 @@ PipelineConfig fer_cell_config(const PipelineConfig& base, const Scenario& scena
 /// Reject a FER grid before any of its cells runs: every cell must name
 /// a valid RS(base.rs_n, k) code, a known device, interleaver and channel,
 /// a frame that holds a code word (WireCursor), and a known mapping when
-/// it runs the DRAM stage. FerCells calls it
-/// first, so run_fer_sweep rejects a bad grid before its first cell.
-/// Throws std::invalid_argument.
+/// it runs the DRAM stage. run_fer_sweep calls it first, so a bad grid is
+/// rejected before its first cell. Throws std::invalid_argument.
 void check_fer_cells(const std::vector<Scenario>& cells, const PipelineConfig& base);
 
 /// Which code word of a frame carries the symbol at each wire position,
@@ -303,7 +298,8 @@ PipelineResult run_frames(const PipelineConfig& config, source::ErrorSource* sou
 /// Simulate \p config.frames triangular blocks end to end: run_frames on
 /// make_source(config) and, when configured, the DRAM phases of the
 /// DRAM-resident interleaver ("triangular" or "two-stage"). It always runs
-/// its own DRAM stage; only a FER sweep (FerCells) shares one among cells.
+/// its own DRAM stage; only a FER sweep (run_fer_sweep) shares one among
+/// cells.
 PipelineResult run_pipeline(const PipelineConfig& config);
 
 /// As above, but with a caller-provided codec, whose rs.n()/rs.k() must
@@ -326,7 +322,7 @@ struct FerSweepOptions {
   /// is never read; the seed is replaced by the deterministic per-job
   /// seed, and run_dram is narrowed to the cells whose interleaver is
   /// DRAM-resident. The sweep runs each distinct DRAM stage once (see
-  /// FerCells).
+  /// run_fer_sweep).
   PipelineConfig base;
 };
 
@@ -336,47 +332,20 @@ struct FerRecord {
   PipelineResult result;
 };
 
-/// The cells of one FER sweep and the cell body run_fer_sweep runs.
+/// Run the full pipeline for every cell of the grid; records are
+/// index-ordered and independent of the thread count.
 ///
-/// A cell's DRAM stage has no random input: it is run_interleaver on the
-/// RunConfig built from the cell's device, mapping, burst-triangle side,
-/// burst cap and protocol check, never from its channel, code rate or
-/// seed. The sweep keeps one slot per distinct RunConfig, compared on
-/// every field (device timing and energy included), not by device name.
-/// The first cell that needs a slot runs the stage after its frame loop,
-/// under the slot's own lock; later cells copy the stored run. So every
-/// record equals run_pipeline(record.config) except for the DRAM phases'
-/// host_ns: cells sharing a run report its dram_sched_ns_per_pick.
-class FerCells {
- public:
-  /// Expand \p grid and check it (check_fer_cells). Throws
-  /// std::invalid_argument.
-  FerCells(const SweepGrid& grid, const PipelineConfig& base);
-  FerCells(const FerCells&) = delete;
-  FerCells& operator=(const FerCells&) = delete;
-
-  std::uint64_t size() const { return cells_.size(); }
-
-  /// Run cell \p index on the config fer_cell_config builds with \p seed.
-  /// Safe to call from several threads at once.
-  FerRecord run(std::uint64_t index, std::uint64_t seed);
-
- private:
-  struct DramSlot {
-    RunConfig key;
-    std::mutex mutex;
-    std::optional<InterleaverRun> run;  ///< guarded by mutex
-  };
-
-  PipelineConfig base_;
-  std::vector<Scenario> cells_;
-  std::deque<DramSlot> slots_;  ///< a deque never moves a slot's mutex
-  std::vector<DramSlot*> slot_of_;  ///< per cell; nullptr without DRAM stage
-};
-
-/// Run the full pipeline for every cell of the grid in parallel; records
-/// are index-ordered and independent of the thread count. Cells with the
-/// same DRAM input share one run of it (FerCells).
+/// The grid is checked first (check_fer_cells). A cell's DRAM stage has
+/// no random input: it is run_interleaver on the RunConfig built from the
+/// cell's device, mapping, burst-triangle side and burst cap, never from
+/// its channel, code rate or seed. So the sweep collects the distinct
+/// RunConfigs, compared on every field (device timing and energy
+/// included), not by device name, and runs in two sweep_map passes: one
+/// run_interleaver per distinct input, then every cell's frame loop, with
+/// its input's run attached. Every record equals
+/// run_pipeline(record.config) except for the DRAM phases' host_ns:
+/// cells sharing a run report its dram_sched_ns_per_pick. The progress
+/// callback counts cells only.
 std::vector<FerRecord> run_fer_sweep(const SweepGrid& grid, const FerSweepOptions& options);
 
 /// The one FER row: bench_fer's output record for one cell, host timing

@@ -24,85 +24,11 @@ std::uint64_t job_seed(std::uint64_t base_seed, std::uint64_t index) {
   return splitmix64(splitmix64(base_seed) ^ index);
 }
 
-unsigned resolve_threads(unsigned requested) {
-  // Hard cap: protects against nonsense like "--threads -1" wrapping to
-  // 4.3 billion through an unsigned cast and aborting in thread spawn.
-  constexpr unsigned kMaxThreads = 256;
-  if (requested == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    requested = hw != 0 ? hw : 1;
-  }
-  return std::min(requested, kMaxThreads);
-}
-
 unsigned effective_threads(unsigned requested, std::uint64_t jobs) {
-  const std::uint64_t resolved = resolve_threads(requested);
-  return static_cast<unsigned>(std::max<std::uint64_t>(1, std::min(resolved, jobs)));
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    throw std::invalid_argument("ThreadPool: need at least one thread");
-  }
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(job));
-    ++in_flight_;
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_) {
-    auto err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    try {
-      job();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) idle_cv_.notify_all();
-    }
-  }
+  constexpr unsigned kMaxThreads = 256;
+  if (requested == 0) requested = std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<unsigned>(
+      std::clamp<std::uint64_t>(jobs, 1, std::min(requested, kMaxThreads)));
 }
 
 // ---------------------------------------------------------------------------

@@ -4,16 +4,15 @@
 /// Every paper artifact (Table I, the ablation, the dimension sweep) and
 /// every future scaling experiment is a cartesian grid of scenarios —
 /// device × mapping × interleaver × channel × code rate — whose cells are
-/// independent simulations. The engine shards such a grid over a fixed
-/// thread pool, seeds every job deterministically from (base_seed, job
-/// index), and collects results *by index*, so the record vector is
-/// byte-identical for any thread count (tested property).
+/// independent simulations. The engine runs such a grid's cells on plain
+/// threads that claim them one index at a time, seeds every job
+/// deterministically from (base_seed, job index), and collects results
+/// *by index*, so the record vector is byte-identical for any thread count
+/// (tested property).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -31,64 +30,35 @@ namespace tbi::sim {
 /// indices under one base seed).
 std::uint64_t job_seed(std::uint64_t base_seed, std::uint64_t index);
 
-/// Resolve a requested worker count: 0 means "all hardware threads".
-unsigned resolve_threads(unsigned requested);
-
-/// Worker threads a sweep over \p jobs jobs should actually spawn: the
-/// resolved request clamped to the job count (spawning idle workers for a
-/// 3-cell grid on a 128-core box is pure overhead), and never less than 1
-/// so callers can hand the result straight to ThreadPool.
+/// Threads a sweep over \p jobs jobs should run on, the calling thread
+/// included: \p requested (0 means all hardware threads, and at most 256,
+/// so a "--threads -1" that wrapped through an unsigned cast cannot ask
+/// for billions) clamped to the job count, since idle threads for a
+/// 3-cell grid are pure overhead, and never less than 1.
 unsigned effective_threads(unsigned requested, std::uint64_t jobs);
-
-/// Fixed-size worker pool. Jobs are plain closures; wait_idle() blocks
-/// until every submitted job has finished. Exceptions thrown by jobs are
-/// captured and the first one is rethrown from wait_idle().
-class ThreadPool {
- public:
-  explicit ThreadPool(unsigned threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  unsigned thread_count() const { return static_cast<unsigned>(workers_.size()); }
-
-  void submit(std::function<void()> job);
-  void wait_idle();
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
-  std::uint64_t in_flight_ = 0;
-  bool stop_ = false;
-  std::exception_ptr first_error_;
-};
 
 /// Progress snapshot delivered after every finished job (serialized; the
 /// callback never runs concurrently with itself).
 struct SweepProgress {
   std::uint64_t completed = 0;
   std::uint64_t total = 0;
-  double fraction() const {
-    return total ? static_cast<double>(completed) / static_cast<double>(total) : 1.0;
-  }
 };
 
 struct SweepOptions {
-  unsigned threads = 0;          ///< worker threads; 0 = hardware concurrency
+  unsigned threads = 0;          ///< threads to run on; 0 = hardware concurrency
   std::uint64_t base_seed = 1;   ///< root of the per-job seed derivation
   std::function<void(const SweepProgress&)> progress;  ///< optional
 };
 
-/// Map \p fn over [0, count) on a thread pool; fn(index, seed) runs once
-/// per index with seed = job_seed(base_seed, index). Results are stored at
-/// their index, so the output is independent of the thread count and of
-/// job completion order. The result type must be default-constructible.
+/// Map \p fn over [0, count); fn(index, seed) runs once per index with
+/// seed = job_seed(base_seed, index). The calling thread and
+/// effective_threads(threads, count) - 1 helper threads each claim the
+/// next index from one counter, so one thread runs every job on the
+/// calling thread. Results are stored at their index, so the output is
+/// independent of the thread count and of job completion order. The
+/// first job that throws stops further claims; its exception is rethrown
+/// once the helpers are joined. The result type must be
+/// default-constructible.
 template <typename Fn>
 auto sweep_map(std::uint64_t count, const SweepOptions& options, Fn&& fn)
     -> std::vector<decltype(fn(std::uint64_t{}, std::uint64_t{}))> {
@@ -97,23 +67,32 @@ auto sweep_map(std::uint64_t count, const SweepOptions& options, Fn&& fn)
                 "sweep_map: concurrent writes to std::vector<bool> race on "
                 "packed bits; return an int or a struct instead");
   std::vector<Result> results(count);
-  // An empty grid (an empty axis) must not spin up a pool just to tear
-  // it down — and ThreadPool itself rejects 0 threads.
-  if (count == 0) return results;
-  ThreadPool pool(effective_threads(options.threads, count));
-
-  std::mutex progress_mutex;
+  std::atomic<std::uint64_t> next{0};
+  std::mutex mutex;  // guards completed, first_error and the progress callback
   std::uint64_t completed = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    pool.submit([&, i] {
-      results[i] = fn(i, job_seed(options.base_seed, i));
-      if (options.progress) {
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        options.progress(SweepProgress{++completed, count});
+  std::exception_ptr first_error;
+  const auto claim_jobs = [&] {
+    for (std::uint64_t i; (i = next++) < count;) {
+      try {
+        results[i] = fn(i, job_seed(options.base_seed, i));
+        if (options.progress) {
+          std::lock_guard<std::mutex> lock(mutex);
+          options.progress(SweepProgress{++completed, count});
+        }
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (!first_error) first_error = std::current_exception();
+        next = count;
+        return;
       }
-    });
-  }
-  pool.wait_idle();
+    }
+  };
+  {
+    std::vector<std::jthread> helpers(effective_threads(options.threads, count) - 1);
+    for (auto& helper : helpers) helper = std::jthread(claim_jobs);
+    claim_jobs();
+  }  // joins the helpers
+  if (first_error) std::rethrow_exception(first_error);
   return results;
 }
 

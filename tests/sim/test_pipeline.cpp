@@ -59,6 +59,20 @@ void expect_same_phase(const dram::PhaseStats& a, const dram::PhaseStats& b,
   EXPECT_EQ(a.busy, b.busy) << what;
 }
 
+/// The DRAM stage of \p r re-run with the JEDEC protocol checker attached
+/// (run_interleaver throws on a violation): side 32 on DDR4-3200, the
+/// optimized mapping, full phases. Its counters must equal the record's.
+void expect_protocol_clean_side32(const PipelineResult& r) {
+  RunConfig checked;
+  checked.device = *dram::find_config("DDR4-3200");
+  checked.side = 32;
+  checked.check_protocol = true;
+  const InterleaverRun clean = run_interleaver(checked);
+  ASSERT_TRUE(r.dram_ran);
+  expect_same_phase(r.dram.write.stats, clean.write.stats, "checked write");
+  expect_same_phase(r.dram.read.stats, clean.read.stats, "checked read");
+}
+
 /// Every DRAM counter of two pipeline results.
 void expect_same_dram(const PipelineResult& a, const PipelineResult& b,
                       const std::string& what) {
@@ -197,10 +211,10 @@ TEST(Pipeline, DramStageReportsFeasibility) {
   c.run_dram = true;
   c.device = *dram::find_config("DDR4-3200");
   c.dram_max_bursts_per_phase = 0;  // full (small) triangle
-  c.check_protocol = true;
   const auto r = run_pipeline(c);
   ASSERT_TRUE(r.dram_ran);
   // One 32640-byte triangular block = 510 bursts of 64 B -> side 32.
+  expect_protocol_clean_side32(r);
   EXPECT_EQ(r.dram.write.stats.bursts, r.dram.read.stats.bursts);
   EXPECT_GT(r.dram.write.stats.bursts, 500u);
   EXPECT_GT(r.dram_throughput_gbps, 0.0);
@@ -235,8 +249,8 @@ TEST(Pipeline, TwoStageGoldenDramCounters) {
   c.run_dram = true;
   c.device = *dram::find_config("DDR4-3200");
   c.dram_max_bursts_per_phase = 0;  // full (small) burst triangle
-  c.check_protocol = true;
   const auto r = run_pipeline(c);
+  expect_protocol_clean_side32(r);
 
   EXPECT_EQ(r.frame_symbols, 528u * 8u);
   EXPECT_EQ(r.code_words, 16u);  // floor(4224 / 255) full words per frame
@@ -468,8 +482,7 @@ TEST(FerSweep, GridRecordsMatchScenarios) {
 TEST(FerSweep, DeterministicAcrossThreadCounts) {
   // Covers the full interleaver axis including "two-stage": records must
   // be identical for any thread count. The 12 DRAM-resident cells share
-  // two DRAM inputs, so on 4 threads several cells wait on one input's
-  // run.
+  // two DRAM inputs.
   SweepGrid grid;
   grid.devices = {"DDR4-3200"};
   grid.interleavers = {"none", "triangular", "block", "two-stage"};

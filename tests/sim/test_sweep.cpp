@@ -4,9 +4,9 @@
 
 #include "sim/experiments.hpp"
 
-#include <atomic>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 namespace tbi::sim {
 namespace {
@@ -19,45 +19,6 @@ TEST(JobSeed, DeterministicAndCollisionFree) {
     EXPECT_TRUE(seen.insert(s).second) << "seed collision at index " << i;
   }
   EXPECT_NE(job_seed(1, 0), job_seed(2, 0));
-}
-
-TEST(ResolveThreads, ClampsNonsenseRequests) {
-  EXPECT_GE(resolve_threads(0), 1u);           // "all cores" never yields zero
-  EXPECT_EQ(resolve_threads(4), 4u);
-  // A CLI "--threads -1" wraps to UINT_MAX through the unsigned cast; the
-  // resolver must clamp instead of letting the pool abort in thread spawn.
-  EXPECT_LE(resolve_threads(0xFFFFFFFFu), 256u);
-}
-
-TEST(ThreadPool, RunsAllJobs) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleRethrowsJobException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-}
-
-TEST(ThreadPool, JobExceptionPropagatesExactlyOnceAndPoolStaysUsable) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The captured error must not resurface on the next drain...
-  EXPECT_NO_THROW(pool.wait_idle());
-  // ...and the workers must still run jobs after rethrowing.
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  EXPECT_NO_THROW(pool.wait_idle());
-  EXPECT_EQ(count.load(), 50);
 }
 
 TEST(SweepMap, ThrowingJobPropagatesAndNextSweepWorks) {
@@ -74,16 +35,6 @@ TEST(SweepMap, ThrowingJobPropagatesAndNextSweepWorks) {
   });
   ASSERT_EQ(out.size(), 16u);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i + 1);
-}
-
-TEST(ThreadPool, ReusableAfterWait) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
 }
 
 TEST(SweepMap, ResultsAreIndexOrdered) {
@@ -251,11 +202,20 @@ TEST(BandwidthSweep, UnknownDeviceThrows) {
   EXPECT_THROW(run_bandwidth_sweep(grid, quick_sweep(2)), std::invalid_argument);
 }
 
+// Resolving a requested thread count, with more jobs than any cap so only
+// the request decides.
+TEST(ResolveThreads, ClampsNonsenseRequests) {
+  EXPECT_GE(effective_threads(0, 1000), 1u);  // "all cores" never yields zero
+  EXPECT_EQ(effective_threads(4, 1000), 4u);
+  // A CLI "--threads -1" wraps to UINT_MAX through the unsigned cast; it
+  // must be clamped, not spawn billions of threads.
+  EXPECT_EQ(effective_threads(0xFFFFFFFFu, 1000), 256u);
+}
+
 TEST(EffectiveThreads, ClampsToJobCountAndNeverZero) {
   EXPECT_EQ(effective_threads(8, 3), 3u);   // never spawn idle workers
   EXPECT_EQ(effective_threads(2, 100), 2u);
-  EXPECT_EQ(effective_threads(1, 0), 1u);   // ThreadPool rejects 0 threads
-  EXPECT_GE(effective_threads(0, 1000), 1u);
+  EXPECT_EQ(effective_threads(1, 0), 1u);   // the calling thread always runs
   EXPECT_LE(effective_threads(0, 2), 2u);
 }
 
@@ -269,6 +229,30 @@ TEST(SweepMap, EmptyGridReturnsWithoutSpawningAPool) {
   });
   EXPECT_TRUE(results.empty());
   EXPECT_FALSE(ran);
+}
+
+TEST(SweepMap, OneThreadRunsOnTheCallingThread) {
+  SweepOptions options;
+  options.threads = 1;
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto ids = sweep_map(5, options, [](std::uint64_t, std::uint64_t) {
+    return std::this_thread::get_id();
+  });
+  for (const auto& id : ids) EXPECT_EQ(id, caller);
+}
+
+TEST(SweepMap, AFailedJobStopsFurtherClaims) {
+  SweepOptions options;
+  options.threads = 1;
+  std::uint64_t started = 0;
+  EXPECT_THROW(sweep_map(100, options,
+                         [&](std::uint64_t i, std::uint64_t) -> int {
+                           ++started;
+                           if (i == 3) throw std::runtime_error("cell failed");
+                           return 0;
+                         }),
+               std::runtime_error);
+  EXPECT_EQ(started, 4u);  // jobs 0..3; none after the failure
 }
 
 TEST(SweepMap, MoreThreadsThanJobsCompletesAndStaysOrdered) {
