@@ -1,9 +1,12 @@
 /// \file bench_table1.cpp
-/// The paper grid: the triangular block interleaver on ten JEDEC devices
-/// with the row-major and the optimized mapping. One sweep-engine pass
-/// runs, for each of the 20 cells, its write and read phases, its
-/// double-buffered streaming run and, for the optimized mapping only, a
-/// refresh-disabled run (50 runs). The bench reads five views off them:
+/// The paper's DRAM evaluation: the triangular block interleaver on ten
+/// JEDEC devices with the row-major and the optimized mapping, and the
+/// studies around those cells. Every study asks for its runs from one list
+/// that keeps each distinct RunConfig once (equal in every field), so a
+/// run two studies share is simulated once: at the default size the
+/// studies ask for 143 runs, 115 of them distinct. One sweep-engine pass
+/// runs the list and a second the 20 cells' double-buffered streaming
+/// runs. The bench prints these views, in this order:
 ///
 ///  * Table I: write and read bandwidth utilization, with the Min
 ///    columns (the paper's bold numbers) that bound the interleaver
@@ -31,6 +34,30 @@
 ///    min(W, R) bound the paper argues from separate phases. At full size
 ///    the optimized mapping streams 0.76-30.32 % below its bound
 ///    (LPDDR5-8533 worst) and above the row-major mapping on every device.
+///  * Dimensions (§III): "Results for other interleaver dimensions are
+///    omitted ... because they differ only slightly." The min utilization
+///    of both mappings on every device at 0.8, 3, 12.5 and 50 M symbols,
+///    two orders of magnitude.
+///  * Ablation of the three optimizations of §II on three fast speed
+///    grades, showing why each ingredient is needed:
+///      none      : square row-major placement (baseline pathology)
+///      diag      : bank round-robin only: tCCD_S everywhere, but page
+///                  misses still concentrate in one direction
+///      tile      : page tiling only: misses split between directions,
+///                  but consecutive accesses stay in one bank group
+///      diag+tile : both: misses of all banks collide at tile boundaries
+///      full      : + bank-dependent column offset staggers those misses
+///  * Controller design choices the paper holds fixed, on DDR4-3200: queue
+///    depth, scheduling policy and the row-major baseline's physical
+///    address layout. They show how much of the baseline's behavior
+///    depends on controller quality rather than on the mapping, and that
+///    no realistic controller configuration rescues it.
+///
+/// --symbols sizes Table I and its views, the ablation and the controller
+/// study; the dimension sweep keeps its four sizes. --max-bursts and
+/// --check apply to every run. A checked run records every command for
+/// the checker, so a full-size --check holds up to about 250 MB per
+/// thread (a 50 M-symbol run).
 ///
 /// Usage: bench_table1 [--symbols N] [--max-bursts M] [--target-gbps G]
 ///                     [--threads T] [--check] [--markdown] [--json FILE]
@@ -39,23 +66,41 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "dram/standards.hpp"
+#include "interleaver/streams.hpp"
 #include "perf/counters.hpp"
+#include "sim/runner.hpp"
 #include "sim/sweep.hpp"
 
 namespace {
 
-/// The runs of one (device, mapping) cell.
-struct Cell {
-  tbi::sim::BandwidthRecord phases;     ///< write and read, device-default refresh
-  tbi::sim::PhaseResult streaming;      ///< double-buffered, 1:1 mixed
-  tbi::sim::InterleaverRun no_refresh;  ///< refresh disabled; optimized mapping only
-};
+using tbi::TextTable;
+using tbi::dram::DeviceConfig;
+using tbi::sim::InterleaverRun;
+using tbi::sim::RunConfig;
+using Policy = tbi::dram::ControllerConfig::Policy;
+
+constexpr const char* kMappings[] = {"row-major", "optimized"};
+constexpr std::uint64_t kDimensionSymbols[] = {800'000, 3'000'000, 12'500'000,
+                                               50'000'000};
+constexpr const char* kAblationDevices[] = {"DDR4-3200", "LPDDR4-4266", "LPDDR5-8533"};
+constexpr const char* kAblationVariants[] = {"optimized/none", "optimized/diag",
+                                             "optimized/tile", "optimized/diag+tile",
+                                             "optimized"};
+constexpr const char* kControllerDevice = "DDR4-3200";
+constexpr unsigned kQueueDepths[] = {1, 4, 16, 64, 256};
+constexpr std::pair<Policy, const char*> kPolicies[] = {{Policy::Fcfs, "FCFS"},
+                                                        {Policy::FrFcfs, "FR-FCFS"}};
+constexpr const char* kLayouts[] = {"row-major", "row-major/robaco", "row-major/rocoba",
+                                    "row-major/xor"};
 
 std::string fmt(const char* format, double v) {
   char buf[48];
@@ -63,8 +108,23 @@ std::string fmt(const char* format, double v) {
   return buf;
 }
 
-double energy_nj(const tbi::sim::InterleaverRun& run) {
+double energy_nj(const InterleaverRun& run) {
   return run.write.energy.total_nj() + run.read.energy.total_nj();
+}
+
+/// The controller study's record keys shared by a row-major and an
+/// optimized run.
+tbi::Json mapping_pair(const InterleaverRun& rm, const InterleaverRun& opt) {
+  tbi::Json row;
+  row["device"] = rm.device_name;
+  row["row_major_min_utilization"] = rm.min_utilization();
+  row["optimized_min_utilization"] = opt.min_utilization();
+  row["bursts"] = rm.total_bursts() + opt.total_bursts();
+  row["row_major_sched_ns_per_pick"] = rm.sched_ns_per_pick();
+  row["optimized_sched_ns_per_pick"] = opt.sched_ns_per_pick();
+  row["row_major_candidates_per_pick"] = rm.candidates_per_pick();
+  row["optimized_candidates_per_pick"] = opt.candidates_per_pick();
+  return row;
 }
 
 }  // namespace
@@ -72,9 +132,9 @@ double energy_nj(const tbi::sim::InterleaverRun& run) {
 // A symbol count the devices cannot hold throws std::invalid_argument or
 // std::out_of_range from the sizing or the mapping.
 int main(int argc, char** argv) try {
-  using tbi::TextTable;
   tbi::CliParser cli("bench_table1",
-                     "the paper grid: Table I, link sizing, energy, refresh, streaming");
+                     "the paper's DRAM evaluation: Table I, link sizing, energy, "
+                     "refresh, streaming, dimensions, ablation, controller");
   cli.add_option("symbols", "count", "interleaver symbols (default 12.5M)");
   cli.add_option("max-bursts", "count", "truncate phases for quick runs");
   cli.add_option("target-gbps", "G", "downlink rate to sustain (default 100)");
@@ -97,37 +157,108 @@ int main(int argc, char** argv) try {
     std::fprintf(stderr, "error: --target-gbps must be in (0, 1e6], got %g\n", target);
     return 1;
   }
-  tbi::sim::BandwidthSweepOptions options;
-  options.total_symbols =
+  const auto symbols =
       cli.read_count<std::uint64_t>("symbols", tbi::sim::kPaperSymbols, 1);
-  options.max_bursts_per_phase = cli.read_count<std::uint64_t>("max-bursts", 0, 0);
-  options.check_protocol = cli.has("check");
-  options.sweep.threads = cli.read_count<unsigned>("threads", 0, 0);
+  const auto max_bursts = cli.read_count<std::uint64_t>("max-bursts", 0, 0);
+  const bool check = cli.has("check");
+  tbi::sim::SweepOptions sweep;
+  sweep.threads = cli.read_count<unsigned>("threads", 0, 0);
 
-  // Device-major, mapping inner: cell 2d is device d's row-major cell and
-  // 2d + 1 its optimized one.
-  const auto grid = tbi::sim::SweepGrid::paper_bandwidth_grid().expand();
+  // The distinct runs: add() lists a RunConfig unless an equal one (every
+  // field) is listed and returns its index. Each study keeps the indices
+  // of the runs it asked for.
+  std::vector<RunConfig> configs;
+  const auto add = [&configs](const RunConfig& rc) {
+    const auto at = static_cast<std::size_t>(
+        std::find(configs.begin(), configs.end(), rc) - configs.begin());
+    if (at == configs.size()) configs.push_back(rc);
+    return at;
+  };
+  const auto run_config = [&](const DeviceConfig& device, const char* mapping,
+                              std::uint64_t total_symbols) {
+    RunConfig rc;
+    rc.device = device;
+    rc.mapping_spec = mapping;
+    rc.side = tbi::interleaver::burst_triangle_side(
+        total_symbols, tbi::sim::kPaperSymbolBits, device.burst_bytes);
+    rc.max_bursts_per_phase = max_bursts;
+    rc.check_protocol = check;
+    return rc;
+  };
+
+  // The paper grid, device-major, mapping inner: cell 2d is device d's
+  // row-major cell and 2d + 1 its optimized one; no_refresh_run[d] is the
+  // optimized cell with refresh disabled.
+  const auto& devices = tbi::dram::standard_configs();
+  std::vector<RunConfig> cells;
+  std::vector<std::size_t> cell_run, no_refresh_run;
+  for (const auto& device : devices) {
+    for (const char* mapping : kMappings) {
+      cells.push_back(run_config(device, mapping, symbols));
+      cell_run.push_back(add(cells.back()));
+    }
+    RunConfig off = cells.back();
+    off.controller.refresh_mode = tbi::dram::RefreshMode::Disabled;
+    no_refresh_run.push_back(add(off));
+  }
+  // Device-major, then size, then mapping.
+  std::vector<std::size_t> dimension_run;
+  for (const auto& device : devices) {
+    for (const std::uint64_t size : kDimensionSymbols) {
+      for (const char* mapping : kMappings) {
+        dimension_run.push_back(add(run_config(device, mapping, size)));
+      }
+    }
+  }
+  // Device-major, variant inner.
+  std::vector<std::size_t> ablation_run;
+  for (const char* name : kAblationDevices) {
+    const DeviceConfig& device = *tbi::dram::find_config(name);
+    for (const char* variant : kAblationVariants) {
+      ablation_run.push_back(add(run_config(device, variant, symbols)));
+    }
+  }
+  const DeviceConfig& controller_device = *tbi::dram::find_config(kControllerDevice);
+  const auto controller_run = [&](const char* mapping, unsigned queue_depth,
+                                  Policy policy) {
+    RunConfig rc = run_config(controller_device, mapping, symbols);
+    rc.controller.queue_depth = queue_depth;
+    rc.controller.policy = policy;
+    return add(rc);
+  };
+  // Queue depth and policy rows each hold a row-major and an optimized run.
+  std::vector<std::size_t> queue_run, policy_run, layout_run;
+  for (const unsigned depth : kQueueDepths) {
+    for (const char* mapping : kMappings) {
+      queue_run.push_back(controller_run(mapping, depth, Policy::FrFcfs));
+    }
+  }
+  for (const auto& [policy, name] : kPolicies) {
+    for (const char* mapping : kMappings) {
+      policy_run.push_back(controller_run(mapping, 64, policy));
+    }
+  }
+  for (const char* layout : kLayouts) {
+    layout_run.push_back(controller_run(layout, 64, Policy::FrFcfs));
+  }
+
   const auto wall_start = std::chrono::steady_clock::now();
-  const auto cells =
-      tbi::sim::sweep_map(grid.size(), options.sweep, [&](std::uint64_t i, std::uint64_t) {
-        Cell cell;
-        cell.phases = tbi::sim::run_bandwidth_cell(grid[i], options);
-        const tbi::sim::RunConfig& rc = cell.phases.config;
-        cell.streaming = tbi::sim::run_streaming(rc);
-        if (rc.mapping_spec == "optimized") {
-          tbi::sim::RunConfig off = rc;
-          off.controller.use_device_default_refresh = false;
-          off.controller.refresh_mode = tbi::dram::RefreshMode::Disabled;
-          cell.no_refresh = tbi::sim::run_interleaver(off);
-        }
-        return cell;
-      });
+  const auto runs = tbi::sim::sweep_map(configs.size(), sweep,
+                                        [&](std::uint64_t i, std::uint64_t) {
+    return tbi::sim::run_interleaver(configs[i]);
+  });
+  const auto streams = tbi::sim::sweep_map(cells.size(), sweep,
+                                           [&](std::uint64_t i, std::uint64_t) {
+    return tbi::sim::run_streaming(cells[i]);
+  });
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
           .count();
+  std::uint64_t simulated_bursts = 0;
+  for (const auto& run : runs) simulated_bursts += run.total_bursts();
+  for (const auto& stream : streams) simulated_bursts += stream.stats.bursts;
 
-  TextTable table1("Table I: DRAM bandwidth utilizations (" +
-                   std::to_string(options.total_symbols) +
+  TextTable table1("Table I: DRAM bandwidth utilizations (" + std::to_string(symbols) +
                    "-symbol triangular interleaver)");
   table1.set_header({"DRAM Configuration", "Row-Major Write", "Row-Major Read",
                      "Row-Major Min", "Optimized Write", "Optimized Read",
@@ -147,16 +278,14 @@ int main(int argc, char** argv) try {
 
   std::string short_of_99;  // devices whose refresh-off phases miss 99 %
   unsigned devices_short = 0;
-  std::uint64_t simulated_bursts = 0;
   tbi::Json::Array records;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    const tbi::sim::InterleaverRun& run = cell.phases.run;
-    const tbi::dram::DeviceConfig& device = cell.phases.config.device;
-    const std::string& spec = grid[i].mapping_spec;
+    const InterleaverRun& run = runs[cell_run[i]];
+    const DeviceConfig& device = cells[i].device;
+    const std::string& spec = cells[i].mapping_spec;
     const bool optimized = spec == "optimized";
     const std::string name = optimized ? "" : device.name;
-    const tbi::dram::PhaseStats& mixed = cell.streaming.stats;
+    const tbi::dram::PhaseStats& mixed = streams[i].stats;
 
     const double achieved = run.throughput_gbps(device.burst_bytes);
     const unsigned channels =
@@ -167,7 +296,7 @@ int main(int argc, char** argv) try {
     const double watts = seconds > 0 ? nj * 1e-9 / seconds : 0.0;
     const double bytes = static_cast<double>(run.total_bursts()) * device.burst_bytes;
     const double overhead_pct =
-        100.0 * (nj / energy_nj(cells[optimized ? i : i + 1].phases.run) - 1.0);
+        100.0 * (nj / energy_nj(runs[cell_run[optimized ? i : i + 1]]) - 1.0);
     const double bound = run.min_utilization();
 
     link.add_row({name, TextTable::num(device.peak_bandwidth_gbps(), 1), spec,
@@ -211,11 +340,10 @@ int main(int argc, char** argv) try {
     stream["sched_ns_per_pick"] = mixed.ns_per_pick();
     stream["candidates_per_pick"] = mixed.candidates_per_pick();
     record["streaming"] = stream;
-    simulated_bursts += run.total_bursts() + mixed.bursts;
 
     if (optimized) {
-      const tbi::sim::InterleaverRun& rm = cells[i - 1].phases.run;
-      const tbi::sim::InterleaverRun& off = cell.no_refresh;
+      const InterleaverRun& rm = runs[cell_run[i - 1]];
+      const InterleaverRun& off = runs[no_refresh_run[i / 2]];
       table1.add_row({device.name, TextTable::pct(rm.write.stats.utilization()),
                       TextTable::pct(rm.read.stats.utilization()),
                       TextTable::pct(rm.min_utilization()),
@@ -242,15 +370,115 @@ int main(int argc, char** argv) try {
       no_ref["read_utilization"] = off.read.stats.utilization();
       no_ref["lifetime_ms"] = lifetime_ms;
       record["no_refresh"] = no_ref;
-      simulated_bursts += off.total_bursts();
     }
     records.push_back(record);
   }
 
+  TextTable dimensions("Interleaver dimension sweep (min utilization per mapping)");
+  std::vector<std::string> dimension_header = {"DRAM Configuration", "Mapping"};
+  for (const std::uint64_t size : kDimensionSymbols) {
+    dimension_header.push_back(fmt("%.1fM sym", static_cast<double>(size) / 1e6));
+  }
+  dimensions.set_header(dimension_header);
+  tbi::Json::Array dimension_records;
+  for (std::size_t d = 0, k = 0; d < devices.size(); ++d) {
+    std::vector<std::string> rm_row = {devices[d].name, "row-major"};
+    std::vector<std::string> opt_row = {"", "optimized"};
+    for (const std::uint64_t size : kDimensionSymbols) {
+      const InterleaverRun& rm = runs[dimension_run[k]];
+      const InterleaverRun& opt = runs[dimension_run[k + 1]];
+      rm_row.push_back(TextTable::pct(rm.min_utilization()));
+      opt_row.push_back(TextTable::pct(opt.min_utilization()));
+      tbi::Json row;
+      row["device"] = devices[d].name;
+      row["total_symbols"] = size;
+      row["side_bursts"] = configs[dimension_run[k]].side;
+      row["row_major_min"] = rm.min_utilization();
+      row["optimized_min"] = opt.min_utilization();
+      row["row_major_sched_ns_per_pick"] = rm.sched_ns_per_pick();
+      row["optimized_sched_ns_per_pick"] = opt.sched_ns_per_pick();
+      dimension_records.push_back(row);
+      k += 2;
+    }
+    dimensions.add_row(rm_row);
+    dimensions.add_row(opt_row);
+  }
+
+  std::vector<TextTable> ablation;
+  tbi::Json::Array ablation_records;
+  for (std::size_t k = 0; k < ablation_run.size(); ++k) {
+    const InterleaverRun& run = runs[ablation_run[k]];
+    if (k % std::size(kAblationVariants) == 0) {
+      ablation.emplace_back("Optimization ablation on " + run.device_name);
+      ablation.back().set_header({"Mapping Variant", "Write", "Read", "Min"});
+    }
+    ablation.back().add_row({run.mapping_name,
+                             TextTable::pct(run.write.stats.utilization()),
+                             TextTable::pct(run.read.stats.utilization()),
+                             TextTable::pct(run.min_utilization())});
+    tbi::Json row;
+    row["device"] = run.device_name;
+    row["variant"] = run.mapping_name;
+    row["write"] = run.write.stats.utilization();
+    row["read"] = run.read.stats.utilization();
+    row["min"] = run.min_utilization();
+    row["sched_ns_per_pick"] = run.sched_ns_per_pick();
+    ablation_records.push_back(row);
+  }
+
+  TextTable queue("Queue depth sweep on " + controller_device.name +
+                  " (FR-FCFS, min utilization)");
+  queue.set_header({"Queue Depth", "Row-Major", "Optimized"});
+  tbi::Json::Array queue_records;
+  for (std::size_t q = 0; q < std::size(kQueueDepths); ++q) {
+    const InterleaverRun& rm = runs[queue_run[2 * q]];
+    const InterleaverRun& opt = runs[queue_run[2 * q + 1]];
+    queue.add_row({std::to_string(kQueueDepths[q]),
+                   TextTable::pct(rm.min_utilization()),
+                   TextTable::pct(opt.min_utilization())});
+    tbi::Json row = mapping_pair(rm, opt);
+    row["queue_depth"] = static_cast<std::uint64_t>(kQueueDepths[q]);
+    queue_records.push_back(row);
+  }
+  TextTable policies("Scheduling policy on " + controller_device.name +
+                     " (min utilization)");
+  policies.set_header({"Policy", "Row-Major", "Optimized"});
+  tbi::Json::Array policy_records;
+  for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
+    const InterleaverRun& rm = runs[policy_run[2 * p]];
+    const InterleaverRun& opt = runs[policy_run[2 * p + 1]];
+    policies.add_row({kPolicies[p].second, TextTable::pct(rm.min_utilization()),
+                      TextTable::pct(opt.min_utilization())});
+    tbi::Json row = mapping_pair(rm, opt);
+    row["policy"] = kPolicies[p].second;
+    policy_records.push_back(row);
+  }
+  TextTable layouts("Row-major baseline: physical address layout on " +
+                    controller_device.name);
+  layouts.set_header({"Layout", "Write", "Read", "Min"});
+  tbi::Json::Array layout_records;
+  for (const std::size_t index : layout_run) {
+    const InterleaverRun& run = runs[index];
+    layouts.add_row({run.mapping_name, TextTable::pct(run.write.stats.utilization()),
+                     TextTable::pct(run.read.stats.utilization()),
+                     TextTable::pct(run.min_utilization())});
+    tbi::Json row;
+    row["device"] = run.device_name;
+    row["layout"] = run.mapping_name;
+    row["write_utilization"] = run.write.stats.utilization();
+    row["read_utilization"] = run.read.stats.utilization();
+    row["min_utilization"] = run.min_utilization();
+    row["bursts"] = run.total_bursts();
+    row["sched_ns_per_pick"] = run.sched_ns_per_pick();
+    row["candidates_per_pick"] = run.candidates_per_pick();
+    layout_records.push_back(row);
+  }
+
+  // A table, a blank line, and its note (if any) followed by one.
   const auto print = [markdown = cli.has("markdown")](const TextTable& t,
-                                                      const std::string& note) {
+                                                      const std::string& note = "") {
     std::fputs(markdown ? t.render_markdown().c_str() : t.render().c_str(), stdout);
-    std::fputs(("\n" + note + "\n\n").c_str(), stdout);
+    std::fputs(("\n" + (note.empty() ? note : note + "\n\n")).c_str(), stdout);
   };
   print(table1,
         "The minimum of write and read bounds the interleaver throughput (paper\n"
@@ -268,8 +496,8 @@ int main(int argc, char** argv) try {
         "same device (same data moved).");
   print(refresh,
         "Refresh off, the optimized mapping reaches 99 % in both phases on " +
-            std::to_string(cells.size() / 2 - devices_short) + " of " +
-            std::to_string(cells.size() / 2) + "\ndevices." +
+            std::to_string(devices.size() - devices_short) + " of " +
+            std::to_string(devices.size()) + "\ndevices." +
             (devices_short ? " Below 99 % (write / read):\n" + short_of_99 : "\n") +
             "Disabling refresh is legal while the data lifetime stays below the\n"
             "DRAM retention period (32..64 ms, paper §III).");
@@ -278,19 +506,31 @@ int main(int argc, char** argv) try {
         "write-to-read penalties the separate phases never see. For the\n"
         "row-major mapping the write stream can fill bubbles of the slow read\n"
         "stream and lift the mixed utilization above min(W,R).");
+  print(dimensions,
+        "Expected shape: per mapping the columns differ only slightly\n"
+        "(paper §III), while row-major vs optimized differ greatly.");
+  for (const TextTable& t : ablation) print(t);
+  print(queue);
+  print(policies);
+  print(layouts);
 
   if (cli.has("json")) {
     tbi::Json doc;
     doc["bench"] = "bench_table1";
     tbi::Json config;
-    config["symbols"] = options.total_symbols;
-    config["max_bursts"] = options.max_bursts_per_phase;
+    config["symbols"] = symbols;
+    config["max_bursts"] = max_bursts;
     config["target_gbps"] = target;
-    config["threads"] = static_cast<std::uint64_t>(options.sweep.threads);
-    config["check"] = options.check_protocol;
+    config["threads"] = static_cast<std::uint64_t>(sweep.threads);
+    config["check"] = check;
     doc["config"] = config;
     doc["wall_seconds"] = wall_seconds;
     doc["records"] = records;
+    doc["dimensions"] = dimension_records;
+    doc["ablation"] = ablation_records;
+    doc["queue_depth_sweep"] = queue_records;
+    doc["policies"] = policy_records;
+    doc["layouts"] = layout_records;
     doc["simulated_bursts"] = simulated_bursts;
     doc["bursts_per_second"] =
         wall_seconds > 0 ? static_cast<double>(simulated_bursts) / wall_seconds : 0.0;

@@ -82,10 +82,7 @@ int main(int argc, char** argv) {
   tbi::dram::ControllerConfig cfg;
   cfg.queue_depth = cli.read_count<unsigned>("queue-depth", 64, 1);
   const auto max_bursts = cli.read_count<std::uint64_t>("max-bursts", 0, 0);
-  if (cli.has("no-refresh")) {
-    cfg.use_device_default_refresh = false;
-    cfg.refresh_mode = tbi::dram::RefreshMode::Disabled;
-  }
+  if (cli.has("no-refresh")) cfg.refresh_mode = tbi::dram::RefreshMode::Disabled;
   if (cli.has("fcfs")) cfg.policy = tbi::dram::ControllerConfig::Policy::Fcfs;
 
   tbi::dram::Controller ctl(*dev, cfg);

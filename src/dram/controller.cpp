@@ -9,20 +9,10 @@
 
 namespace tbi::dram {
 
-namespace {
-
-RefreshMode effective_refresh_mode(const DeviceConfig& dev,
-                                   const ControllerConfig& cfg) {
-  if (cfg.use_device_default_refresh) return dev.default_refresh;
-  return cfg.refresh_mode;
-}
-
-}  // namespace
-
 Controller::Controller(DeviceConfig device, ControllerConfig config)
     : device_(std::move(device)),
       config_(config),
-      refresh_mode_(effective_refresh_mode(device_, config)) {
+      refresh_mode_(config.refresh_mode.value_or(device_.default_refresh)) {
   device_.validate();
   if (config_.queue_depth == 0) {
     throw std::invalid_argument("Controller: queue_depth must be > 0");

@@ -73,6 +73,7 @@
 
 #include <array>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "dram/standards.hpp"
@@ -103,10 +104,8 @@ struct ControllerConfig {
 
   unsigned queue_depth = 64;
   Policy policy = Policy::FrFcfs;
-  /// When true, the device's default refresh mode is used and
-  /// `refresh_mode` is ignored.
-  bool use_device_default_refresh = true;
-  RefreshMode refresh_mode = RefreshMode::AllBank;
+  /// Unset: the device's default_refresh.
+  std::optional<RefreshMode> refresh_mode;
 
   friend bool operator==(const ControllerConfig&, const ControllerConfig&) = default;
 };

@@ -249,102 +249,8 @@ const std::vector<DeviceConfig>& standard_configs() {
   return configs;
 }
 
-namespace {
-
-DeviceConfig ddr3_1066() {
-  DeviceConfig c = ddr3_800();
-  c.name = "DDR3-1066";
-  c.data_rate_mts = 1066;
-  c.burst_time = 7505;  // BL8 @ 1066 MT/s
-  c.timing = TimingParams{
-      .tCK = 1876, .CL = 13130, .CWL = 11256,
-      .tRCD = 13130, .tRP = 13130, .tRAS = 37500, .tRC = 50630,
-      .tRRD_S = 7505, .tRRD_L = 7505, .tFAW = 37500,
-      .tCCD_S = 7505, .tCCD_L = 7505,
-      .tRTP = 7505, .tWR = 15000, .tWTR = 7505, .tRTW_bubble = 3752,
-      .tREFI = 7800000, .tRFC_ab = 260000, .tRFC_grp = 260000};
-  c.energy = EnergyParams{2100, 1350, 1450, 27000, 125};
-  return c;
-}
-
-DeviceConfig ddr4_2400() {
-  DeviceConfig c = ddr4_1600();
-  c.name = "DDR4-2400";
-  c.data_rate_mts = 2400;
-  c.burst_time = 3334;
-  c.timing = TimingParams{
-      .tCK = 833, .CL = 13320, .CWL = 10000,
-      .tRCD = 13320, .tRP = 13320, .tRAS = 32000, .tRC = 45320,
-      .tRRD_S = 3334, .tRRD_L = 4900, .tFAW = 21000,
-      .tCCD_S = 3334, .tCCD_L = 5000,
-      .tRTP = 7500, .tWR = 15000, .tWTR = 7500, .tRTW_bubble = 1667,
-      .tREFI = 7800000, .tRFC_ab = 260000, .tRFC_grp = 260000};
-  c.energy = EnergyParams{1750, 1050, 1150, 24500, 105};
-  return c;
-}
-
-DeviceConfig ddr5_4800() {
-  DeviceConfig c = ddr5_3200();
-  c.name = "DDR5-4800";
-  c.data_rate_mts = 4800;
-  c.burst_time = 3334;
-  c.timing = TimingParams{
-      .tCK = 416, .CL = 13750, .CWL = 12000,
-      .tRCD = 13750, .tRP = 13750, .tRAS = 32000, .tRC = 45750,
-      .tRRD_S = 3334, .tRRD_L = 5000, .tFAW = 13336,
-      .tCCD_S = 3334, .tCCD_L = 5000,
-      .tRTP = 7500, .tWR = 30000, .tWTR = 10000, .tRTW_bubble = 832,
-      .tREFI = 3900000, .tRFC_ab = 295000, .tRFC_grp = 160000};
-  c.energy = EnergyParams{1450, 875, 975, 21500, 92};
-  return c;
-}
-
-DeviceConfig lpddr4_3200() {
-  DeviceConfig c = lpddr4_2133();
-  c.name = "LPDDR4-3200";
-  c.data_rate_mts = 3200;
-  c.burst_time = 5000;
-  c.timing.tCK = 625;
-  c.timing.tCCD_S = 5000;
-  c.timing.tCCD_L = 5000;
-  c.timing.tRTW_bubble = 2500;
-  c.energy = EnergyParams{875, 485, 535, 14500, 42};
-  return c;
-}
-
-DeviceConfig lpddr5_6400() {
-  DeviceConfig c = lpddr5_4267();
-  c.name = "LPDDR5-6400";
-  c.data_rate_mts = 6400;
-  c.burst_time = 2500;
-  c.timing.tCK = 1250;
-  c.timing.tRRD_S = 5000;
-  c.timing.tRRD_L = 5000;
-  c.timing.tFAW = 20000;
-  c.timing.tCCD_S = 2500;
-  c.timing.tCCD_L = 5000;
-  c.timing.tRTW_bubble = 1250;
-  c.energy = EnergyParams{675, 370, 410, 11800, 37};
-  return c;
-}
-
-}  // namespace
-
-const std::vector<DeviceConfig>& extended_configs() {
-  static const std::vector<DeviceConfig> configs = [] {
-    std::vector<DeviceConfig> v{ddr3_1066(), ddr4_2400(), ddr5_4800(),
-                                lpddr4_3200(), lpddr5_6400()};
-    for (auto& c : v) c.validate();
-    return v;
-  }();
-  return configs;
-}
-
 const DeviceConfig* find_config(std::string_view name) {
   for (const auto& c : standard_configs()) {
-    if (c.name == name) return &c;
-  }
-  for (const auto& c : extended_configs()) {
     if (c.name == name) return &c;
   }
   return nullptr;

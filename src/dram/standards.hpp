@@ -1,7 +1,7 @@
 /// \file standards.hpp
 /// Device configurations for the five JEDEC standards (two speed grades
-/// each) evaluated in the paper, plus five intermediate grades. Binaries
-/// name a device through find_config().
+/// each) evaluated in the paper. Binaries name a device through
+/// find_config().
 ///
 /// Channel conventions (documented in DESIGN.md §5):
 ///  * one rank per channel;
@@ -83,13 +83,8 @@ struct DeviceConfig {
 /// The ten configurations of the paper's Table I, in table order.
 const std::vector<DeviceConfig>& standard_configs();
 
-/// Additional intermediate speed grades (DDR3-1066, DDR4-2400, DDR5-4800,
-/// LPDDR4-3200, LPDDR5-6400) for sweeps beyond the paper's table; same
-/// channel conventions, parameters interpolated from public bins.
-const std::vector<DeviceConfig>& extended_configs();
-
-/// Look up a configuration by name in the standard and extended sets
-/// (e.g. "DDR4-3200" or "DDR4-2400"); returns nullptr when unknown.
+/// Look up one of the ten configurations by name (e.g. "DDR4-3200");
+/// returns nullptr when unknown.
 const DeviceConfig* find_config(std::string_view name);
 
 }  // namespace tbi::dram

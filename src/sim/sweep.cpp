@@ -1,10 +1,8 @@
 #include "sim/sweep.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "dram/standards.hpp"
-#include "interleaver/streams.hpp"
 
 namespace tbi::sim {
 
@@ -79,38 +77,6 @@ std::vector<Scenario> SweepGrid::expand() const {
     }
   }
   return cells;
-}
-
-// ---------------------------------------------------------------------------
-// Bandwidth sweeps
-// ---------------------------------------------------------------------------
-
-BandwidthRecord run_bandwidth_cell(const Scenario& scenario,
-                                   const BandwidthSweepOptions& options) {
-  const auto* device = dram::find_config(scenario.device);
-  if (device == nullptr) {
-    throw std::invalid_argument("run_bandwidth_cell: unknown device '" +
-                                scenario.device + "'");
-  }
-  BandwidthRecord record;
-  record.scenario = scenario;
-  record.config.device = *device;
-  record.config.mapping_spec = scenario.mapping_spec;
-  record.config.side = interleaver::burst_triangle_side(
-      options.total_symbols, kPaperSymbolBits, device->burst_bytes);
-  record.config.max_bursts_per_phase = options.max_bursts_per_phase;
-  record.config.check_protocol = options.check_protocol;
-  record.run = run_interleaver(record.config);
-  return record;
-}
-
-std::vector<BandwidthRecord> run_bandwidth_sweep(const SweepGrid& grid,
-                                                 const BandwidthSweepOptions& options) {
-  const auto cells = grid.expand();
-  return sweep_map(cells.size(), options.sweep,
-                   [&](std::uint64_t index, std::uint64_t /*seed*/) {
-    return run_bandwidth_cell(cells[index], options);
-  });
 }
 
 }  // namespace tbi::sim

@@ -1,14 +1,13 @@
 /// \file sweep.hpp
 /// Parallel scenario-sweep engine.
 ///
-/// Every paper artifact (Table I, the ablation, the dimension sweep) and
-/// every future scaling experiment is a cartesian grid of scenarios —
-/// device × mapping × interleaver × channel × code rate — whose cells are
-/// independent simulations. The engine runs such a grid's cells on plain
-/// threads that claim them one index at a time, seeds every job
-/// deterministically from (base_seed, job index), and collects results
-/// *by index*, so the record vector is byte-identical for any thread count
-/// (tested property).
+/// Every study is a list of independent simulations: the DRAM evaluation
+/// maps a list of distinct RunConfigs (bench_table1, run_table1), a FER
+/// sweep a cartesian grid of scenarios — device × mapping × interleaver ×
+/// channel × code rate. The engine runs such a list on plain threads that
+/// claim its jobs one index at a time, seeds every job deterministically
+/// from (base_seed, job index), and collects results *by index*, so the
+/// record vector is byte-identical for any thread count (tested property).
 #pragma once
 
 #include <atomic>
@@ -20,8 +19,6 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "sim/runner.hpp"
 
 namespace tbi::sim {
 
@@ -101,7 +98,8 @@ auto sweep_map(std::uint64_t count, const SweepOptions& options, Fn&& fn)
 // ---------------------------------------------------------------------------
 
 /// One cell of the sweep grid. Axes not exercised by a particular sweep
-/// keep their defaults (e.g. bandwidth sweeps ignore channel and code).
+/// keep their defaults (e.g. the paper bandwidth grid ignores channel and
+/// code).
 struct Scenario {
   std::string device;                    ///< dram::find_config name
   std::string mapping_spec = "optimized";
@@ -128,34 +126,5 @@ struct SweepGrid {
   std::uint64_t size() const;
   std::vector<Scenario> expand() const;
 };
-
-// ---------------------------------------------------------------------------
-// Bandwidth sweeps (DRAM phases only; fully deterministic, no RNG)
-// ---------------------------------------------------------------------------
-
-struct BandwidthSweepOptions {
-  SweepOptions sweep;
-  std::uint64_t total_symbols = kPaperSymbols;  ///< 3-bit symbols per frame
-  std::uint64_t max_bursts_per_phase = 0;       ///< 0 = full triangle
-  bool check_protocol = false;
-};
-
-/// One collected record: the scenario, the exact RunConfig executed, and
-/// the write/read PhaseResults.
-struct BandwidthRecord {
-  Scenario scenario;
-  RunConfig config;
-  InterleaverRun run;
-};
-
-/// Run the DRAM write/read phases of one (device, mapping) cell with the
-/// RunConfig \p options give it. Throws std::invalid_argument for an
-/// unknown device. Interleaver/channel/code axes are ignored here.
-BandwidthRecord run_bandwidth_cell(const Scenario& scenario,
-                                   const BandwidthSweepOptions& options);
-
-/// run_bandwidth_cell for every cell of the grid, in parallel.
-std::vector<BandwidthRecord> run_bandwidth_sweep(const SweepGrid& grid,
-                                                 const BandwidthSweepOptions& options);
 
 }  // namespace tbi::sim

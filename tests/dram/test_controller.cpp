@@ -45,7 +45,6 @@ TEST(Controller, SingleBankSamePageIsCcdLLimited) {
   // same-bank hit stream can only reach ~50 % utilization.
   const DeviceConfig& dev = *find_config("DDR5-6400");
   ControllerConfig cfg;
-  cfg.use_device_default_refresh = false;
   cfg.refresh_mode = RefreshMode::Disabled;
   const auto stats = run(dev, sequential_hits(0, 0, 2000, false, dev.columns_per_page), cfg);
   EXPECT_NEAR(stats.utilization(),
@@ -56,7 +55,6 @@ TEST(Controller, BankGroupRotationReachesFullBandwidth) {
   // Same device, but rotating across bank groups engages tCCD_S == burst.
   const DeviceConfig& dev = *find_config("DDR5-6400");
   ControllerConfig cfg;
-  cfg.use_device_default_refresh = false;
   cfg.refresh_mode = RefreshMode::Disabled;
   std::vector<Request> reqs;
   for (unsigned i = 0; i < 4000; ++i) {
@@ -72,7 +70,6 @@ TEST(Controller, BankGroupRotationReachesFullBandwidth) {
 TEST(Controller, SingleBankRowPingPongIsTrcLimited) {
   const DeviceConfig& dev = *find_config("DDR4-3200");
   ControllerConfig cfg;
-  cfg.use_device_default_refresh = false;
   cfg.refresh_mode = RefreshMode::Disabled;
   // FCFS keeps the strict row alternation (FR-FCFS would legally batch
   // requests by row and dodge most of the conflicts).
@@ -93,7 +90,6 @@ TEST(Controller, EightBankConflictRotationIsFawLimited) {
   // against a 5 ns burst -> ~2/3 utilization.
   const DeviceConfig& dev = *find_config("DDR3-1600");
   ControllerConfig cfg;
-  cfg.use_device_default_refresh = false;
   cfg.refresh_mode = RefreshMode::Disabled;
   std::vector<Request> reqs;
   for (unsigned i = 0; i < 8000; ++i) {
@@ -130,7 +126,6 @@ TEST(Controller, FrFcfsBeatsFcfsOnHitConflictMix) {
 TEST(Controller, WriteToReadTurnaroundCostsBandwidth) {
   const DeviceConfig& dev = *find_config("DDR4-3200");
   ControllerConfig cfg;
-  cfg.use_device_default_refresh = false;
   cfg.refresh_mode = RefreshMode::Disabled;
   cfg.policy = ControllerConfig::Policy::Fcfs;  // keep the alternation
   std::vector<Request> alternating;
@@ -161,6 +156,19 @@ TEST(Controller, RejectsZeroQueueDepth) {
   ControllerConfig cfg;
   cfg.queue_depth = 0;
   EXPECT_THROW(Controller(*find_config("DDR3-800"), cfg), std::invalid_argument);
+}
+
+TEST(Controller, UnsetRefreshModeIsTheDevicesDefault) {
+  ControllerConfig off;
+  off.refresh_mode = RefreshMode::Disabled;
+  for (const auto& dev : standard_configs()) {
+    EXPECT_EQ(Controller(dev, {}).refresh_mode(), dev.default_refresh) << dev.name;
+    EXPECT_EQ(Controller(dev, off).refresh_mode(), RefreshMode::Disabled) << dev.name;
+    // Long enough to span several refresh intervals on every device.
+    const auto hits = sequential_hits(0, 0, 20000, false, dev.columns_per_page);
+    EXPECT_GT(run(dev, hits).refreshes, 0u) << dev.name;
+    EXPECT_EQ(run(dev, hits, off).refreshes, 0u) << dev.name;
+  }
 }
 
 TEST(Controller, EmptyStreamYieldsEmptyStats) {

@@ -20,7 +20,6 @@ std::vector<Request> rotating_traffic(const DeviceConfig& dev, unsigned count) {
 PhaseStats run_mode(const DeviceConfig& dev, RefreshMode mode, unsigned count,
                     TimingChecker* checker = nullptr) {
   ControllerConfig cfg;
-  cfg.use_device_default_refresh = false;
   cfg.refresh_mode = mode;
   Controller ctl(dev, cfg);
   if (checker) ctl.set_observer(checker);
@@ -91,7 +90,6 @@ TEST(Refresh, UnsustainableCadenceRejected) {
   // DDR5 per-bank refresh would need a REF every tREFI/32 = 122 ns with a
   // 160 ns cycle time — the controller must refuse instead of deadlocking.
   ControllerConfig cfg;
-  cfg.use_device_default_refresh = false;
   cfg.refresh_mode = RefreshMode::PerBank;
   EXPECT_THROW(Controller(*find_config("DDR5-6400"), cfg), std::invalid_argument);
   EXPECT_THROW(Controller(*find_config("DDR5-3200"), cfg), std::invalid_argument);

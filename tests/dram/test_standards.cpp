@@ -116,36 +116,5 @@ TEST(Standards, ValidateRejectsBrokenGeometry) {
   EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
-TEST(Standards, ExtendedGradesValidateAndResolve) {
-  const auto& ext = extended_configs();
-  ASSERT_EQ(ext.size(), 5u);
-  for (const auto& c : ext) {
-    EXPECT_NO_THROW(c.validate()) << c.name;
-    EXPECT_EQ(find_config(c.name), &c) << c.name;
-  }
-  // Extended grades sit strictly between the paper's two grades of the
-  // same standard in data rate.
-  EXPECT_EQ(find_config("DDR4-2400")->standard, Standard::DDR4);
-  EXPECT_GT(find_config("DDR4-2400")->data_rate_mts,
-            find_config("DDR4-1600")->data_rate_mts);
-  EXPECT_LT(find_config("DDR4-2400")->data_rate_mts,
-            find_config("DDR4-3200")->data_rate_mts);
-  EXPECT_GT(find_config("LPDDR5-6400")->burst_time,
-            find_config("LPDDR5-8533")->burst_time);
-}
-
-TEST(Standards, ExtendedGradesShareGeometryWithTheirFamily) {
-  for (const auto& c : extended_configs()) {
-    // Find the paper sibling of the same standard and compare geometry.
-    for (const auto& base : standard_configs()) {
-      if (base.standard != c.standard) continue;
-      EXPECT_EQ(c.banks, base.banks) << c.name;
-      EXPECT_EQ(c.bank_groups, base.bank_groups) << c.name;
-      EXPECT_EQ(c.columns_per_page, base.columns_per_page) << c.name;
-      EXPECT_EQ(c.burst_bytes, base.burst_bytes) << c.name;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace tbi::dram

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "dram/standards.hpp"
+#include "interleaver/streams.hpp"
+#include "sim/runner.hpp"
+
 namespace tbi::sim {
 namespace {
 
@@ -57,36 +63,55 @@ TEST(Table1, RefreshDisabledLiftsOptimizedAbove96) {
     rc.mapping_spec = "optimized";
     rc.side = paper_side_for(device);
     rc.max_bursts_per_phase = quick_options().max_bursts_per_phase;
-    rc.controller.use_device_default_refresh = false;
     rc.controller.refresh_mode = dram::RefreshMode::Disabled;
     EXPECT_GT(run_interleaver(rc).min_utilization(), 0.96) << device.name;
   }
 }
 
+/// \p mapping on \p device at \p symbols 3-bit symbols, as bench_table1
+/// sizes its runs.
+RunConfig sized_run(const char* device, const char* mapping, std::uint64_t symbols,
+                    std::uint64_t max_bursts = 0) {
+  RunConfig rc;
+  rc.device = *dram::find_config(device);
+  rc.mapping_spec = mapping;
+  rc.side = interleaver::burst_triangle_side(symbols, kPaperSymbolBits,
+                                             rc.device.burst_bytes);
+  rc.max_bursts_per_phase = max_bursts;
+  return rc;
+}
+
 TEST(Ablation, FullMappingWinsOnFastDevice) {
-  const auto rows =
-      run_ablation(*dram::find_config("LPDDR4-4266"), 2'000'000, 12000);
+  std::vector<InterleaverRun> rows;
+  for (const char* variant : {"optimized/none", "optimized/diag", "optimized/tile",
+                              "optimized/diag+tile", "optimized"}) {
+    rows.push_back(
+        run_interleaver(sized_run("LPDDR4-4266", variant, 2'000'000, 12000)));
+  }
   ASSERT_EQ(rows.size(), 5u);
-  EXPECT_EQ(rows.front().variant, "optimized[-,-,-]");
-  EXPECT_EQ(rows.back().variant, "optimized[diag,tile,offset]");
+  EXPECT_EQ(rows.front().mapping_name, "optimized[-,-,-]");
+  EXPECT_EQ(rows.back().mapping_name, "optimized[diag,tile,offset]");
   // The full mapping must beat the no-optimization corner decisively.
-  EXPECT_GT(rows.back().min(), rows.front().min() + 0.15);
+  EXPECT_GT(rows.back().min_utilization(), rows.front().min_utilization() + 0.15);
   // And tiling alone must already help the read phase vs nothing.
-  EXPECT_GT(rows[2].min(), rows.front().min() - 0.02);
+  EXPECT_GT(rows[2].min_utilization(), rows.front().min_utilization() - 0.02);
 }
 
 TEST(DimensionSweep, UtilizationInsensitiveToSize) {
   // Paper §III: "Results for other interleaver dimensions ... differ only
   // slightly." Sweep three sizes around the paper's and require the
   // optimized minimum to stay within a narrow band.
-  const auto rows = run_dimension_sweep(*dram::find_config("DDR4-3200"),
-                                        {2'000'000, 6'000'000, 12'500'000});
+  std::vector<RunConfig> rows;
+  for (const std::uint64_t symbols : {2'000'000, 6'000'000, 12'500'000}) {
+    rows.push_back(sized_run("DDR4-3200", "optimized", symbols));
+  }
   ASSERT_EQ(rows.size(), 3u);
   double lo = 1.0, hi = 0.0;
-  for (const auto& r : rows) {
-    EXPECT_GT(r.side_bursts, 0u);
-    lo = std::min(lo, r.optimized_min);
-    hi = std::max(hi, r.optimized_min);
+  for (const auto& rc : rows) {
+    EXPECT_GT(rc.side, 0u);
+    const double optimized_min = run_interleaver(rc).min_utilization();
+    lo = std::min(lo, optimized_min);
+    hi = std::max(hi, optimized_min);
   }
   EXPECT_LT(hi - lo, 0.06);
 }

@@ -88,7 +88,6 @@ TEST(Runner, RequiresSide) {
 TEST(Runner, RefreshDisabledImprovesUtilization) {
   auto with = base_config("DDR4-3200", "optimized", 60000);
   auto without = with;
-  without.controller.use_device_default_refresh = false;
   without.controller.refresh_mode = dram::RefreshMode::Disabled;
   const auto a = run_interleaver(with);
   const auto b = run_interleaver(without);

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/experiments.hpp"
-
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
+
+#include "dram/standards.hpp"
+#include "sim/experiments.hpp"
+#include "sim/runner.hpp"
 
 namespace tbi::sim {
 namespace {
@@ -112,11 +115,30 @@ TEST(Scenario, LabelIsInjectiveOverTheFullGrid) {
   }
 }
 
-BandwidthSweepOptions quick_sweep(unsigned threads) {
-  BandwidthSweepOptions o;
-  o.sweep.threads = threads;
-  o.max_bursts_per_phase = 8000;
-  return o;
+/// The 20 paper-grid cells (device-major, mapping inner) on the paper
+/// geometry, each phase cut to \p max_bursts.
+std::vector<RunConfig> paper_grid_configs(std::uint64_t max_bursts) {
+  std::vector<RunConfig> configs;
+  for (const auto& device : dram::standard_configs()) {
+    for (const char* mapping : {"row-major", "optimized"}) {
+      RunConfig rc;
+      rc.device = device;
+      rc.mapping_spec = mapping;
+      rc.side = paper_side_for(device);
+      rc.max_bursts_per_phase = max_bursts;
+      configs.push_back(std::move(rc));
+    }
+  }
+  return configs;
+}
+
+std::vector<InterleaverRun> run_on(const std::vector<RunConfig>& configs,
+                                   unsigned threads) {
+  SweepOptions options;
+  options.threads = threads;
+  return sweep_map(configs.size(), options, [&](std::uint64_t i, std::uint64_t) {
+    return run_interleaver(configs[i]);
+  });
 }
 
 bool stats_equal(const dram::PhaseStats& a, const dram::PhaseStats& b) {
@@ -130,21 +152,21 @@ bool stats_equal(const dram::PhaseStats& a, const dram::PhaseStats& b) {
 TEST(BandwidthSweep, IdenticalRecordsForAnyThreadCount) {
   // The acceptance bar of this subsystem: a Table-I-shaped sweep must
   // produce byte-identical records on one worker and on many.
-  SweepGrid grid = SweepGrid::paper_bandwidth_grid();
-  const auto serial = run_bandwidth_sweep(grid, quick_sweep(1));
-  const auto parallel4 = run_bandwidth_sweep(grid, quick_sweep(4));
-  const auto parallel7 = run_bandwidth_sweep(grid, quick_sweep(7));
+  const auto configs = paper_grid_configs(8000);
+  const auto serial = run_on(configs, 1);
+  const auto parallel4 = run_on(configs, 4);
+  const auto parallel7 = run_on(configs, 7);
   ASSERT_EQ(serial.size(), 20u);
   ASSERT_EQ(parallel4.size(), serial.size());
   ASSERT_EQ(parallel7.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].scenario.device, parallel4[i].scenario.device);
-    EXPECT_EQ(serial[i].scenario.mapping_spec, parallel4[i].scenario.mapping_spec);
-    EXPECT_TRUE(stats_equal(serial[i].run.write.stats, parallel4[i].run.write.stats)) << i;
-    EXPECT_TRUE(stats_equal(serial[i].run.read.stats, parallel4[i].run.read.stats)) << i;
-    EXPECT_TRUE(stats_equal(serial[i].run.write.stats, parallel7[i].run.write.stats)) << i;
-    EXPECT_TRUE(stats_equal(serial[i].run.read.stats, parallel7[i].run.read.stats)) << i;
-    EXPECT_EQ(serial[i].run.write.energy.total_nj(), parallel4[i].run.write.energy.total_nj());
+    EXPECT_EQ(serial[i].device_name, parallel4[i].device_name);
+    EXPECT_EQ(serial[i].mapping_name, parallel4[i].mapping_name);
+    EXPECT_TRUE(stats_equal(serial[i].write.stats, parallel4[i].write.stats)) << i;
+    EXPECT_TRUE(stats_equal(serial[i].read.stats, parallel4[i].read.stats)) << i;
+    EXPECT_TRUE(stats_equal(serial[i].write.stats, parallel7[i].write.stats)) << i;
+    EXPECT_TRUE(stats_equal(serial[i].read.stats, parallel7[i].read.stats)) << i;
+    EXPECT_EQ(serial[i].write.energy.total_nj(), parallel4[i].write.energy.total_nj());
   }
 }
 
@@ -153,14 +175,13 @@ TEST(BandwidthSweep, GoldenDdr4Counters) {
   // counts and bus occupancy of the optimized mapping on DDR4-3200 with
   // 12000-burst phases. Any controller/mapping change that alters these
   // numbers must be deliberate.
-  SweepGrid grid;
-  grid.devices = {"DDR4-3200"};
-  grid.mapping_specs = {"optimized"};
-  BandwidthSweepOptions o;
-  o.max_bursts_per_phase = 12000;
-  const auto records = run_bandwidth_sweep(grid, o);
-  ASSERT_EQ(records.size(), 1u);
-  const auto& w = records[0].run.write.stats;
+  RunConfig rc;
+  rc.device = *dram::find_config("DDR4-3200");
+  rc.mapping_spec = "optimized";
+  rc.side = paper_side_for(rc.device);
+  rc.max_bursts_per_phase = 12000;
+  const InterleaverRun run = run_interleaver(rc);
+  const auto& w = run.write.stats;
   EXPECT_EQ(w.bursts, 12000u);
   EXPECT_EQ(w.activates, 3181u);
   EXPECT_EQ(w.row_hits, 8819u);
@@ -168,7 +189,7 @@ TEST(BandwidthSweep, GoldenDdr4Counters) {
   EXPECT_EQ(w.row_conflicts, 3117u);
   EXPECT_EQ(w.elapsed(), 30965000);
   EXPECT_EQ(w.busy, 30000000);
-  const auto& r = records[0].run.read.stats;
+  const auto& r = run.read.stats;
   EXPECT_EQ(r.bursts, 12000u);
   EXPECT_EQ(r.activates, 6205u);
   EXPECT_EQ(r.elapsed(), 32493750);
@@ -194,12 +215,6 @@ TEST(BandwidthSweep, GoldenTable1Utilizations) {
   EXPECT_NEAR(lpddr4.row_major_read, 0.4124392756, 1e-9);
   EXPECT_NEAR(lpddr4.optimized_write, 0.9717095272, 1e-9);
   EXPECT_NEAR(lpddr4.optimized_read, 0.9948938640, 1e-9);
-}
-
-TEST(BandwidthSweep, UnknownDeviceThrows) {
-  SweepGrid grid;
-  grid.devices = {"NO-SUCH-DEVICE"};
-  EXPECT_THROW(run_bandwidth_sweep(grid, quick_sweep(2)), std::invalid_argument);
 }
 
 // Resolving a requested thread count, with more jobs than any cap so only
